@@ -276,8 +276,8 @@ DayOutcome runDay(ScenarioContext& ctx, const Sizes& sizes) {
         break;
       case EventKind::kRevoke: {
         PhaseRow& row = out.rows[phaseOfNow()];
-        const auto report = acl.removeMember(
-            users[e.actor]->circleId("wall"), social::syntheticUser(e.target));
+        const auto report = users[e.actor]->removeFromCircle(
+            "wall", social::syntheticUser(e.target));
         ++row.revokes;
         row.reencrypted += report.reencryptedEnvelopes;
         row.keyOps += report.keyOperations;

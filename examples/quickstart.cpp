@@ -1,10 +1,11 @@
-// Quickstart: two users, a friends circle, an encrypted post, verified
-// integrity, and a revocation — the library's core loop in ~60 lines.
+// Quickstart: three users, a friends circle, an encrypted post on a DHT,
+// verified integrity, and a revocation — the library's core loop in ~80
+// lines. Exits non-zero unless every outcome it prints holds.
 //
 //   ./quickstart
 #include <cstdio>
 
-#include "dosn/core/node.hpp"
+#include "dosn/app/microblog.hpp"
 #include "dosn/privacy/hybrid_acl.hpp"
 
 int main() {
@@ -12,41 +13,65 @@ int main() {
 
   util::Rng rng(2026);
   const pkcrypto::DlogGroup& group = pkcrypto::DlogGroup::cached(512);
+  sim::Simulator simulator;
+  sim::Network network(simulator, sim::LatencyModel{5 * sim::kMillisecond, 0, 0.0},
+                       rng);
 
   // Shared infrastructure: the out-of-band key registry and an access
   // controller (hybrid encryption: symmetric payload + per-member key wrap).
   social::IdentityRegistry registry;
   privacy::HybridAcl acl(group, rng, privacy::WrapScheme::kPublicKey);
 
-  // Two user clients.
-  core::DosnNode alice(group, "alice", registry, acl, rng);
-  core::DosnNode bob(group, "bob", registry, acl, rng);
-  core::DosnNode eve(group, "eve", registry, acl, rng);
+  // Three user clients. Their own DHT nodes are the whole network, so each
+  // wall is replicated on the other users' (untrusted) nodes.
+  app::MicroblogNode alice(network, overlay::OverlayId::random(rng), group,
+                           "alice", registry, acl, rng);
+  app::MicroblogNode bob(network, overlay::OverlayId::random(rng), group, "bob",
+                         registry, acl, rng);
+  app::MicroblogNode eve(network, overlay::OverlayId::random(rng), group, "eve",
+                         registry, acl, rng);
+  const overlay::Contact seed{alice.dht().id(), alice.dht().addr()};
+  bob.join(seed);
+  eve.join(seed);
+  simulator.run();
+
+  // Fetches alice's wall from the DHT: verify the signed hash chain, then
+  // decrypt as `reader`.
+  auto readAlice = [&](app::MicroblogNode& reader) {
+    app::FetchedTimeline seen;
+    reader.fetchTimeline("alice",
+                         [&](app::FetchedTimeline t) { seen = std::move(t); });
+    simulator.run();
+    return seen;
+  };
 
   // Alice creates a circle and shares a post with Bob.
   alice.createCircle("friends");
   alice.addToCircle("friends", "bob");
   alice.publish("friends", "Hello from my decentralized wall!", /*now=*/1, rng);
+  simulator.run();
 
-  // Bob verifies Alice's timeline and decrypts.
-  const auto post = bob.read(alice, 0);
+  const app::FetchedTimeline bobView = readAlice(bob);
+  const bool bobReads = bobView.posts.size() == 1;
   std::printf("bob reads:  %s\n",
-              post ? post->text.c_str() : "(access denied)");
+              bobReads ? bobView.posts[0].text.c_str() : "(access denied)");
 
-  // Eve is not in the circle.
-  const auto denied = eve.read(alice, 0);
-  std::printf("eve reads:  %s\n",
-              denied ? denied->text.c_str() : "(access denied)");
+  // Eve is not in the circle: the chain verifies, the post does not decrypt.
+  const app::FetchedTimeline eveView = readAlice(eve);
+  const bool eveDenied = eveView.chainValid && eveView.posts.empty();
+  std::printf("eve reads:  %s\n", eveDenied ? "(access denied)" : "BUG");
 
-  // Integrity: bob checks the hash-chained timeline signature.
-  std::printf("timeline verified: %s\n",
-              bob.verifyTimelineOf(alice) ? "yes" : "NO");
+  // Integrity: the head signature and every chain entry verified.
+  const bool verified = bobView.headValid && bobView.chainValid;
+  std::printf("timeline verified: %s\n", verified ? "yes" : "NO");
 
   // Revocation: bob is removed; the retained history is re-encrypted.
   const auto report = alice.removeFromCircle("friends", "bob");
   std::printf("revocation re-encrypted %zu envelope(s)\n",
               report.reencryptedEnvelopes);
+  const app::FetchedTimeline revokedView = readAlice(bob);
+  const bool bobLockedOut = revokedView.chainValid && revokedView.posts.empty();
   std::printf("bob after revocation: %s\n",
-              bob.read(alice, 0) ? "still reads (BUG)" : "(access denied)");
-  return 0;
+              bobLockedOut ? "(access denied)" : "still reads (BUG)");
+  return bobReads && verified && eveDenied && bobLockedOut ? 0 : 1;
 }

@@ -1,9 +1,7 @@
 #include "dosn/app/microblog.hpp"
 
 #include <algorithm>
-#include <set>
 
-#include "dosn/store/memory_store.hpp"
 #include "dosn/util/codec.hpp"
 #include "dosn/util/error.hpp"
 
@@ -16,6 +14,14 @@ namespace {
 //   mb.cache.get {rpcId, key} -> mb.cache.value {rpcId, found, value}
 const sim::MessageType kMsgCacheGet("mb.cache.get");
 const sim::MessageType kMsgCacheValue("mb.cache.value");
+
+// The friend cache's byte budget, alongside FriendCacheConfig::capacityBlocks.
+constexpr std::size_t kCacheCapacityBytes = 256 * 1024;
+// Remote friend caches probed per entry before falling back to the DHT.
+constexpr std::size_t kCacheFanout = 2;
+// Single-shot timeout per cache probe (no retries — the DHT is the fallback,
+// not a retransmission).
+constexpr sim::SimTime kCacheProbeTimeout = 200 * sim::kMillisecond;
 
 }  // namespace
 
@@ -99,14 +105,11 @@ MicroblogNode::MicroblogNode(sim::Network& network, overlay::OverlayId dhtId,
       acl_(acl),
       keyring_(social::createKeyring(group, std::move(user), rng)),
       timeline_(group, keyring_),
-      dht_(network, dhtId, dhtConfig),
-      rng_(rng),
-      cacheConfig_(cacheConfig) {
+      dht_(network, dhtId, dhtConfig) {
   registry_.registerIdentity(social::publicIdentity(keyring_));
-  if (cacheConfig_.enabled) {
-    friendCache_ = std::make_unique<store::CacheStore>(
-        std::make_unique<store::MemoryStore>(), cacheConfig_.capacityBlocks,
-        cacheConfig_.capacityBytes);
+  if (cacheConfig.enabled) {
+    friendCache_ = std::make_unique<store::LruCache>(
+        cacheConfig.capacityBlocks, kCacheCapacityBytes);
     dht_.endpoint().addReplyChannel(kMsgCacheValue);
     dht_.endpoint().onRequest(
         kMsgCacheGet,
@@ -138,34 +141,21 @@ void MicroblogNode::addFriendPeer(const UserId& user, sim::NodeAddr addr) {
   friendPeers_.emplace_back(user, addr);
 }
 
-void MicroblogNode::cachePut(const overlay::OverlayId& id,
-                             util::BytesView data) {
-  friendCache_->put(id, data);
-  // CacheStore is a write-through decorator: evicted blocks survive in the
-  // inner MemoryStore, which would grow without bound. Prune everything the
-  // cache no longer tracks so the friend tier honors its capacity.
-  const auto cached = friendCache_->cachedIds();
-  const std::set<store::BlockId> keep(cached.begin(), cached.end());
-  for (const store::BlockId& stored : friendCache_->list()) {
-    if (!keep.count(stored)) friendCache_->erase(stored);
-  }
-}
-
 std::vector<sim::NodeAddr> MicroblogNode::cachePeersFor(
     const UserId& author) const {
   // The author's own node first — it seeds its cache at publish time, so a
   // single probe there resolves a cold fetch in one hop; other registered
-  // friends follow in registration order, capped at the configured fanout.
+  // friends follow in registration order, capped at the fanout.
+  // addFriendPeer keeps one entry per user, so the author adds at most one.
   std::vector<sim::NodeAddr> peers;
   for (const auto& [peer, addr] : friendPeers_) {
     if (peer == author) peers.push_back(addr);
   }
   for (const auto& [peer, addr] : friendPeers_) {
-    if (peers.size() >= cacheConfig_.fanout) break;
+    if (peers.size() >= kCacheFanout) break;
     if (peer == author) continue;
     peers.push_back(addr);
   }
-  if (peers.size() > cacheConfig_.fanout) peers.resize(cacheConfig_.fanout);
   return peers;
 }
 
@@ -188,6 +178,14 @@ void MicroblogNode::addToCircle(const std::string& circle,
   acl_.addMember(circleId(circle), member);
 }
 
+privacy::RevocationReport MicroblogNode::removeFromCircle(
+    const std::string& circle, const UserId& member) {
+  if (member == keyring_.user) {
+    throw util::DosnError("MicroblogNode: cannot revoke the circle owner");
+  }
+  return acl_.removeMember(circleId(circle), member);
+}
+
 void MicroblogNode::publish(const std::string& circle, const std::string& text,
                             social::Timestamp now, util::Rng& rng,
                             std::function<void(bool)> done) {
@@ -203,7 +201,6 @@ void MicroblogNode::publish(const std::string& circle, const std::string& text,
   // content even though replicas only ever see the envelope.
   record.entry =
       timeline_.append(crypto::sha256Bytes(record.envelope.blob), rng);
-  envelopes_.push_back(record.envelope);
   const std::uint64_t seq = timeline_.size() - 1;
 
   HeadRecord head;
@@ -216,7 +213,7 @@ void MicroblogNode::publish(const std::string& circle, const std::string& text,
   // resolve a cold fetch in one hop instead of a full DHT lookup. The head
   // is deliberately not seeded — it stays a DHT-only freshness anchor.
   if (friendCache_) {
-    cachePut(entryKey(keyring_.user, seq), record.serialize());
+    friendCache_->put(entryKey(keyring_.user, seq), record.serialize());
   }
 
   // Store the entry, then the head (owner-attributed, so a socially-aware
@@ -331,7 +328,7 @@ void MicroblogNode::tryRemoteCache(
   util::Writer body;
   body.raw(util::BytesView(key.bytes));
   net::CallOptions options;
-  options.timeout = cacheConfig_.rpcTimeout;
+  options.timeout = kCacheProbeTimeout;
   const sim::NodeAddr peer = (*peers)[index];
   dht_.endpoint().call(
       peer, kMsgCacheGet, body.buffer(), options,
@@ -345,7 +342,7 @@ void MicroblogNode::tryRemoteCache(
               ++fetchStats_.cacheRemoteHits;
               ++fetchStats_.hops;  // one hop to the friend's cache
               state->usedCache = true;
-              cachePut(key, value);
+              friendCache_->put(key, value);
               state->records[seq] = TimelineRecord::deserialize(value);
               if (--state->pending == 0) finishFetch(state);
               return;
@@ -364,7 +361,7 @@ void MicroblogNode::dhtFetch(const std::shared_ptr<FetchState>& state,
   dht_.findValue(key, [this, state, seq, key](overlay::LookupResult result) {
     fetchStats_.hops += result.hops;
     if (result.value) {
-      if (friendCache_) cachePut(key, *result.value);
+      if (friendCache_) friendCache_->put(key, *result.value);
       state->records[seq] = TimelineRecord::deserialize(*result.value);
     }
     if (--state->pending == 0) finishFetch(state);

@@ -58,21 +58,15 @@ struct FetchedTimeline {
 };
 
 /// One-hop friend-cache tier (DESIGN.md §3f): followers opportunistically
-/// cache the timeline records they fetch in a bounded CacheStore, answer
+/// cache the timeline records they fetch in a bounded LruCache, answer
 /// `mb.cache.get` probes from friends, and resolve entry fetches
-/// cache-first — local cache, then up to `fanout` friend caches (the
-/// author's own node first), then the DHT. The signed head record is NEVER
-/// cached: it is the freshness anchor, so a stale cached entry is caught by
+/// cache-first — local cache, then up to two friend caches (the author's
+/// own node first), then the DHT. The signed head record is NEVER cached:
+/// it is the freshness anchor, so a stale cached entry is caught by
 /// chain/head verification, invalidated, and re-fetched from the DHT.
 struct FriendCacheConfig {
   bool enabled = false;
   std::size_t capacityBlocks = 256;
-  std::size_t capacityBytes = 256 * 1024;
-  /// Remote friend caches probed per entry before falling back to the DHT.
-  std::size_t fanout = 2;
-  /// Single-shot timeout per cache probe (no retries — the DHT is the
-  /// fallback, not a retransmission).
-  sim::SimTime rpcTimeout = 200 * sim::kMillisecond;
 };
 
 /// Fetch-side traffic accounting, kept per node so benches can compare
@@ -100,26 +94,23 @@ class MicroblogNode {
   const UserId& user() const { return keyring_.user; }
   overlay::KademliaNode& dht() { return dht_; }
 
-  /// This node's DHT block store (DESIGN.md §3e). Records this node holds as
-  /// a *replica host* for others live here; pass a
-  /// `KademliaConfig::makeStore` factory at construction to run a durable /
-  /// encrypting stack (e.g. Crypt(Cache(Async(File))) via store::makeStack)
-  /// instead of the default in-memory backend.
-  store::BlockStore& blockStore() { return dht_.blockStore(); }
-  const store::BlockStore& blockStore() const { return dht_.localStore(); }
-
-  // DHT RPC robustness stats, surfaced so the fault/churn benches can report
-  // per-node retry spend without reaching through dht().
+  // DHT RPC retry spend, surfaced so the fault/churn benches can report it
+  // per node without reaching through dht().
   std::uint64_t dhtRpcRetries() const { return dht_.rpcRetries(); }
-  std::uint64_t dhtRpcFailures() const { return dht_.rpcFailures(); }
 
   /// Joins the DHT through a seed contact.
   void join(const overlay::Contact& seed, std::function<void()> done = {});
 
-  // Circle management (namespaced like DosnNode).
+  // Circle management. Circle names are namespaced per user
+  // ("alice/friends") so one access controller can serve every node; the
+  // owner is a member of each circle it creates and cannot be revoked.
   std::string circleId(const std::string& circle) const;
   void createCircle(const std::string& circle);
   void addToCircle(const std::string& circle, const UserId& member);
+  /// Revokes `member` through the ACL. Throws DosnError if `member` is this
+  /// node's own user.
+  privacy::RevocationReport removeFromCircle(const std::string& circle,
+                                             const UserId& member);
 
   /// Encrypts, chains, and stores a post in the DHT; updates the signed head.
   /// `done(ok)` fires when both stores complete.
@@ -138,11 +129,11 @@ class MicroblogNode {
 
   /// Registers a friend's node as a cache peer; `user`'s records may be
   /// probed there. Fetches of `user`'s timeline try that user's own entry
-  /// first, then other registered peers, up to the configured fanout.
+  /// first, then other registered peers, two probes at most.
   void addFriendPeer(const UserId& user, sim::NodeAddr addr);
 
   /// The bounded friend cache, or nullptr when the tier is disabled.
-  const store::CacheStore* friendCache() const { return friendCache_.get(); }
+  const store::LruCache* friendCache() const { return friendCache_.get(); }
 
   /// Per-node fetch traffic accounting (see FetchStats).
   const FetchStats& fetchStats() const { return fetchStats_; }
@@ -162,7 +153,6 @@ class MicroblogNode {
                 const overlay::OverlayId& key);
   void finishFetch(const std::shared_ptr<FetchState>& state);
   void failFetch(const std::shared_ptr<FetchState>& state, FetchedTimeline out);
-  void cachePut(const overlay::OverlayId& id, util::BytesView data);
   std::vector<sim::NodeAddr> cachePeersFor(const UserId& author) const;
 
   const pkcrypto::DlogGroup& group_;
@@ -171,11 +161,8 @@ class MicroblogNode {
   social::Keyring keyring_;
   integrity::Timeline timeline_;
   overlay::KademliaNode dht_;
-  std::vector<privacy::Envelope> envelopes_;  // local copies, by seq
   social::PostId nextPostId_ = 1;
-  util::Rng& rng_;
-  FriendCacheConfig cacheConfig_;
-  std::unique_ptr<store::CacheStore> friendCache_;  // null when disabled
+  std::unique_ptr<store::LruCache> friendCache_;  // null when disabled
   std::vector<std::pair<UserId, sim::NodeAddr>> friendPeers_;  // insert order
   FetchStats fetchStats_;
 };

@@ -130,16 +130,14 @@ class KademliaNode {
 
   /// The node's local block store (pluggable; default MemoryStore).
   const store::BlockStore& localStore() const { return *store_; }
-  store::BlockStore& blockStore() { return *store_; }
 
   /// Re-joins after churn downtime: data survives locally, the routing table
   /// is refreshed via a self-lookup through the seed.
   void rejoin(const Contact& seed);
 
-  // RPC robustness stats (also mirrored into the network's Metrics, if
-  // attached, as `kad.rpc.retry` / `kad.rpc.fail`).
+  // RPC retry spend (also mirrored into the network's Metrics, if attached,
+  // as `kad.rpc.retry`, beside the `kad.rpc.fail` failure count).
   std::uint64_t rpcRetries() const { return endpoint_.retries(); }
-  std::uint64_t rpcFailures() const { return endpoint_.failures(); }
 
  private:
   struct Lookup;

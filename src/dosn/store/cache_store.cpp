@@ -2,120 +2,120 @@
 
 namespace dosn::store {
 
-CacheStore::CacheStore(std::unique_ptr<BlockStore> inner,
-                       std::size_t capacityBlocks, std::size_t capacityBytes)
-    : StoreDecorator(std::move(inner)),
-      capacityBlocks_(capacityBlocks),
-      capacityBytes_(capacityBytes) {
+LruCache::LruCache(std::size_t capacityBlocks, std::size_t capacityBytes)
+    : capacityBlocks_(capacityBlocks), capacityBytes_(capacityBytes) {
   if (capacityBlocks_ == 0 || capacityBytes_ == 0) {
-    throw StoreError("CacheStore: zero capacity");
+    throw StoreError("LruCache: zero capacity");
   }
 }
 
-void CacheStore::touch(Entry& entry, const BlockId& id) {
+void LruCache::touch(Entry& entry, const BlockId& id) {
   recency_.erase(entry.recency);
   recency_.push_front(id);
   entry.recency = recency_.begin();
 }
 
-void CacheStore::insert(const BlockId& id, util::BytesView data) {
-  // Blocks larger than the byte budget are served straight from the inner
-  // store; caching one would evict everything for a single-use entry. A
-  // previously cached (smaller) value for the same id must still be dropped,
-  // or an oversized overwrite would keep serving the stale bytes.
+void LruCache::put(const BlockId& id, util::BytesView data) {
   if (data.size() > capacityBytes_) {
-    const auto stale = cache_.find(id);
-    if (stale != cache_.end()) {
-      cachedBytes_ -= stale->second.data.size();
-      recency_.erase(stale->second.recency);
-      cache_.erase(stale);
-    }
+    erase(id);
     return;
   }
-  const auto it = cache_.find(id);
-  if (it != cache_.end()) {
+  const auto it = entries_.find(id);
+  if (it != entries_.end()) {
     cachedBytes_ -= it->second.data.size();
     it->second.data.assign(data.begin(), data.end());
     cachedBytes_ += it->second.data.size();
     touch(it->second, id);
   } else {
     recency_.push_front(id);
-    cache_.emplace(id, Entry{recency_.begin(),
-                             util::Bytes(data.begin(), data.end())});
+    entries_.emplace(id, Entry{recency_.begin(),
+                               util::Bytes(data.begin(), data.end())});
     cachedBytes_ += data.size();
   }
   evictToFit();
 }
 
-void CacheStore::evictToFit() {
-  while (cache_.size() > capacityBlocks_ || cachedBytes_ > capacityBytes_) {
+void LruCache::evictToFit() {
+  while (entries_.size() > capacityBlocks_ || cachedBytes_ > capacityBytes_) {
     const BlockId victim = recency_.back();
     recency_.pop_back();
-    const auto it = cache_.find(victim);
+    const auto it = entries_.find(victim);
     cachedBytes_ -= it->second.data.size();
-    cache_.erase(it);
+    entries_.erase(it);
     ++evictions_;
   }
 }
+
+std::optional<util::Bytes> LruCache::get(const BlockId& id) {
+  const auto it = entries_.find(id);
+  if (it == entries_.end()) {
+    ++misses_;
+    return std::nullopt;
+  }
+  ++hits_;
+  touch(it->second, id);
+  return it->second.data;
+}
+
+void LruCache::erase(const BlockId& id) {
+  const auto it = entries_.find(id);
+  if (it == entries_.end()) return;
+  cachedBytes_ -= it->second.data.size();
+  recency_.erase(it->second.recency);
+  entries_.erase(it);
+}
+
+CacheStats LruCache::cacheStats() const {
+  return CacheStats{hits_, misses_, evictions_, entries_.size(), cachedBytes_};
+}
+
+std::vector<BlockId> LruCache::cachedIds() const {
+  return std::vector<BlockId>(recency_.begin(), recency_.end());
+}
+
+CacheStore::CacheStore(std::unique_ptr<BlockStore> inner,
+                       std::size_t capacityBlocks, std::size_t capacityBytes)
+    : StoreDecorator(std::move(inner)), lru_(capacityBlocks, capacityBytes) {}
 
 void CacheStore::put(const BlockId& id, util::BytesView data) {
   ++counters_.puts;
   counters_.putBytes += data.size();
   inner_->put(id, data);  // write-through first: inner is authoritative
-  insert(id, data);
+  lru_.put(id, data);
 }
 
 std::optional<util::Bytes> CacheStore::get(const BlockId& id) {
   ++counters_.gets;
-  const auto it = cache_.find(id);
-  if (it != cache_.end()) {
+  if (auto cached = lru_.get(id)) {
     ++counters_.hits;
-    counters_.getBytes += it->second.data.size();
-    touch(it->second, id);
-    return it->second.data;
+    counters_.getBytes += cached->size();
+    return cached;
   }
   auto value = inner_->get(id);
-  if (!value) {
-    ++counters_.misses;
-    return std::nullopt;
-  }
   // A miss answered below still counts as a miss for the hit-ratio metric;
   // the fetched block is promoted so repeat reads hit.
   ++counters_.misses;
+  if (!value) return std::nullopt;
   counters_.getBytes += value->size();
-  insert(id, *value);
+  lru_.put(id, *value);
   return value;
 }
 
 bool CacheStore::erase(const BlockId& id) {
-  const auto it = cache_.find(id);
-  if (it != cache_.end()) {
-    cachedBytes_ -= it->second.data.size();
-    recency_.erase(it->second.recency);
-    cache_.erase(it);
-  }
+  lru_.erase(id);
   const bool removed = inner_->erase(id);
   if (removed) ++counters_.erases;
   return removed;
 }
 
 bool CacheStore::has(const BlockId& id) const {
-  return cache_.count(id) != 0 || inner_->has(id);
-}
-
-CacheStats CacheStore::cacheStats() const {
-  return CacheStats{counters_.hits, counters_.misses, evictions_,
-                    cache_.size(), cachedBytes_};
+  return lru_.contains(id) || inner_->has(id);
 }
 
 double CacheStore::hitRatio() const {
   const std::uint64_t total = counters_.hits + counters_.misses;
   if (total == 0) return 0.0;
   return static_cast<double>(counters_.hits) / static_cast<double>(total);
-}
-
-std::vector<BlockId> CacheStore::cachedIds() const {
-  return std::vector<BlockId>(recency_.begin(), recency_.end());
 }
 
 }  // namespace dosn::store

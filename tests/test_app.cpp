@@ -1,12 +1,17 @@
 // Integration tests for the decentralized microblog: full-stack flows over
 // the simulated DHT (publish -> replicate -> fetch -> verify -> decrypt),
-// including malicious-replica tampering.
+// including malicious-replica tampering, and the user-client matrix run over
+// every ACL scheme a client can be deployed with.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "dosn/app/microblog.hpp"
+#include "dosn/privacy/abe_acl.hpp"
+#include "dosn/privacy/hybrid_acl.hpp"
+#include "dosn/privacy/ibbe_acl.hpp"
 #include "dosn/privacy/symmetric_acl.hpp"
+#include "dosn/util/error.hpp"
 
 namespace dosn::app {
 namespace {
@@ -15,10 +20,32 @@ using overlay::Contact;
 using overlay::OverlayId;
 using sim::kMillisecond;
 
-class MicroblogTest : public ::testing::Test {
+enum class Scheme { kSymmetric, kHybridPk, kIbbe, kAbe };
+
+std::unique_ptr<AccessController> makeAcl(Scheme scheme,
+                                          const pkcrypto::DlogGroup& group,
+                                          util::Rng& rng) {
+  switch (scheme) {
+    case Scheme::kSymmetric:
+      return std::make_unique<privacy::SymmetricAcl>(rng);
+    case Scheme::kHybridPk:
+      return std::make_unique<privacy::HybridAcl>(
+          group, rng, privacy::WrapScheme::kPublicKey);
+    case Scheme::kIbbe:
+      return std::make_unique<privacy::IbbeAcl>(group, rng);
+    case Scheme::kAbe:
+      return std::make_unique<privacy::AbeAcl>(group, rng);
+  }
+  return nullptr;
+}
+
+// A small DHT substrate of plain peers for replication, with alice, bob and
+// eve joined as MicroblogNodes sharing one access controller.
+template <typename Base>
+class MicroblogFixture : public Base {
  protected:
-  MicroblogTest() {
-    // A small DHT substrate of plain peers for replication.
+  explicit MicroblogFixture(Scheme scheme)
+      : acl_(makeAcl(scheme, group_, rng_)) {
     for (int i = 0; i < 12; ++i) {
       peers_.push_back(std::make_unique<overlay::KademliaNode>(
           net_, OverlayId::random(rng_)));
@@ -35,10 +62,18 @@ class MicroblogTest : public ::testing::Test {
 
   std::unique_ptr<MicroblogNode> makeNode(const std::string& user) {
     auto node = std::make_unique<MicroblogNode>(
-        net_, OverlayId::random(rng_), group_, user, registry_, acl_, rng_);
+        net_, OverlayId::random(rng_), group_, user, registry_, *acl_, rng_);
     node->join(seed_);
     sim_.run();
     return node;
+  }
+
+  FetchedTimeline fetch(MicroblogNode& reader, const UserId& author) {
+    FetchedTimeline out;
+    reader.fetchTimeline(author,
+                         [&](FetchedTimeline t) { out = std::move(t); });
+    sim_.run();
+    return out;
   }
 
   util::Rng rng_{42};
@@ -47,12 +82,17 @@ class MicroblogTest : public ::testing::Test {
                     rng_};
   const pkcrypto::DlogGroup& group_ = pkcrypto::DlogGroup::cached(256);
   social::IdentityRegistry registry_;
-  privacy::SymmetricAcl acl_{rng_};
+  std::unique_ptr<AccessController> acl_;
   std::vector<std::unique_ptr<overlay::KademliaNode>> peers_;
   Contact seed_;
   std::unique_ptr<MicroblogNode> alice_;
   std::unique_ptr<MicroblogNode> bob_;
   std::unique_ptr<MicroblogNode> eve_;
+};
+
+class MicroblogTest : public MicroblogFixture<::testing::Test> {
+ protected:
+  MicroblogTest() : MicroblogFixture(Scheme::kSymmetric) {}
 };
 
 TEST_F(MicroblogTest, PublishFetchDecrypt) {
@@ -177,6 +217,114 @@ TEST_F(MicroblogTest, RecordSerializationRoundTrips) {
   EXPECT_FALSE(HeadRecord::deserialize(util::toBytes("junk")).has_value());
   EXPECT_FALSE(TimelineRecord::deserialize(util::toBytes("junk")).has_value());
 }
+
+// --- The user-client matrix, over every ACL scheme ---
+
+class MicroblogAclTest
+    : public MicroblogFixture<::testing::TestWithParam<Scheme>> {
+ protected:
+  MicroblogAclTest() : MicroblogFixture(GetParam()) {}
+
+  void publish(const std::string& circle, const std::string& text) {
+    alice_->publish(circle, text, ++now_, rng_);
+    sim_.run();
+  }
+
+  social::Timestamp now_ = 0;
+};
+
+TEST_P(MicroblogAclTest, PublishAndFriendReads) {
+  alice_->createCircle("friends");
+  alice_->addToCircle("friends", "bob");
+  publish("friends", "hello friends");
+  const FetchedTimeline seen = fetch(*bob_, "alice");
+  ASSERT_TRUE(seen.chainValid);
+  ASSERT_EQ(seen.posts.size(), 1u);
+  EXPECT_EQ(seen.posts[0].text, "hello friends");
+  EXPECT_EQ(seen.posts[0].author, "alice");
+}
+
+TEST_P(MicroblogAclTest, NonMemberCannotRead) {
+  alice_->createCircle("friends");
+  alice_->addToCircle("friends", "bob");
+  publish("friends", "secret");
+  EXPECT_EQ(fetch(*bob_, "alice").posts.size(), 1u);
+  const FetchedTimeline seen = fetch(*eve_, "alice");
+  EXPECT_TRUE(seen.chainValid);
+  EXPECT_TRUE(seen.posts.empty());
+  EXPECT_EQ(seen.undecryptable, 1u);
+}
+
+TEST_P(MicroblogAclTest, OwnerAlwaysReadsOwnPosts) {
+  alice_->createCircle("empty");
+  publish("empty", "note to self");
+  const FetchedTimeline seen = fetch(*alice_, "alice");
+  ASSERT_EQ(seen.posts.size(), 1u);
+  EXPECT_EQ(seen.posts[0].text, "note to self");
+}
+
+TEST_P(MicroblogAclTest, RevokedFriendLosesAccess) {
+  alice_->createCircle("friends");
+  alice_->addToCircle("friends", "bob");
+  publish("friends", "p1");
+  const auto report = alice_->removeFromCircle("friends", "bob");
+  publish("friends", "p2");
+  const FetchedTimeline seen = fetch(*bob_, "alice");
+  ASSERT_TRUE(seen.chainValid);
+  if (GetParam() == Scheme::kIbbe) {
+    // IBBE revocation is free and forward-effective: the next broadcast
+    // omits bob, and what he could already read stays readable.
+    EXPECT_EQ(report.keyOperations, 0u);
+    EXPECT_EQ(report.reencryptedEnvelopes, 0u);
+    ASSERT_EQ(seen.posts.size(), 1u);
+    EXPECT_EQ(seen.posts[0].text, "p1");
+  } else {
+    // The other schemes re-key and re-encrypt the retained history.
+    EXPECT_EQ(report.reencryptedEnvelopes, 1u);
+    EXPECT_TRUE(seen.posts.empty());
+  }
+  EXPECT_EQ(fetch(*alice_, "alice").posts.size(), 2u);
+}
+
+TEST_P(MicroblogAclTest, CannotRevokeOwner) {
+  alice_->createCircle("c");
+  EXPECT_THROW(alice_->removeFromCircle("c", "alice"), util::DosnError);
+  EXPECT_TRUE(acl_->isMember("alice/c", "alice"));
+}
+
+TEST_P(MicroblogAclTest, TimelineChainsAllPublishes) {
+  alice_->createCircle("friends");
+  alice_->addToCircle("friends", "bob");
+  for (int i = 0; i < 4; ++i) publish("friends", "post " + std::to_string(i));
+  EXPECT_EQ(alice_->publishedCount(), 4u);
+  const FetchedTimeline seen = fetch(*bob_, "alice");
+  EXPECT_TRUE(seen.headValid);
+  EXPECT_TRUE(seen.chainValid);
+  ASSERT_EQ(seen.posts.size(), 4u);
+  EXPECT_EQ(seen.posts[3].text, "post 3");
+}
+
+TEST_P(MicroblogAclTest, CircleNamespacesAreIsolatedBetweenUsers) {
+  alice_->createCircle("friends");
+  bob_->createCircle("friends");  // same name, different namespace
+  alice_->addToCircle("friends", "carol");
+  EXPECT_FALSE(acl_->isMember("bob/friends", "carol"));
+  EXPECT_TRUE(acl_->isMember("alice/friends", "carol"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, MicroblogAclTest,
+    ::testing::Values(Scheme::kSymmetric, Scheme::kHybridPk, Scheme::kIbbe,
+                      Scheme::kAbe),
+    [](const ::testing::TestParamInfo<Scheme>& info) {
+      switch (info.param) {
+        case Scheme::kSymmetric: return std::string("Symmetric");
+        case Scheme::kHybridPk: return std::string("HybridPk");
+        case Scheme::kIbbe: return std::string("Ibbe");
+        case Scheme::kAbe: return std::string("CpAbe");
+      }
+      return std::string("Unknown");
+    });
 
 }  // namespace
 }  // namespace dosn::app

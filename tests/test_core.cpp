@@ -1,24 +1,11 @@
-// Tests for the core facade: the scheme registry / Table I generator and the
-// DosnNode end-to-end flow.
+// Tests for the core module: the scheme registry and the Table I generator.
 #include <gtest/gtest.h>
 
-#include "dosn/core/node.hpp"
 #include "dosn/core/registry.hpp"
 #include "dosn/core/table1.hpp"
-#include "dosn/privacy/abe_acl.hpp"
-#include "dosn/privacy/hybrid_acl.hpp"
-#include "dosn/privacy/ibbe_acl.hpp"
-#include "dosn/privacy/symmetric_acl.hpp"
-#include "dosn/util/error.hpp"
 
 namespace dosn::core {
 namespace {
-
-const pkcrypto::DlogGroup& testGroup() {
-  return pkcrypto::DlogGroup::cached(256);
-}
-
-// --- Registry / Table I ---
 
 TEST(Registry, CoversAllTableOneRows) {
   const auto& registry = schemeRegistry();
@@ -80,139 +67,6 @@ TEST(Table1, InventoryListsModules) {
   const std::string inventory = renderImplementationInventory();
   EXPECT_NE(inventory.find("dosn/privacy/symmetric_acl"), std::string::npos);
   EXPECT_NE(inventory.find("dosn/search/trust_rank"), std::string::npos);
-}
-
-// --- DosnNode end-to-end ---
-
-class DosnNodeTest : public ::testing::Test {
- protected:
-  util::Rng rng_{42};
-  social::IdentityRegistry registry_;
-  privacy::SymmetricAcl acl_{rng_};
-};
-
-TEST_F(DosnNodeTest, PublishAndFriendReads) {
-  DosnNode alice(testGroup(), "alice", registry_, acl_, rng_);
-  DosnNode bob(testGroup(), "bob", registry_, acl_, rng_);
-  alice.createCircle("friends");
-  alice.addToCircle("friends", "bob");
-  alice.publish("friends", "hello friends", 100, rng_);
-
-  const auto post = bob.read(alice, 0);
-  ASSERT_TRUE(post.has_value());
-  EXPECT_EQ(post->text, "hello friends");
-  EXPECT_EQ(post->author, "alice");
-}
-
-TEST_F(DosnNodeTest, NonMemberCannotRead) {
-  DosnNode alice(testGroup(), "alice", registry_, acl_, rng_);
-  DosnNode bob(testGroup(), "bob", registry_, acl_, rng_);
-  DosnNode eve(testGroup(), "eve", registry_, acl_, rng_);
-  alice.createCircle("friends");
-  alice.addToCircle("friends", "bob");
-  alice.publish("friends", "secret", 100, rng_);
-  EXPECT_TRUE(bob.read(alice, 0).has_value());
-  EXPECT_FALSE(eve.read(alice, 0).has_value());
-}
-
-TEST_F(DosnNodeTest, OwnerAlwaysReadsOwnPosts) {
-  DosnNode alice(testGroup(), "alice", registry_, acl_, rng_);
-  alice.createCircle("empty");
-  alice.publish("empty", "note to self", 1, rng_);
-  EXPECT_TRUE(alice.read(alice, 0).has_value());
-}
-
-TEST_F(DosnNodeTest, RevokedFriendLosesAccess) {
-  DosnNode alice(testGroup(), "alice", registry_, acl_, rng_);
-  DosnNode bob(testGroup(), "bob", registry_, acl_, rng_);
-  alice.createCircle("friends");
-  alice.addToCircle("friends", "bob");
-  alice.publish("friends", "p1", 1, rng_);
-  const auto report = alice.removeFromCircle("friends", "bob");
-  EXPECT_EQ(report.reencryptedEnvelopes, 1u);  // symmetric scheme re-encrypts
-  alice.publish("friends", "p2", 2, rng_);
-  EXPECT_FALSE(bob.read(alice, 0).has_value());
-  EXPECT_FALSE(bob.read(alice, 1).has_value());
-  EXPECT_TRUE(alice.read(alice, 1).has_value());
-}
-
-TEST_F(DosnNodeTest, CannotRevokeOwner) {
-  DosnNode alice(testGroup(), "alice", registry_, acl_, rng_);
-  alice.createCircle("c");
-  EXPECT_THROW(alice.removeFromCircle("c", "alice"), util::DosnError);
-}
-
-TEST_F(DosnNodeTest, TimelineChainsAllPublishes) {
-  DosnNode alice(testGroup(), "alice", registry_, acl_, rng_);
-  DosnNode bob(testGroup(), "bob", registry_, acl_, rng_);
-  alice.createCircle("friends");
-  alice.addToCircle("friends", "bob");
-  for (int i = 0; i < 4; ++i) {
-    alice.publish("friends", "post " + std::to_string(i),
-                  static_cast<social::Timestamp>(i), rng_);
-  }
-  EXPECT_EQ(alice.timeline().size(), 4u);
-  EXPECT_TRUE(bob.verifyTimelineOf(alice));
-}
-
-TEST_F(DosnNodeTest, WorksWithHybridAcl) {
-  privacy::HybridAcl hybrid(testGroup(), rng_, privacy::WrapScheme::kPublicKey);
-  DosnNode alice(testGroup(), "alice", registry_, hybrid, rng_);
-  DosnNode bob(testGroup(), "bob", registry_, hybrid, rng_);
-  alice.createCircle("inner");
-  alice.addToCircle("inner", "bob");
-  alice.publish("inner", "hybrid-sealed", 9, rng_);
-  const auto post = bob.read(alice, 0);
-  ASSERT_TRUE(post.has_value());
-  EXPECT_EQ(post->text, "hybrid-sealed");
-}
-
-TEST_F(DosnNodeTest, ReadOutOfRangeFails) {
-  DosnNode alice(testGroup(), "alice", registry_, acl_, rng_);
-  DosnNode bob(testGroup(), "bob", registry_, acl_, rng_);
-  EXPECT_FALSE(bob.read(alice, 0).has_value());
-}
-
-TEST_F(DosnNodeTest, WorksWithIbbeAcl) {
-  privacy::IbbeAcl ibbe(testGroup(), rng_);
-  DosnNode alice(testGroup(), "alice2", registry_, ibbe, rng_);
-  DosnNode bob(testGroup(), "bob2", registry_, ibbe, rng_);
-  DosnNode eve(testGroup(), "eve2", registry_, ibbe, rng_);
-  alice.createCircle("inner");
-  alice.addToCircle("inner", "bob2");
-  alice.publish("inner", "ibbe-sealed", 5, rng_);
-  EXPECT_EQ(bob.read(alice, 0)->text, "ibbe-sealed");
-  EXPECT_FALSE(eve.read(alice, 0).has_value());
-  // IBBE revocation is free and forward-effective.
-  const auto report = alice.removeFromCircle("inner", "bob2");
-  EXPECT_EQ(report.keyOperations, 0u);
-  alice.publish("inner", "after", 6, rng_);
-  EXPECT_FALSE(bob.read(alice, 1).has_value());
-}
-
-TEST_F(DosnNodeTest, WorksWithAbeAcl) {
-  privacy::AbeAcl abe(testGroup(), rng_);
-  DosnNode alice(testGroup(), "alice3", registry_, abe, rng_);
-  DosnNode bob(testGroup(), "bob3", registry_, abe, rng_);
-  alice.createCircle("family");
-  alice.addToCircle("family", "bob3");
-  alice.publish("family", "abe-sealed", 5, rng_);
-  EXPECT_EQ(bob.read(alice, 0)->text, "abe-sealed");
-  // ABE revocation bumps the attribute epoch and re-encrypts history.
-  const auto report = alice.removeFromCircle("family", "bob3");
-  EXPECT_EQ(report.reencryptedEnvelopes, 1u);
-  EXPECT_FALSE(bob.read(alice, 0).has_value());
-  EXPECT_TRUE(alice.read(alice, 0).has_value());
-}
-
-TEST_F(DosnNodeTest, CircleNamespacesAreIsolatedBetweenUsers) {
-  DosnNode alice(testGroup(), "alice", registry_, acl_, rng_);
-  DosnNode bob(testGroup(), "bob", registry_, acl_, rng_);
-  alice.createCircle("friends");
-  bob.createCircle("friends");  // same name, different namespace
-  alice.addToCircle("friends", "carol");
-  EXPECT_FALSE(acl_.isMember("bob/friends", "carol"));
-  EXPECT_TRUE(acl_.isMember("alice/friends", "carol"));
 }
 
 }  // namespace

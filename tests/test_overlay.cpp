@@ -24,6 +24,12 @@ using sim::kMillisecond;
 using sim::kSecond;
 using util::toBytes;
 
+KademliaConfig kademliaConfig(std::size_t k) {
+  KademliaConfig config;
+  config.k = k;
+  return config;
+}
+
 GossipConfig gossipConfig(sim::SimTime interval, std::size_t fanout) {
   GossipConfig config;
   config.interval = interval;
@@ -137,7 +143,7 @@ class KademliaTest : public ::testing::Test {
   sim::Simulator sim_;
   sim::Network net_{sim_, sim::LatencyModel{5 * kMillisecond, 2 * kMillisecond, 0.0},
                     rng_};
-  KademliaConfig config_{8, 3, 500 * kMillisecond, 0, {}};
+  KademliaConfig config_ = kademliaConfig(8);
   std::vector<std::unique_ptr<KademliaNode>> nodes_;
 };
 
@@ -440,7 +446,7 @@ TEST(Hybrid, CacheServesPopularDhtServesRare) {
   util::Rng rng(21);
   sim::Simulator sim;
   sim::Network net(sim, sim::LatencyModel{5 * kMillisecond, 0, 0.0}, rng);
-  KademliaConfig kconfig{8, 3, 500 * kMillisecond, 0, {}};
+  const KademliaConfig kconfig = kademliaConfig(8);
   GossipConfig gconfig = gossipConfig(500 * kMillisecond, 2);
 
   std::vector<std::unique_ptr<HybridNode>> nodes;
