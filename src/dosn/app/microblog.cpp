@@ -384,10 +384,11 @@ void MicroblogNode::finishFetch(const std::shared_ptr<FetchState>& state) {
     }
     entries.push_back(record->entry);
   }
-  // verifyChain checks the whole fetched page's signatures in one
-  // schnorrVerifyBatch call (single-author pages amortize the author-key
-  // subgroup check and fixed-base table across every entry).
-  if (!integrity::verifyChain(group_, state->authorKey, entries)) {
+  // verifyChain walks the whole fetched chain, then batch-verifies only the
+  // signatures past this reader's cursor for the author: the prefix it
+  // already verified is pinned by its last entry's hash.
+  if (!integrity::verifyChain(group_, state->authorKey, entries,
+                              chainCursors_[state->author])) {
     failFetch(state, std::move(out));
     return;
   }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <optional>
 
 #include "dosn/integrity/hash_chain.hpp"
@@ -165,6 +166,9 @@ class MicroblogNode {
   std::unique_ptr<store::LruCache> friendCache_;  // null when disabled
   std::vector<std::pair<UserId, sim::NodeAddr>> friendPeers_;  // insert order
   FetchStats fetchStats_;
+  // Per author: the longest chain this reader has verified, so a fetch
+  // checks only the signatures of entries past it (integrity::ChainCursor).
+  std::map<UserId, integrity::ChainCursor> chainCursors_;
 };
 
 }  // namespace dosn::app

@@ -183,10 +183,15 @@ std::optional<BigUint> BigUint::fromDecimal(std::string_view dec) {
 }
 
 BigUint BigUint::fromBytes(util::BytesView data) {
+  // Byte i from the end lands in limb i/4 at bit 8*(i%4): one pass, no
+  // intermediate values.
   BigUint out;
-  for (std::uint8_t b : data) {
-    out = (out << 8) + BigUint(b);
+  out.limbs_.assign((data.size() + 3) / 4, 0);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    out.limbs_[i / 4] |= static_cast<std::uint32_t>(data[data.size() - 1 - i])
+                         << (8 * (i % 4));
   }
+  out.trim();
   return out;
 }
 

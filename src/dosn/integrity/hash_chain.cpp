@@ -72,27 +72,48 @@ crypto::Digest Timeline::head() const {
 bool verifyChain(const pkcrypto::DlogGroup& group,
                  const pkcrypto::SchnorrPublicKey& publisherKey,
                  const std::vector<ChainEntry>& entries) {
-  // Structural pass first (cheap hashing), then every signature of the page
-  // in ONE schnorrVerifyBatch call — a single-publisher chain is exactly the
-  // same-key shape the batch amortizes best (subgroup check and fixed-base
-  // table once for the whole page instead of per entry).
+  ChainCursor cursor;
+  return verifyChain(group, publisherKey, entries, cursor);
+}
+
+bool verifyChain(const pkcrypto::DlogGroup& group,
+                 const pkcrypto::SchnorrPublicKey& publisherKey,
+                 const std::vector<ChainEntry>& entries, ChainCursor& cursor) {
+  // Structural pass first (cheap hashing), over every entry. It also finds
+  // the prefix the cursor vouches for: entry cursor.length-1 must hash to
+  // cursor.head, which the prev links extend to every earlier entry.
+  const bool sameKey = cursor.key.y == publisherKey.y;
+  std::size_t trusted = 0;
   crypto::Digest expectedPrev{};
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const ChainEntry& entry = entries[i];
     if (entry.seq != i) return false;
     if (entry.prev != expectedPrev) return false;
     expectedPrev = entry.entryHash();
+    if (sameKey && i + 1 == cursor.length && expectedPrev == cursor.head) {
+      trusted = i + 1;
+    }
   }
+  // Then every signature past that prefix in ONE schnorrVerifyBatch call —
+  // a single-publisher chain is exactly the same-key shape the batch
+  // amortizes best (subgroup check and fixed-base table once for the whole
+  // page instead of per entry).
   std::vector<pkcrypto::SchnorrBatchItem> items;
-  items.reserve(entries.size());
-  for (const ChainEntry& entry : entries) {
+  items.reserve(entries.size() - trusted);
+  for (std::size_t i = trusted; i < entries.size(); ++i) {
     items.push_back(pkcrypto::SchnorrBatchItem{publisherKey,
-                                               entry.signedBytes(),
-                                               entry.signature});
+                                               entries[i].signedBytes(),
+                                               entries[i].signature});
   }
   const std::vector<bool> results = pkcrypto::schnorrVerifyBatch(group, items);
-  return std::all_of(results.begin(), results.end(),
-                     [](bool ok) { return ok; });
+  if (!std::all_of(results.begin(), results.end(),
+                   [](bool ok) { return ok; })) {
+    return false;
+  }
+  if (!sameKey || entries.size() >= cursor.length) {
+    cursor = ChainCursor{publisherKey, entries.size(), expectedPrev};
+  }
+  return true;
 }
 
 bool provablyPrecedes(const std::vector<ChainEntry>& entries, std::size_t i,

@@ -48,11 +48,32 @@ class Timeline {
   std::vector<ChainEntry> entries_;
 };
 
+/// What one reader has already verified of one publisher's chain: entries
+/// [0, length) passed verifyChain under `key`, and entry length-1 hashed to
+/// `head`. Only verifyChain moves a cursor; a default cursor vouches for
+/// nothing.
+struct ChainCursor {
+  pkcrypto::SchnorrPublicKey key;
+  std::uint64_t length = 0;
+  crypto::Digest head{};
+};
+
 /// Full-chain verification with the publisher's registered key: signatures,
 /// sequence numbers and predecessor hashes must all line up.
 bool verifyChain(const pkcrypto::DlogGroup& group,
                  const pkcrypto::SchnorrPublicKey& publisherKey,
                  const std::vector<ChainEntry>& entries);
+
+/// Same verdict as the three-argument form, resuming from `cursor`. The
+/// structural pass still covers every entry; signatures are checked only
+/// past the prefix whose entry cursor.length-1 hashes to cursor.head under
+/// the same key (its prev links pin every earlier entry, signatures
+/// included). On success the cursor moves to `entries` unless that chain
+/// is shorter than the one it vouches for under this key; on failure it is
+/// left as it was.
+bool verifyChain(const pkcrypto::DlogGroup& group,
+                 const pkcrypto::SchnorrPublicKey& publisherKey,
+                 const std::vector<ChainEntry>& entries, ChainCursor& cursor);
 
 /// True if `entries[i]` provably precedes `entries[j]` in a verified chain
 /// (trivially i < j once verifyChain passes; exposed for readability in the

@@ -62,15 +62,17 @@ RevocationReport HybridAcl::removeMember(const GroupId& group,
   state.members.erase(user);
   RevocationReport report;
   if (wrap_ == WrapScheme::kCpAbe) {
-    ++state.epoch;  // attribute re-keying
     report.keyOperations = state.members.size();
   } else if (wrap_ == WrapScheme::kPublicKey) {
     report.keyOperations = 1;  // list edit
   }
   // Forward security for retained data: fresh data keys + re-wrap. The
   // asymmetric work is bounded by the 32-byte key, not the payload — the
-  // hybrid advantage the paper describes.
-  for (Envelope& env : state.history) {
+  // hybrid advantage the paper describes. Every retained payload is opened
+  // before the CP-ABE epoch moves on: its wrap opens only under the epoch
+  // it was made for.
+  std::vector<util::Bytes> plains;
+  for (const Envelope& env : state.history) {
     util::Reader r(env.blob);
     const util::Bytes wrapped = r.bytes();
     const util::Bytes payloadBox = r.bytes();
@@ -84,12 +86,19 @@ RevocationReport HybridAcl::removeMember(const GroupId& group,
       throw util::DosnError("HybridAcl: cannot unwrap own history");
     }
     if (!dataKey) break;  // no members left; history stays sealed
-    const auto plain = crypto::openWithNonce(*dataKey, payloadBox);
+    auto plain = crypto::openWithNonce(*dataKey, payloadBox);
     if (!plain) throw util::DosnError("HybridAcl: corrupt history");
+    plains.push_back(std::move(*plain));
+  }
+  if (wrap_ == WrapScheme::kCpAbe) ++state.epoch;  // attribute re-keying
+  for (std::size_t i = 0; i < plains.size(); ++i) {
+    Envelope& env = state.history[i];
+    util::Reader r(env.blob);
+    forgetUnwraps(r.bytes());
     const util::Bytes newKey = rng_.bytes(32);
     util::Writer w;
     w.bytes(wrapKey(group, newKey, rng_));
-    w.bytes(crypto::sealWithNonce(newKey, *plain, rng_));
+    w.bytes(crypto::sealWithNonce(newKey, plains[i], rng_));
     env.blob = w.take();
     ++report.reencryptedEnvelopes;
     report.rewrittenBytes += env.blob.size();
@@ -144,6 +153,26 @@ util::Bytes HybridAcl::wrapKey(const GroupId& group, util::BytesView dataKey,
 std::optional<util::Bytes> HybridAcl::unwrapKey(const UserId& reader,
                                                 const GroupId& group,
                                                 util::BytesView wrapped) {
+  if (wrap_ == WrapScheme::kCpAbe) return unwrapUncached(reader, group, wrapped);
+  auto key = std::make_pair(crypto::sha256(wrapped), reader);
+  const auto it = unwrapMemo_.find(key);
+  if (it != unwrapMemo_.end()) return it->second;
+  auto dataKey = unwrapUncached(reader, group, wrapped);
+  unwrapMemo_.emplace(std::move(key), dataKey);
+  return dataKey;
+}
+
+void HybridAcl::forgetUnwraps(util::BytesView wrapped) {
+  const crypto::Digest digest = crypto::sha256(wrapped);
+  auto it = unwrapMemo_.lower_bound({digest, UserId{}});
+  while (it != unwrapMemo_.end() && it->first.first == digest) {
+    it = unwrapMemo_.erase(it);
+  }
+}
+
+std::optional<util::Bytes> HybridAcl::unwrapUncached(const UserId& reader,
+                                                     const GroupId& group,
+                                                     util::BytesView wrapped) {
   try {
     util::Reader r(wrapped);
     switch (wrap_) {

@@ -10,6 +10,7 @@
 #include <set>
 
 #include "dosn/abe/cpabe.hpp"
+#include "dosn/crypto/sha256.hpp"
 #include "dosn/ibbe/ibbe.hpp"
 #include "dosn/pkcrypto/elgamal.hpp"
 #include "dosn/privacy/access_controller.hpp"
@@ -60,10 +61,16 @@ class HybridAcl final : public AccessController {
   /// Wraps the data key for the group's current membership.
   util::Bytes wrapKey(const GroupId& group, util::BytesView dataKey,
                       util::Rng& rng);
-  /// Unwraps as `reader`; std::nullopt if not addressed.
+  /// Unwraps as `reader`; std::nullopt if not addressed. Memoized for the
+  /// pk and IBBE wraps (see unwrapMemo_).
   std::optional<util::Bytes> unwrapKey(const UserId& reader,
                                        const GroupId& group,
                                        util::BytesView wrapped);
+  std::optional<util::Bytes> unwrapUncached(const UserId& reader,
+                                            const GroupId& group,
+                                            util::BytesView wrapped);
+  /// Drops every memoized unwrap of `wrapped` (it is being rewritten).
+  void forgetUnwraps(util::BytesView wrapped);
 
   const pkcrypto::DlogGroup& dlog_;
   util::Rng& rng_;
@@ -73,6 +80,12 @@ class HybridAcl final : public AccessController {
   std::map<UserId, pkcrypto::ElGamalPrivateKey> userKeys_;
   std::map<GroupId, GroupState> groups_;
   std::uint64_t nextSerial_ = 1;
+  // (SHA-256 of the wrapped key, reader) -> unwrapKey's result. A pk or IBBE
+  // unwrap depends only on those bytes and the reader's fixed key material;
+  // a CP-ABE unwrap also depends on membership and the epoch, so it is never
+  // memoized. removeMember forgets every wrap it rewrites.
+  std::map<std::pair<crypto::Digest, UserId>, std::optional<util::Bytes>>
+      unwrapMemo_;
 };
 
 }  // namespace dosn::privacy

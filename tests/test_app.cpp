@@ -267,6 +267,9 @@ TEST_P(MicroblogAclTest, RevokedFriendLosesAccess) {
   alice_->createCircle("friends");
   alice_->addToCircle("friends", "bob");
   publish("friends", "p1");
+  // Bob reads before his revocation, so his chain cursor for alice and his
+  // memoized unwraps exist when he is revoked.
+  ASSERT_EQ(fetch(*bob_, "alice").posts.size(), 1u);
   const auto report = alice_->removeFromCircle("friends", "bob");
   publish("friends", "p2");
   const FetchedTimeline seen = fetch(*bob_, "alice");

@@ -46,6 +46,37 @@ TEST(BigUint, BytesRoundTrip) {
   EXPECT_THROW(BigUint(0x123456).toBytesPadded(2), util::DosnError);
 }
 
+// The shift-and-add import fromBytes used to run (quadratic: one allocating
+// shift and add per byte), kept as the oracle for the limb-filling one.
+BigUint fromBytesShiftAdd(util::BytesView data) {
+  BigUint out;
+  for (std::uint8_t b : data) out = (out << 8) + BigUint(b);
+  return out;
+}
+
+TEST(BigUint, FromBytesMatchesShiftAddOracle) {
+  util::Rng rng(11);
+  const auto expectSame = [](const util::Bytes& data) {
+    const BigUint fast = BigUint::fromBytes(data);
+    const BigUint oracle = fromBytesShiftAdd(data);
+    // == also compares limb counts, so an untrimmed zero limb fails here.
+    EXPECT_TRUE(fast == oracle)
+        << data.size() << " bytes: " << fast.toHex() << " vs " << oracle.toHex();
+    EXPECT_EQ(fast.bitLength(), oracle.bitLength());
+  };
+  for (std::size_t len = 0; len <= 80; ++len) {
+    const util::Bytes data = rng.bytes(len);
+    expectSame(data);
+    for (std::size_t zeros : {1u, 3u, 4u, 5u, 9u}) {
+      util::Bytes padded(zeros, 0);
+      padded.insert(padded.end(), data.begin(), data.end());
+      expectSame(padded);
+    }
+    expectSame(util::Bytes(len, 0));
+    EXPECT_TRUE(BigUint::fromBytes(util::Bytes(len, 0)).isZero());
+  }
+}
+
 TEST(BigUint, Comparison) {
   EXPECT_LT(BigUint(1), BigUint(2));
   EXPECT_GT(BigUint(1) << 64, BigUint(0xffffffffffffffffull));

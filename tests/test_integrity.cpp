@@ -32,6 +32,58 @@ class IntegrityTest : public ::testing::Test {
     registry_.registerIdentity(social::publicIdentity(mallory_));
   }
 
+  // A reader's cursor after verifying the first k entries of bob's chain.
+  ChainCursor cursorOver(const std::vector<ChainEntry>& honest,
+                         std::size_t k) const {
+    ChainCursor cursor;
+    EXPECT_TRUE(verifyChain(testGroup(), bob_.signing.pub,
+                            {honest.begin(), honest.begin() + k}, cursor));
+    return cursor;
+  }
+
+  static bool sameCursor(const ChainCursor& a, const ChainCursor& b) {
+    return a.key.y == b.key.y && a.length == b.length && a.head == b.head;
+  }
+
+  // The cursor form must give the three-argument verdict on (key, entries)
+  // from a cursor over every prefix of the honest chain, and a rejection
+  // must leave the cursor as it was.
+  void expectCursorVerdicts(const std::vector<ChainEntry>& honest,
+                            const pkcrypto::SchnorrPublicKey& key,
+                            const std::vector<ChainEntry>& entries) {
+    const bool expected = verifyChain(testGroup(), key, entries);
+    for (std::size_t k = 0; k <= honest.size(); ++k) {
+      ChainCursor cursor = cursorOver(honest, k);
+      const ChainCursor before = cursor;
+      EXPECT_EQ(verifyChain(testGroup(), key, entries, cursor), expected)
+          << "cursor over " << k << " entries";
+      if (!expected) {
+        EXPECT_TRUE(sameCursor(cursor, before)) << k;
+      }
+    }
+  }
+
+  // Re-links entries[from..] and re-signs them with `signer`: how a
+  // publisher would fork its own chain at `from`.
+  void relink(std::vector<ChainEntry>& entries, std::size_t from,
+              const Keyring& signer) {
+    for (std::size_t i = from; i < entries.size(); ++i) {
+      entries[i].prev = i == 0 ? crypto::Digest{} : entries[i - 1].entryHash();
+      entries[i].signature = pkcrypto::schnorrSign(
+          testGroup(), signer.signing, entries[i].signedBytes(), rng_);
+    }
+  }
+
+  // Bob's `entries` with entry j signed by mallory instead and every later
+  // entry re-linked: structurally sound, one bad signature.
+  std::vector<ChainEntry> withBadSignatureAt(std::vector<ChainEntry> entries,
+                                             std::size_t j) {
+    entries[j].signature = pkcrypto::schnorrSign(
+        testGroup(), mallory_.signing, entries[j].signedBytes(), rng_);
+    relink(entries, j + 1, bob_);
+    return entries;
+  }
+
   util::Rng rng_{42};
   social::IdentityRegistry registry_;
   Keyring bob_;
@@ -102,6 +154,7 @@ TEST_F(IntegrityTest, TamperedEntryBreaksChain) {
   auto entries = timeline.entries();
   entries[1].payload = toBytes("tampered");
   EXPECT_FALSE(verifyChain(testGroup(), bob_.signing.pub, entries));
+  expectCursorVerdicts(timeline.entries(), bob_.signing.pub, entries);
 }
 
 TEST_F(IntegrityTest, ReorderedEntriesBreakChain) {
@@ -110,6 +163,7 @@ TEST_F(IntegrityTest, ReorderedEntriesBreakChain) {
   auto entries = timeline.entries();
   std::swap(entries[1], entries[2]);
   EXPECT_FALSE(verifyChain(testGroup(), bob_.signing.pub, entries));
+  expectCursorVerdicts(timeline.entries(), bob_.signing.pub, entries);
 }
 
 TEST_F(IntegrityTest, DroppedInteriorEntryDetected) {
@@ -118,6 +172,7 @@ TEST_F(IntegrityTest, DroppedInteriorEntryDetected) {
   auto entries = timeline.entries();
   entries.erase(entries.begin() + 1);
   EXPECT_FALSE(verifyChain(testGroup(), bob_.signing.pub, entries));
+  expectCursorVerdicts(timeline.entries(), bob_.signing.pub, entries);
 }
 
 TEST_F(IntegrityTest, TruncationFromTailNotDetectedByChainAlone) {
@@ -134,6 +189,96 @@ TEST_F(IntegrityTest, WrongPublisherKeyFails) {
   Timeline timeline(testGroup(), bob_);
   timeline.append(toBytes("p"), rng_);
   EXPECT_FALSE(verifyChain(testGroup(), alice_.signing.pub, timeline.entries()));
+  expectCursorVerdicts(timeline.entries(), alice_.signing.pub,
+                       timeline.entries());
+}
+
+// --- Resuming verification from a reader's ChainCursor ---
+
+TEST_F(IntegrityTest, CursorResumesAndAdvances) {
+  Timeline timeline(testGroup(), bob_);
+  for (int i = 0; i < 6; ++i) timeline.append(toBytes("p"), rng_);
+  const auto& honest = timeline.entries();
+  for (std::size_t k = 0; k <= honest.size(); ++k) {
+    ChainCursor cursor = cursorOver(honest, k);
+    EXPECT_EQ(cursor.length, k);
+    ASSERT_TRUE(verifyChain(testGroup(), bob_.signing.pub, honest, cursor));
+    EXPECT_EQ(cursor.length, honest.size());
+    EXPECT_EQ(cursor.head, timeline.head());
+    EXPECT_EQ(cursor.key.y, bob_.signing.pub.y);
+  }
+}
+
+TEST_F(IntegrityTest, BadSignatureRejectedFromEveryCursor) {
+  // Past the cursor the signature is checked; inside it, the bad entry no
+  // longer hashes to the cursor's head.
+  Timeline timeline(testGroup(), bob_);
+  for (int i = 0; i < 5; ++i) timeline.append(toBytes("p"), rng_);
+  for (std::size_t j = 0; j < timeline.size(); ++j) {
+    const auto bad = withBadSignatureAt(timeline.entries(), j);
+    EXPECT_FALSE(verifyChain(testGroup(), bob_.signing.pub, bad)) << j;
+    expectCursorVerdicts(timeline.entries(), bob_.signing.pub, bad);
+  }
+}
+
+TEST_F(IntegrityTest, ForkAtCursorHeadReverifiesEverySignature) {
+  Timeline timeline(testGroup(), bob_);
+  for (int i = 0; i < 5; ++i) {
+    timeline.append(toBytes("p" + std::to_string(i)), rng_);
+  }
+  const auto& honest = timeline.entries();
+  constexpr std::size_t kCursor = 3;
+  // Bob equivocates: the same first two entries, another entry 2, and a
+  // chain continuing from it. Validly signed, so it verifies, and the
+  // cursor follows it.
+  auto fork = honest;
+  fork[kCursor - 1].payload = toBytes("fork");
+  relink(fork, kCursor - 1, bob_);
+  ChainCursor cursor = cursorOver(honest, kCursor);
+  EXPECT_TRUE(verifyChain(testGroup(), bob_.signing.pub, fork, cursor));
+  EXPECT_EQ(cursor.length, fork.size());
+  EXPECT_EQ(cursor.head, fork.back().entryHash());
+  for (std::size_t j = 0; j < fork.size(); ++j) {
+    const auto bad = withBadSignatureAt(fork, j);
+    EXPECT_FALSE(verifyChain(testGroup(), bob_.signing.pub, bad)) << j;
+    expectCursorVerdicts(honest, bob_.signing.pub, bad);
+  }
+}
+
+TEST_F(IntegrityTest, ChainShorterThanCursorReverifiesEverySignature) {
+  Timeline timeline(testGroup(), bob_);
+  for (int i = 0; i < 6; ++i) timeline.append(toBytes("p"), rng_);
+  const auto& honest = timeline.entries();
+  const std::vector<ChainEntry> shorter(honest.begin(), honest.begin() + 4);
+  ChainCursor cursor = cursorOver(honest, honest.size());
+  const ChainCursor before = cursor;
+  EXPECT_TRUE(verifyChain(testGroup(), bob_.signing.pub, shorter, cursor));
+  EXPECT_TRUE(sameCursor(cursor, before));  // never moves to a shorter chain
+  for (std::size_t j = 0; j < shorter.size(); ++j) {
+    const auto bad = withBadSignatureAt(shorter, j);
+    EXPECT_FALSE(verifyChain(testGroup(), bob_.signing.pub, bad)) << j;
+    expectCursorVerdicts(honest, bob_.signing.pub, bad);
+  }
+}
+
+TEST_F(IntegrityTest, CursorUnderAnotherKeyGivesNoTrust) {
+  Timeline bobs(testGroup(), bob_);
+  for (int i = 0; i < 3; ++i) bobs.append(toBytes("p"), rng_);
+  ChainCursor cursor = cursorOver(bobs.entries(), bobs.size());
+  const ChainCursor before = cursor;
+  // Bob's chain pins the cursor's head, but not under alice's key.
+  EXPECT_FALSE(
+      verifyChain(testGroup(), alice_.signing.pub, bobs.entries(), cursor));
+  EXPECT_TRUE(sameCursor(cursor, before));
+  // Alice's own chain replaces it, although shorter: under her key the old
+  // cursor vouches for nothing.
+  Timeline alices(testGroup(), alice_);
+  alices.append(toBytes("a"), rng_);
+  EXPECT_TRUE(
+      verifyChain(testGroup(), alice_.signing.pub, alices.entries(), cursor));
+  EXPECT_EQ(cursor.key.y, alice_.signing.pub.y);
+  EXPECT_EQ(cursor.length, 1u);
+  EXPECT_EQ(cursor.head, alices.head());
 }
 
 TEST_F(IntegrityTest, ChainEntrySerializationRoundTrip) {

@@ -234,19 +234,42 @@ TEST(IbbeAclTest, RevocationIsFree) {
   EXPECT_EQ(report.rewrittenBytes, 0u);
 }
 
-TEST(HybridAclTest, RevocationRewrapsHistory) {
+class HybridAclTest : public ::testing::TestWithParam<WrapScheme> {};
+
+TEST_P(HybridAclTest, RevocationRewrapsHistory) {
   util::Rng rng(7);
-  HybridAcl acl(testGroup(), rng, WrapScheme::kPublicKey);
+  HybridAcl acl(testGroup(), rng, GetParam());
   acl.createGroup("g");
   acl.addMember("g", "alice");
   acl.addMember("g", "bob");
   acl.encrypt("g", toBytes("p1"), rng);
   acl.encrypt("g", toBytes("p2"), rng);
+  // Bob reads twice before his revocation, so (for pk and IBBE) the second
+  // read is served from the unwrap memo.
+  const Envelope before = acl.history("g")[0];
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(acl.decrypt("bob", before).value(), toBytes("p1"));
+  }
   const RevocationReport report = acl.removeMember("g", "bob");
   EXPECT_EQ(report.reencryptedEnvelopes, 2u);
-  EXPECT_TRUE(acl.decrypt("alice", acl.history("g")[0]).has_value());
+  EXPECT_EQ(acl.decrypt("alice", acl.history("g")[0]).value(), toBytes("p1"));
   EXPECT_FALSE(acl.decrypt("bob", acl.history("g")[0]).has_value());
+  // The copy bob kept resolves to the rewrapped envelope by serial.
+  EXPECT_FALSE(acl.decrypt("bob", before).has_value());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Wraps, HybridAclTest,
+    ::testing::Values(WrapScheme::kPublicKey, WrapScheme::kCpAbe,
+                      WrapScheme::kIbbe),
+    [](const ::testing::TestParamInfo<WrapScheme>& info) {
+      switch (info.param) {
+        case WrapScheme::kPublicKey: return std::string("Pk");
+        case WrapScheme::kCpAbe: return std::string("CpAbe");
+        case WrapScheme::kIbbe: return std::string("Ibbe");
+      }
+      return std::string("Unknown");
+    });
 
 TEST(HybridAclTest, WrapIsSmallComparedToNaivePk) {
   util::Rng rng(8);
