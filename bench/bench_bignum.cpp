@@ -15,8 +15,7 @@
 // iteration at 512 bits and asserts equality only — fast enough for CI
 // (including sanitizer jobs), no timing thresholds that could flake. Each
 // scenario records old/new ms-per-op and the speedup as JSON params, so
-// BENCH_bignum.json is the artifact future bignum PRs (Barrett, Karatsuba)
-// regress against.
+// BENCH_bignum.json is the artifact later bignum changes regress against.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -152,7 +151,7 @@ void benchFixedBase(ScenarioContext& ctx, std::size_t bits, std::size_t iters) {
     oldResult = bignum::powModSimple(group.g(), e, group.p());
   }
   const double oldMs = timer.ms();
-  (void)group.exp(exps[0]);  // pay the table build outside the timed region
+  (void)group.exp(exps[0]);  // warm-up; the group built its table up front
   timer.reset();
   for (const BigUint& e : exps) newResult = group.exp(e);
   const double newMs = timer.ms();
@@ -163,7 +162,8 @@ void benchFixedBase(ScenarioContext& ctx, std::size_t bits, std::size_t iters) {
 }
 
 // Chained wide multiply: schoolbook reference vs the Karatsuba operator*
-// (the crossover sits at 32 limbs = 1024 bits, so both sizes here recurse).
+// (the crossover sits at 16 64-bit limbs = 1024 bits, so both sizes here
+// recurse).
 void benchKaratsuba(ScenarioContext& ctx, std::size_t bits, std::size_t iters) {
   util::Rng rng(ctx.seed() + 963);
   const BigUint a = bignum::randomBits(bits, rng);

@@ -1,6 +1,7 @@
 #include "dosn/bignum/biguint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "dosn/util/error.hpp"
@@ -9,6 +10,10 @@ namespace dosn::bignum {
 
 namespace {
 
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+using Limbs = BigUint::Limbs;
+
 int hexNibble(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -16,67 +21,63 @@ int hexNibble(char c) {
   return -1;
 }
 
-using LimbVec = std::vector<std::uint32_t>;
+// a - b - borrow; borrow is 0 or 1 on entry and is set to the borrow out.
+u64 subBorrow(u64 a, u64 b, u64& borrow) {
+  const u64 d = a - b;
+  const u64 out = d - borrow;
+  borrow = static_cast<u64>(a < b) | static_cast<u64>(d < borrow);
+  return out;
+}
 
-// Below this many limbs per operand (32 limbs = 1024 bits) the quadratic
+// Below this many limbs per operand (16 limbs = 1024 bits) the quadratic
 // multiply wins; above it Karatsuba's three half-size products beat four.
-constexpr std::size_t kKaratsubaLimbs = 32;
+constexpr std::size_t kKaratsubaLimbs = 16;
 
 // Schoolbook product of two raw limb spans; result has an + bn limbs (may
 // carry trailing zeros — callers trim).
-LimbVec mulSchoolbookSpans(const std::uint32_t* a, std::size_t an,
-                           const std::uint32_t* b, std::size_t bn) {
-  LimbVec out(an + bn, 0);
+Limbs mulSchoolbookSpans(const u64* a, std::size_t an, const u64* b,
+                         std::size_t bn) {
+  Limbs out(an + bn, 0);
   for (std::size_t i = 0; i < an; ++i) {
-    std::uint64_t carry = 0;
-    const std::uint64_t ai = a[i];
+    u64 carry = 0;
+    const u64 ai = a[i];
     for (std::size_t j = 0; j < bn; ++j) {
-      const std::uint64_t cur =
-          static_cast<std::uint64_t>(out[i + j]) + ai * b[j] + carry;
-      out[i + j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+      const u128 cur = static_cast<u128>(ai) * b[j] + out[i + j] + carry;
+      out[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
     }
-    out[i + bn] = static_cast<std::uint32_t>(carry);
+    out[i + bn] = carry;
   }
   return out;
 }
 
 // Plain limb-span addition (little-endian, carry kept).
-LimbVec addSpans(const std::uint32_t* a, std::size_t an,
-                 const std::uint32_t* b, std::size_t bn) {
+Limbs addSpans(const u64* a, std::size_t an, const u64* b, std::size_t bn) {
   const std::size_t n = std::max(an, bn);
-  LimbVec out;
+  Limbs out;
   out.reserve(n + 1);
-  std::uint64_t carry = 0;
+  u64 carry = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t sum = carry;
+    u128 sum = carry;
     if (i < an) sum += a[i];
     if (i < bn) sum += b[i];
-    out.push_back(static_cast<std::uint32_t>(sum));
-    carry = sum >> 32;
+    out.push_back(static_cast<u64>(sum));
+    carry = static_cast<u64>(sum >> 64);
   }
-  if (carry) out.push_back(static_cast<std::uint32_t>(carry));
+  if (carry) out.push_back(carry);
   return out;
 }
 
-// a -= b in place; requires a >= b (guaranteed by the Karatsuba identity
-// z1 = (a0+a1)(b0+b1) - z0 - z2 >= 0).
-void subInPlace(LimbVec& a, const LimbVec& b) {
-  std::int64_t borrow = 0;
+// a -= b in place; requires a >= b (operator- checks it, and the Karatsuba
+// identity z1 = (a0+a1)(b0+b1) - z0 - z2 >= 0 guarantees it).
+void subInPlace(Limbs& a, const Limbs& b) {
+  u64 borrow = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(a[i]) - borrow;
-    if (i < b.size()) diff -= b[i];
-    if (diff < 0) {
-      diff += (std::int64_t{1} << 32);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    a[i] = static_cast<std::uint32_t>(diff);
+    a[i] = subBorrow(a[i], i < b.size() ? b[i] : 0, borrow);
   }
 }
 
-void trimTrailingZeroLimbs(LimbVec& v) {
+void trimTrailingZeroLimbs(Limbs& v) {
   while (!v.empty() && v.back() == 0) v.pop_back();
 }
 
@@ -84,26 +85,24 @@ void trimTrailingZeroLimbs(LimbVec& v) {
 // and callers trim v to its value length first, so any limb of v that would
 // land past acc.size() is provably zero — the bound check makes running off
 // the end impossible even for degenerate inputs.
-void addInto(LimbVec& acc, std::size_t off, const LimbVec& v) {
-  std::uint64_t carry = 0;
+void addInto(Limbs& acc, std::size_t off, const Limbs& v) {
+  u64 carry = 0;
   std::size_t k = off;
   for (std::size_t i = 0; i < v.size() && k < acc.size(); ++i, ++k) {
-    const std::uint64_t sum = static_cast<std::uint64_t>(acc[k]) + v[i] + carry;
-    acc[k] = static_cast<std::uint32_t>(sum);
-    carry = sum >> 32;
+    const u128 sum = static_cast<u128>(acc[k]) + v[i] + carry;
+    acc[k] = static_cast<u64>(sum);
+    carry = static_cast<u64>(sum >> 64);
   }
-  while (carry && k < acc.size()) {
-    const std::uint64_t sum = static_cast<std::uint64_t>(acc[k]) + carry;
-    acc[k] = static_cast<std::uint32_t>(sum);
-    carry = sum >> 32;
-    ++k;
+  for (; carry && k < acc.size(); ++k) {
+    acc[k] += carry;
+    carry = acc[k] == 0;
   }
 }
 
 // Karatsuba on raw spans: split both operands at limb m, recurse on the three
 // half-size products, recombine as z0 + z1*B^m + z2*B^2m.
-LimbVec mulKaratsubaSpans(const std::uint32_t* a, std::size_t an,
-                          const std::uint32_t* b, std::size_t bn) {
+Limbs mulKaratsubaSpans(const u64* a, std::size_t an, const u64* b,
+                        std::size_t bn) {
   if (an == 0 || bn == 0) return {};
   if (std::min(an, bn) < kKaratsubaLimbs) {
     return mulSchoolbookSpans(a, an, b, bn);
@@ -111,21 +110,21 @@ LimbVec mulKaratsubaSpans(const std::uint32_t* a, std::size_t an,
   const std::size_t m = (std::max(an, bn) + 1) / 2;
   const std::size_t a0n = std::min(an, m);
   const std::size_t b0n = std::min(bn, m);
-  const std::uint32_t* a1 = a + a0n;
-  const std::uint32_t* b1 = b + b0n;
+  const u64* a1 = a + a0n;
+  const u64* b1 = b + b0n;
   const std::size_t a1n = an - a0n;
   const std::size_t b1n = bn - b0n;
 
-  LimbVec z0 = mulKaratsubaSpans(a, a0n, b, b0n);
-  LimbVec z2 = mulKaratsubaSpans(a1, a1n, b1, b1n);
-  const LimbVec sa = addSpans(a, a0n, a1, a1n);
-  const LimbVec sb = addSpans(b, b0n, b1, b1n);
-  LimbVec z1 = mulKaratsubaSpans(sa.data(), sa.size(), sb.data(), sb.size());
+  Limbs z0 = mulKaratsubaSpans(a, a0n, b, b0n);
+  Limbs z2 = mulKaratsubaSpans(a1, a1n, b1, b1n);
+  const Limbs sa = addSpans(a, a0n, a1, a1n);
+  const Limbs sb = addSpans(b, b0n, b1, b1n);
+  Limbs z1 = mulKaratsubaSpans(sa.data(), sa.size(), sb.data(), sb.size());
   subInPlace(z1, z0);
   subInPlace(z1, z2);
 
   // Trim each partial product to its value length before recombination. For
-  // asymmetric splits (e.g. an=32, bn=63 makes a1 empty) z1's vector keeps
+  // asymmetric splits (e.g. an=16, bn=31 makes a1 empty) z1's vector keeps
   // the full (a0+a1)(b0+b1) product length even though the subtractions shrink
   // its value, so off + z1.size() can exceed the an+bn output allocation —
   // trimming restores the invariant m + size(z1) <= an + bn that the
@@ -134,7 +133,7 @@ LimbVec mulKaratsubaSpans(const std::uint32_t* a, std::size_t an,
   trimTrailingZeroLimbs(z1);
   trimTrailingZeroLimbs(z2);
 
-  LimbVec out(an + bn, 0);
+  Limbs out(an + bn, 0);
   addInto(out, 0, z0);
   addInto(out, m, z1);
   if (!z2.empty()) addInto(out, 2 * m, z2);
@@ -144,32 +143,30 @@ LimbVec mulKaratsubaSpans(const std::uint32_t* a, std::size_t an,
 }  // namespace
 
 BigUint::BigUint(std::uint64_t value) {
-  if (value != 0) limbs_.push_back(static_cast<std::uint32_t>(value));
-  if (value >> 32) limbs_.push_back(static_cast<std::uint32_t>(value >> 32));
+  if (value != 0) limbs_.push_back(value);
 }
 
-void BigUint::trim() {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
+BigUint::BigUint(Limbs limbs) : limbs_(std::move(limbs)) {
+  trimTrailingZeroLimbs(limbs_);
 }
 
 std::optional<BigUint> BigUint::fromHex(std::string_view hex) {
   if (hex.empty()) return std::nullopt;
-  BigUint out;
-  // Parse from the least-significant end, 8 hex digits per limb.
+  Limbs limbs;
+  // Parse from the least-significant end, 16 hex digits per limb.
   std::size_t end = hex.size();
   while (end > 0) {
-    const std::size_t begin = end >= 8 ? end - 8 : 0;
-    std::uint32_t limb = 0;
+    const std::size_t begin = end >= 16 ? end - 16 : 0;
+    u64 limb = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const int v = hexNibble(hex[i]);
       if (v < 0) return std::nullopt;
-      limb = (limb << 4) | static_cast<std::uint32_t>(v);
+      limb = (limb << 4) | static_cast<u64>(v);
     }
-    out.limbs_.push_back(limb);
+    limbs.push_back(limb);
     end = begin;
   }
-  out.trim();
-  return out;
+  return BigUint(std::move(limbs));
 }
 
 std::optional<BigUint> BigUint::fromDecimal(std::string_view dec) {
@@ -183,63 +180,30 @@ std::optional<BigUint> BigUint::fromDecimal(std::string_view dec) {
 }
 
 BigUint BigUint::fromBytes(util::BytesView data) {
-  // Byte i from the end lands in limb i/4 at bit 8*(i%4): one pass, no
+  // Byte i from the end lands in limb i/8 at bit 8*(i%8): one pass, no
   // intermediate values.
-  BigUint out;
-  out.limbs_.assign((data.size() + 3) / 4, 0);
+  Limbs limbs((data.size() + 7) / 8, 0);
   for (std::size_t i = 0; i < data.size(); ++i) {
-    out.limbs_[i / 4] |= static_cast<std::uint32_t>(data[data.size() - 1 - i])
-                         << (8 * (i % 4));
+    limbs[i / 8] |= static_cast<u64>(data[data.size() - 1 - i]) << (8 * (i % 8));
   }
-  out.trim();
-  return out;
-}
-
-BigUint BigUint::fromWords64(const std::vector<std::uint64_t>& words) {
-  BigUint out;
-  out.limbs_.reserve(words.size() * 2);
-  for (const std::uint64_t w : words) {
-    out.limbs_.push_back(static_cast<std::uint32_t>(w));
-    out.limbs_.push_back(static_cast<std::uint32_t>(w >> 32));
-  }
-  out.trim();
-  return out;
-}
-
-std::vector<std::uint64_t> BigUint::words64(std::size_t count) const {
-  if (limbs_.size() > count * 2) {
-    throw util::DosnError("BigUint::words64: value too wide");
-  }
-  std::vector<std::uint64_t> out(count, 0);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    out[i / 2] |= static_cast<std::uint64_t>(limbs_[i]) << ((i % 2) * 32);
-  }
-  return out;
+  return BigUint(std::move(limbs));
 }
 
 std::size_t BigUint::bitLength() const {
   if (limbs_.empty()) return 0;
-  std::size_t bits = (limbs_.size() - 1) * 32;
-  std::uint32_t top = limbs_.back();
-  while (top != 0) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return (limbs_.size() - 1) * 64 +
+         static_cast<std::size_t>(std::bit_width(limbs_.back()));
 }
 
 bool BigUint::bit(std::size_t i) const {
-  const std::size_t limb = i / 32;
+  const std::size_t limb = i / 64;
   if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 32)) & 1;
+  return (limbs_[limb] >> (i % 64)) & 1;
 }
 
 std::uint64_t BigUint::toUint64() const {
-  if (limbs_.size() > 2) throw util::DosnError("BigUint::toUint64: too wide");
-  std::uint64_t v = 0;
-  if (limbs_.size() > 1) v = static_cast<std::uint64_t>(limbs_[1]) << 32;
-  if (!limbs_.empty()) v |= limbs_[0];
-  return v;
+  if (limbs_.size() > 1) throw util::DosnError("BigUint::toUint64: too wide");
+  return limbs_.empty() ? 0 : limbs_[0];
 }
 
 std::string BigUint::toHex() const {
@@ -247,7 +211,7 @@ std::string BigUint::toHex() const {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;
   for (std::size_t i = limbs_.size(); i-- > 0;) {
-    for (int shift = 28; shift >= 0; shift -= 4) {
+    for (int shift = 60; shift >= 0; shift -= 4) {
       out.push_back(kDigits[(limbs_[i] >> shift) & 0xf]);
     }
   }
@@ -274,9 +238,7 @@ util::Bytes BigUint::toBytes() const {
   const std::size_t bytes = (bitLength() + 7) / 8;
   out.reserve(bytes);
   for (std::size_t i = bytes; i-- > 0;) {
-    const std::size_t limb = i / 4;
-    const std::size_t shift = (i % 4) * 8;
-    out.push_back(static_cast<std::uint8_t>(limbs_[limb] >> shift));
+    out.push_back(static_cast<std::uint8_t>(limbs_[i / 8] >> ((i % 8) * 8)));
   }
   return out;
 }
@@ -302,97 +264,57 @@ int BigUint::compare(const BigUint& other) const {
 }
 
 BigUint BigUint::operator+(const BigUint& o) const {
-  BigUint out;
-  const std::size_t n = std::max(limbs_.size(), o.limbs_.size());
-  out.limbs_.reserve(n + 1);
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t sum = carry;
-    if (i < limbs_.size()) sum += limbs_[i];
-    if (i < o.limbs_.size()) sum += o.limbs_[i];
-    out.limbs_.push_back(static_cast<std::uint32_t>(sum));
-    carry = sum >> 32;
-  }
-  if (carry) out.limbs_.push_back(static_cast<std::uint32_t>(carry));
-  return out;
+  return BigUint(
+      addSpans(limbs_.data(), limbs_.size(), o.limbs_.data(), o.limbs_.size()));
 }
 
 BigUint BigUint::operator-(const BigUint& o) const {
   if (*this < o) throw util::DosnError("BigUint: negative subtraction");
-  BigUint out;
-  out.limbs_.reserve(limbs_.size());
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(limbs_[i]) - borrow;
-    if (i < o.limbs_.size()) diff -= o.limbs_[i];
-    if (diff < 0) {
-      diff += (std::int64_t{1} << 32);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.limbs_.push_back(static_cast<std::uint32_t>(diff));
-  }
-  out.trim();
-  return out;
+  Limbs out = limbs_;
+  subInPlace(out, o.limbs_);
+  return BigUint(std::move(out));
 }
 
 BigUint BigUint::operator*(const BigUint& o) const {
   if (isZero() || o.isZero()) return BigUint{};
-  BigUint out;
   if (std::min(limbs_.size(), o.limbs_.size()) >= kKaratsubaLimbs) {
-    out.limbs_ = mulKaratsubaSpans(limbs_.data(), limbs_.size(),
-                                   o.limbs_.data(), o.limbs_.size());
-  } else {
-    out.limbs_ = mulSchoolbookSpans(limbs_.data(), limbs_.size(),
-                                    o.limbs_.data(), o.limbs_.size());
+    return BigUint(mulKaratsubaSpans(limbs_.data(), limbs_.size(),
+                                     o.limbs_.data(), o.limbs_.size()));
   }
-  out.trim();
-  return out;
+  return schoolbookMul(*this, o);
 }
 
 BigUint schoolbookMul(const BigUint& a, const BigUint& b) {
   if (a.isZero() || b.isZero()) return BigUint{};
-  BigUint out;
-  out.limbs_ = mulSchoolbookSpans(a.limbs_.data(), a.limbs_.size(),
-                                  b.limbs_.data(), b.limbs_.size());
-  out.trim();
-  return out;
+  return BigUint(mulSchoolbookSpans(a.limbs().data(), a.limbs().size(),
+                                    b.limbs().data(), b.limbs().size()));
 }
 
 BigUint BigUint::operator<<(std::size_t bits) const {
   if (isZero() || bits == 0) return *this;
-  const std::size_t limbShift = bits / 32;
-  const std::size_t bitShift = bits % 32;
-  BigUint out;
-  out.limbs_.assign(limbs_.size() + limbShift + 1, 0);
+  const std::size_t limbShift = bits / 64;
+  const std::size_t bitShift = bits % 64;
+  Limbs out(limbs_.size() + limbShift + 1, 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    out.limbs_[i + limbShift] |= limbs_[i] << bitShift;
-    if (bitShift != 0) {
-      out.limbs_[i + limbShift + 1] |=
-          static_cast<std::uint32_t>(static_cast<std::uint64_t>(limbs_[i]) >> (32 - bitShift));
-    }
+    out[i + limbShift] |= limbs_[i] << bitShift;
+    if (bitShift != 0) out[i + limbShift + 1] = limbs_[i] >> (64 - bitShift);
   }
-  out.trim();
-  return out;
+  return BigUint(std::move(out));
 }
 
 BigUint BigUint::operator>>(std::size_t bits) const {
   if (isZero() || bits == 0) return *this;
-  const std::size_t limbShift = bits / 32;
-  const std::size_t bitShift = bits % 32;
+  const std::size_t limbShift = bits / 64;
+  const std::size_t bitShift = bits % 64;
   if (limbShift >= limbs_.size()) return BigUint{};
-  BigUint out;
-  out.limbs_.assign(limbs_.size() - limbShift, 0);
-  for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
-    out.limbs_[i] = limbs_[i + limbShift] >> bitShift;
+  Limbs out(limbs_.size() - limbShift, 0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = limbs_[i + limbShift] >> bitShift;
     if (bitShift != 0 && i + limbShift + 1 < limbs_.size()) {
-      out.limbs_[i] |= static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(limbs_[i + limbShift + 1]) << (32 - bitShift));
+      out[i] |= limbs_[i + limbShift + 1] << (64 - bitShift);
     }
   }
-  out.trim();
-  return out;
+  return BigUint(std::move(out));
 }
 
 BigUint BigUint::operator/(const BigUint& o) const { return divmod(o).quotient; }
@@ -403,97 +325,74 @@ DivMod BigUint::divmod(const BigUint& divisor) const {
   if (divisor.isZero()) throw util::DosnError("BigUint: division by zero");
   if (*this < divisor) return {BigUint{}, *this};
   if (divisor.limbs_.size() == 1) {
-    // Fast path: single-limb divisor.
-    const std::uint64_t d = divisor.limbs_[0];
-    BigUint q;
-    q.limbs_.assign(limbs_.size(), 0);
-    std::uint64_t rem = 0;
+    // Fast path: single-limb divisor. rem < d, so each quotient limb fits.
+    const u64 d = divisor.limbs_[0];
+    Limbs q(limbs_.size(), 0);
+    u64 rem = 0;
     for (std::size_t i = limbs_.size(); i-- > 0;) {
-      const std::uint64_t cur = (rem << 32) | limbs_[i];
-      q.limbs_[i] = static_cast<std::uint32_t>(cur / d);
-      rem = cur % d;
+      const u128 cur = (static_cast<u128>(rem) << 64) | limbs_[i];
+      q[i] = static_cast<u64>(cur / d);
+      rem = static_cast<u64>(cur - static_cast<u128>(q[i]) * d);
     }
-    q.trim();
-    return {std::move(q), BigUint(rem)};
+    return {BigUint(std::move(q)), BigUint(rem)};
   }
 
   // Knuth Algorithm D. Normalize so the divisor's top limb has its high bit
   // set.
   const std::size_t n = divisor.limbs_.size();
-  std::size_t shift = 0;
-  {
-    std::uint32_t top = divisor.limbs_.back();
-    while ((top & 0x80000000u) == 0) {
-      top <<= 1;
-      ++shift;
-    }
-  }
+  const std::size_t shift =
+      static_cast<std::size_t>(std::countl_zero(divisor.limbs_.back()));
   const BigUint u = *this << shift;
   const BigUint v = divisor << shift;
   const std::size_t m = u.limbs_.size() - n;
 
-  std::vector<std::uint32_t> un(u.limbs_);
+  Limbs un(u.limbs_);
   un.push_back(0);  // extra headroom limb
-  const std::vector<std::uint32_t>& vn = v.limbs_;
+  const Limbs& vn = v.limbs_;
 
-  BigUint q;
-  q.limbs_.assign(m + 1, 0);
-
-  const std::uint64_t base = std::uint64_t{1} << 32;
+  Limbs q(m + 1, 0);
+  constexpr u128 kBase = static_cast<u128>(1) << 64;
   for (std::size_t j = m + 1; j-- > 0;) {
-    // Estimate q_hat = (un[j+n]*b + un[j+n-1]) / vn[n-1].
-    const std::uint64_t numerator =
-        (static_cast<std::uint64_t>(un[j + n]) << 32) | un[j + n - 1];
-    std::uint64_t qhat = numerator / vn[n - 1];
-    std::uint64_t rhat = numerator % vn[n - 1];
-    while (qhat >= base ||
-           qhat * vn[n - 2] > ((rhat << 32) | un[j + n - 2])) {
+    // Estimate q_hat = (un[j+n]*b + un[j+n-1]) / vn[n-1], at most b + 1 for
+    // a normalized divisor; the test below brings it under b and to within
+    // one of the true quotient digit.
+    const u128 numerator = (static_cast<u128>(un[j + n]) << 64) | un[j + n - 1];
+    u128 qhat = numerator / vn[n - 1];
+    u128 rhat = numerator - qhat * vn[n - 1];
+    while (qhat >= kBase ||
+           qhat * vn[n - 2] > ((rhat << 64) | un[j + n - 2])) {
       --qhat;
       rhat += vn[n - 1];
-      if (rhat >= base) break;
+      if (rhat >= kBase) break;
     }
+    u64 qdigit = static_cast<u64>(qhat);  // the test above leaves q_hat < b
 
-    // Multiply-subtract: un[j..j+n] -= qhat * vn.
-    std::int64_t borrow = 0;
-    std::uint64_t carry = 0;
+    // Multiply-subtract: un[j..j+n] -= qdigit * vn.
+    u64 borrow = 0;
+    u64 carry = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t product = qhat * vn[i] + carry;
-      carry = product >> 32;
-      std::int64_t diff = static_cast<std::int64_t>(un[i + j]) -
-                          static_cast<std::int64_t>(product & 0xffffffffu) - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(base);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      un[i + j] = static_cast<std::uint32_t>(diff);
+      const u128 product = static_cast<u128>(qdigit) * vn[i] + carry;
+      carry = static_cast<u64>(product >> 64);
+      un[i + j] = subBorrow(un[i + j], static_cast<u64>(product), borrow);
     }
-    std::int64_t topDiff = static_cast<std::int64_t>(un[j + n]) -
-                           static_cast<std::int64_t>(carry) - borrow;
-    if (topDiff < 0) {
-      // q_hat was one too large: add back.
-      topDiff += static_cast<std::int64_t>(base);
-      --qhat;
-      std::uint64_t addCarry = 0;
+    un[j + n] = subBorrow(un[j + n], carry, borrow);
+    if (borrow) {
+      // q_hat was one too large: add back (the carry out of the top limb
+      // cancels the borrow).
+      --qdigit;
+      u64 addCarry = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t sum =
-            static_cast<std::uint64_t>(un[i + j]) + vn[i] + addCarry;
-        un[i + j] = static_cast<std::uint32_t>(sum);
-        addCarry = sum >> 32;
+        const u128 sum = static_cast<u128>(un[i + j]) + vn[i] + addCarry;
+        un[i + j] = static_cast<u64>(sum);
+        addCarry = static_cast<u64>(sum >> 64);
       }
-      topDiff += static_cast<std::int64_t>(addCarry);
-      topDiff &= static_cast<std::int64_t>(base - 1);
+      un[j + n] += addCarry;
     }
-    un[j + n] = static_cast<std::uint32_t>(topDiff);
-    q.limbs_[j] = static_cast<std::uint32_t>(qhat);
+    q[j] = qdigit;
   }
-  q.trim();
 
-  BigUint r;
-  r.limbs_.assign(un.begin(), un.begin() + static_cast<std::ptrdiff_t>(n));
-  r.trim();
-  return {std::move(q), r >> shift};
+  un.resize(n);
+  return {BigUint(std::move(q)), BigUint(std::move(un)) >> shift};
 }
 
 }  // namespace dosn::bignum

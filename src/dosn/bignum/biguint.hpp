@@ -1,12 +1,15 @@
 // Arbitrary-precision unsigned integers — the substrate for all public-key
 // cryptography in this repository (RSA, ElGamal, Schnorr, DH, OPRF).
 //
-// Representation: little-endian vector of 32-bit limbs with no trailing zero
-// limbs (zero is the empty vector). Multiplication is schoolbook below 32
-// limbs and Karatsuba above (the crossover where the extra additions pay for
-// themselves at these operand shapes); division is Knuth Algorithm D.
-// schoolbookMul() retains the quadratic path as the differential-testing
-// reference for the Karatsuba split.
+// Representation: little-endian vector of 64-bit limbs with no trailing zero
+// limbs (zero is the empty vector) — the same limb vector MontgomeryContext
+// computes on, so entering and leaving the Montgomery domain only pads and
+// trims. Limb products and carries go through unsigned __int128.
+// Multiplication is schoolbook below 16 limbs (1024 bits) and Karatsuba above
+// (the crossover where the extra additions pay for themselves at these
+// operand shapes); division is Knuth Algorithm D. schoolbookMul() retains the
+// quadratic path as the differential-testing reference for the Karatsuba
+// split.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +29,13 @@ struct DivMod;
 
 class BigUint {
  public:
+  /// Little-endian 64-bit limbs.
+  using Limbs = std::vector<std::uint64_t>;
+
   BigUint() = default;
   BigUint(std::uint64_t value);  // NOLINT(google-explicit-constructor)
+  /// Adopts little-endian limbs; trailing zero limbs are trimmed.
+  explicit BigUint(Limbs limbs);
 
   /// Parses lower/upper-case hex (no prefix). std::nullopt on bad input.
   static std::optional<BigUint> fromHex(std::string_view hex);
@@ -35,9 +43,6 @@ class BigUint {
   static std::optional<BigUint> fromDecimal(std::string_view dec);
   /// Big-endian byte import (leading zeros fine).
   static BigUint fromBytes(util::BytesView data);
-  /// Little-endian 64-bit word import (trailing zeros fine). The inverse of
-  /// words64 — the bridge to the Montgomery engine's limb format.
-  static BigUint fromWords64(const std::vector<std::uint64_t>& words);
 
   bool isZero() const { return limbs_.empty(); }
   bool isOdd() const { return !limbs_.empty() && (limbs_[0] & 1); }
@@ -84,23 +89,16 @@ class BigUint {
   BigUint& operator-=(const BigUint& o) { return *this = *this - o; }
   BigUint& operator*=(const BigUint& o) { return *this = *this * o; }
 
-  const std::vector<std::uint32_t>& limbs() const { return limbs_; }
-
-  /// Little-endian 64-bit words, zero-padded to exactly `count`; throws if
-  /// the value needs more than `count` words.
-  std::vector<std::uint64_t> words64(std::size_t count) const;
+  /// The trimmed limbs (empty for zero).
+  const Limbs& limbs() const { return limbs_; }
 
  private:
-  void trim();
-
-  friend BigUint schoolbookMul(const BigUint& a, const BigUint& b);
-
-  std::vector<std::uint32_t> limbs_;
+  Limbs limbs_;
 };
 
 /// The quadratic multiply, regardless of operand size — the retained simple
 /// path operator* is differential-tested against (operator* switches to
-/// Karatsuba above ~32 limbs).
+/// Karatsuba at 16 limbs = 1024 bits).
 BigUint schoolbookMul(const BigUint& a, const BigUint& b);
 
 struct DivMod {

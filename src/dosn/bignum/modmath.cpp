@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "dosn/bignum/barrett.hpp"
 #include "dosn/bignum/montgomery.hpp"
 #include "dosn/util/error.hpp"
 
@@ -27,7 +26,7 @@ BigUint powMod(const BigUint& base, const BigUint& exponent, const BigUint& m) {
   if (m.isZero()) throw util::DosnError("powMod: zero modulus");
   if (m == BigUint(1)) return BigUint{};
   if (m.isOdd()) return MontgomeryContext(m).powMod(base, exponent);
-  return BarrettReducer(m).powMod(base, exponent);
+  return powModSimple(base, exponent, m);
 }
 
 BigUint powModSimple(const BigUint& base, const BigUint& exponent,
@@ -79,7 +78,7 @@ int jacobi(BigUint a, BigUint n) {
     while (a.isEven()) {
       a = a >> 1;
       // (2/n) = -1 iff n ≡ 3 or 5 (mod 8).
-      const std::uint32_t n8 = n.limbs()[0] & 7;
+      const std::uint64_t n8 = n.limbs()[0] & 7;
       if (n8 == 3 || n8 == 5) result = -result;
     }
     // Reciprocity: both operands are odd here; the swap flips the sign iff

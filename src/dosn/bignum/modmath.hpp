@@ -16,14 +16,14 @@ BigUint subMod(const BigUint& a, const BigUint& b, const BigUint& m);
 /// (a * b) mod m.
 BigUint mulMod(const BigUint& a, const BigUint& b, const BigUint& m);
 
-/// base^exponent mod m. Odd moduli (every prime modulus in the library) take
-/// the Montgomery/CIOS fast path (montgomery.hpp); even moduli take Barrett
-/// reduction (barrett.hpp). m must be nonzero.
+/// base^exponent mod m. Odd moduli (every modulus the library uses) take the
+/// Montgomery/CIOS fast path (montgomery.hpp); even moduli take powModSimple.
+/// m must be nonzero.
 BigUint powMod(const BigUint& base, const BigUint& exponent, const BigUint& m);
 
 /// The historical 4-bit-window square-and-multiply with a full division after
 /// every multiply. Retained as the differential-testing reference for the
-/// Montgomery path (and as the even-modulus fallback).
+/// Montgomery path, and as the even-modulus path.
 BigUint powModSimple(const BigUint& base, const BigUint& exponent,
                      const BigUint& m);
 

@@ -26,12 +26,13 @@ MontgomeryContext::MontgomeryContext(const BigUint& modulus)
   if (modulus_.isEven() || modulus_ <= BigUint(1)) {
     throw util::DosnError("MontgomeryContext: modulus must be odd and > 1");
   }
-  const std::size_t k = (modulus_.bitLength() + 63) / 64;
-  n_ = modulus_.words64(k);
+  n_ = modulus_.limbs();
+  const std::size_t k = n_.size();
   nInv_ = ~invertWord(n_[0]) + 1;  // -n^{-1} mod 2^64
   // R^2 mod n with R = 2^(64k), via one BigUint division at setup; every
   // later reduction is division-free.
-  rr_ = ((BigUint(1) << (2 * 64 * k)) % modulus_).words64(k);
+  rr_ = ((BigUint(1) << (2 * 64 * k)) % modulus_).limbs();
+  rr_.resize(k, 0);
   Limbs unit(k, 0);
   unit[0] = 1;
   one_ = montMul(unit, rr_);
@@ -98,14 +99,17 @@ MontgomeryContext::Limbs MontgomeryContext::montMul(const Limbs& a,
 }
 
 MontgomeryContext::Limbs MontgomeryContext::toMont(const BigUint& x) const {
-  const BigUint reduced = x >= modulus_ ? x % modulus_ : x;
-  return montMul(reduced.words64(n_.size()), rr_);
+  if (x >= modulus_) return toMont(x % modulus_);
+  // A reduced value has at most words() limbs; zero-pad it to exactly that.
+  Limbs padded(n_.size(), 0);
+  std::copy(x.limbs().begin(), x.limbs().end(), padded.begin());
+  return montMul(padded, rr_);
 }
 
 BigUint MontgomeryContext::fromMont(const Limbs& x) const {
   Limbs unit(n_.size(), 0);
   unit[0] = 1;
-  return BigUint::fromWords64(montMul(x, unit));
+  return BigUint(montMul(x, unit));  // trims the padding
 }
 
 MontgomeryContext::Limbs MontgomeryContext::powMont(

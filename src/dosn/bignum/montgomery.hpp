@@ -13,7 +13,8 @@
 // Requirements: the modulus must be odd (R = 2^(64k) and n must be coprime).
 // bignum::powMod dispatches here automatically for odd moduli and keeps the
 // historical square-and-multiply (powModSimple) for even ones — and for
-// differential testing.
+// differential testing. BigUint stores the same 64-bit limbs, so toMont only
+// zero-pads a reduced value to words() limbs and fromMont only trims.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,10 @@ namespace dosn::bignum {
 
 class MontgomeryContext {
  public:
-  /// A value in the Montgomery domain: little-endian 64-bit limbs, always
-  /// exactly words() long and fully reduced (< n), so limb-wise equality is
-  /// value equality.
-  using Limbs = std::vector<std::uint64_t>;
+  /// A value in the Montgomery domain: BigUint's own little-endian 64-bit
+  /// limbs, zero-padded to exactly words() and fully reduced (< n), so
+  /// limb-wise equality is value equality.
+  using Limbs = BigUint::Limbs;
 
   /// Throws DosnError unless `modulus` is odd and > 1.
   explicit MontgomeryContext(const BigUint& modulus);
@@ -68,8 +69,8 @@ class MontgomeryContext {
 /// computes g^e mod p with ~bits/4 Montgomery multiplies and *no squarings*,
 /// by storing g^(j * 16^i) for every 4-bit window i and digit j. Repeated
 /// g^x with the same (g, p) — DH handshakes, ElGamal encryptions, Schnorr
-/// commitments, OPRF blinding — amortizes the table across calls (see
-/// pkcrypto::fixedBasePowerTable for the per-(g, p) cache).
+/// commitments, OPRF blinding — amortizes the table across calls
+/// (pkcrypto::DlogGroup builds one for its generator).
 class FixedBasePowerTable {
  public:
   /// Covers exponents up to maxExponentBits bits; wider exponents fall back

@@ -1,9 +1,7 @@
 #include "dosn/pkcrypto/group.hpp"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
-#include <string>
 
 #include "dosn/bignum/batch.hpp"
 #include "dosn/bignum/prime.hpp"
@@ -55,36 +53,16 @@ DlogGroup fromSafePrime(const char* hex) {
 
 }  // namespace
 
-const bignum::FixedBasePowerTable& fixedBasePowerTable(
-    const BigUint& base, const BigUint& modulus,
-    std::size_t maxExponentBits) {
-  static std::mutex mutex;
-  // Entries are never erased and std::map never relocates nodes, so returned
-  // references stay valid for the process lifetime (as the header promises).
-  static std::map<std::string, bignum::FixedBasePowerTable> tables;
-  // The requested width is part of the key: a caller wanting a wider table
-  // gets its own entry instead of invalidating narrower ones already handed
-  // out. In practice each (g, p) is always requested at one width.
-  const std::size_t windows = (std::max<std::size_t>(maxExponentBits, 1) + 3) / 4;
-  std::string key = base.toHex();
-  key.push_back('/');
-  key += modulus.toHex();
-  key.push_back('/');
-  key += std::to_string(windows);
-  std::lock_guard<std::mutex> lock(mutex);
-  auto it = tables.find(key);
-  if (it != tables.end()) return it->second;
-  return tables
-      .emplace(std::move(key),
-               bignum::FixedBasePowerTable(base, modulus, maxExponentBits))
-      .first->second;
-}
-
 DlogGroup::DlogGroup(BigUint p, BigUint q, BigUint g)
     : p_(std::move(p)), q_(std::move(q)), g_(std::move(g)) {
   if (p_ < BigUint(7)) throw util::CryptoError("DlogGroup: modulus too small");
   if (p_.isOdd()) {
     pCtx_ = std::make_shared<const bignum::MontgomeryContext>(p_);
+    // Exponents are scalars < q < p, so a p-bit table covers every call;
+    // wider exponents (none in practice) fall back to generic powMod inside
+    // pow().
+    gTable_ = std::make_shared<const bignum::FixedBasePowerTable>(
+        g_, p_, p_.bitLength());
   }
   if (q_.isOdd() && q_ > BigUint(1)) {
     qCtx_ = std::make_shared<const bignum::MontgomeryContext>(q_);
@@ -117,9 +95,8 @@ const DlogGroup& DlogGroup::cached(std::size_t bits) {
 }
 
 BigUint DlogGroup::exp(const BigUint& e) const {
-  // Exponents are scalars < q < p, so a p-bit table covers every call; wider
-  // exponents (none in practice) fall back to generic powMod inside pow().
-  return fixedBasePowerTable(g_, p_, p_.bitLength()).pow(e);
+  if (gTable_) return gTable_->pow(e);
+  return powMod(g_, e, p_);
 }
 
 BigUint DlogGroup::exp(const BigUint& b, const BigUint& e) const {

@@ -19,14 +19,6 @@ namespace dosn::pkcrypto {
 
 using bignum::BigUint;
 
-/// Process-wide cache of fixed-base exponentiation tables, keyed on (base,
-/// modulus). The first g^x for a given (g, p) pays the table build (~4x one
-/// exponentiation); every later call — DH handshakes, ElGamal encryptions,
-/// Schnorr commitments, OPRF evaluations — runs with no squarings at all.
-/// Entries live for the process lifetime, so the reference stays valid.
-const bignum::FixedBasePowerTable& fixedBasePowerTable(
-    const BigUint& base, const BigUint& modulus, std::size_t maxExponentBits);
-
 class DlogGroup {
  public:
   DlogGroup(BigUint p, BigUint q, BigUint g);
@@ -41,7 +33,7 @@ class DlogGroup {
   const BigUint& q() const { return q_; }
   const BigUint& g() const { return g_; }
 
-  /// g^e mod p.
+  /// g^e mod p, through the generator's fixed-base table: no squarings.
   BigUint exp(const BigUint& e) const;
   /// b^e mod p.
   BigUint exp(const BigUint& b, const BigUint& e) const;
@@ -79,9 +71,12 @@ class DlogGroup {
   BigUint q_;
   BigUint g_;
   // Built once in the constructor; copies of the group share them. Null when
-  // the respective modulus is even (degenerate parameters only).
+  // the respective modulus is even (degenerate parameters only). gTable_
+  // holds g^(j * 16^i) mod p for p-bit exponents, so DH handshakes, ElGamal
+  // encryptions, Schnorr commitments and OPRF evaluations all skip squarings.
   std::shared_ptr<const bignum::MontgomeryContext> pCtx_;
   std::shared_ptr<const bignum::MontgomeryContext> qCtx_;
+  std::shared_ptr<const bignum::FixedBasePowerTable> gTable_;
 };
 
 }  // namespace dosn::pkcrypto

@@ -53,7 +53,9 @@ class AccessController {
   /// (modulo copies they already made — paper §III-B's caveat).
   virtual RevocationReport removeMember(const GroupId& group,
                                         const UserId& user) = 0;
+  /// Throws DosnError for an unknown group.
   virtual std::vector<UserId> members(const GroupId& group) const = 0;
+  /// False for an unknown group.
   virtual bool isMember(const GroupId& group, const UserId& user) const = 0;
 
   /// Encrypts to the group and retains the envelope in the group's history.

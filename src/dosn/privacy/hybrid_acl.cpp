@@ -112,7 +112,8 @@ std::vector<UserId> HybridAcl::members(const GroupId& group) const {
 }
 
 bool HybridAcl::isMember(const GroupId& group, const UserId& user) const {
-  return groupRef(group).members.count(user) > 0;
+  const auto it = groups_.find(group);
+  return it != groups_.end() && it->second.members.count(user) > 0;
 }
 
 util::Bytes HybridAcl::wrapKey(const GroupId& group, util::BytesView dataKey,

@@ -58,7 +58,8 @@ std::vector<UserId> SymmetricAcl::members(const GroupId& group) const {
 }
 
 bool SymmetricAcl::isMember(const GroupId& group, const UserId& user) const {
-  return groupRef(group).members.count(user) > 0;
+  const auto it = groups_.find(group);
+  return it != groups_.end() && it->second.members.count(user) > 0;
 }
 
 Envelope SymmetricAcl::encrypt(const GroupId& group, util::BytesView plaintext,

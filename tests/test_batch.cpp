@@ -1,17 +1,16 @@
 // Differential tests for the batch-crypto throughput pass: Karatsuba multiply
 // vs the retained schoolbook path, Montgomery batch inversion vs per-element
-// invMod, Barrett reduction vs powModSimple, Shamir/Strauss multi-exponentiation
-// vs products of single exponentiations, batched Schnorr verification vs the
-// one-by-one path (including a randomized 1k-page differential), batched OPRF
-// finalization, and byte-pinned Shamir/Lagrange reconstruction — every fast
-// path against its retained simple reference (the test_montgomery pattern).
+// invMod, Shamir/Strauss multi-exponentiation vs products of single
+// exponentiations, batched Schnorr verification vs the one-by-one path
+// (including a randomized 1k-page differential), batched OPRF finalization,
+// and byte-pinned Shamir/Lagrange reconstruction — every fast path against
+// its retained simple reference (the test_montgomery pattern).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "dosn/bignum/barrett.hpp"
 #include "dosn/bignum/batch.hpp"
 #include "dosn/bignum/biguint.hpp"
 #include "dosn/bignum/modmath.hpp"
@@ -32,7 +31,6 @@
 
 namespace {
 
-using dosn::bignum::BarrettReducer;
 using dosn::bignum::batchInvMod;
 using dosn::bignum::BigUint;
 using dosn::bignum::invMod;
@@ -65,12 +63,12 @@ BigUint evenModulus(std::size_t bits, Rng& rng) {
 
 TEST(Karatsuba, MatchesSchoolbookAcrossLimbWidths) {
   Rng rng(101);
-  // Widths straddle the 32-limb crossover: below it operator* IS schoolbook,
+  // Widths straddle the 16-limb crossover: below it operator* IS schoolbook,
   // at/above it the Karatsuba recursion (and its base case) must agree.
-  for (const std::size_t limbs : {1u, 2u, 31u, 32u, 33u, 48u, 64u, 65u, 128u}) {
+  for (const std::size_t limbs : {1u, 2u, 15u, 16u, 17u, 24u, 32u, 33u, 64u}) {
     for (int i = 0; i < 4; ++i) {
-      const BigUint a = randomBits(limbs * 32 - (i % 3), rng);
-      const BigUint b = randomBits(limbs * 32 - ((i + 1) % 5), rng);
+      const BigUint a = randomBits(limbs * 64 - (i % 3), rng);
+      const BigUint b = randomBits(limbs * 64 - ((i + 1) % 5), rng);
       EXPECT_EQ(a * b, schoolbookMul(a, b)) << "limbs=" << limbs << " i=" << i;
     }
   }
@@ -102,16 +100,17 @@ TEST(Karatsuba, AsymmetricRecombinationStaysInBounds) {
   // operand's width, a1 is empty and z1 = (a0+a1)(b0+b1) - z0 - z2 keeps its
   // full untrimmed product length even though the subtractions shrink its
   // value, so addInto(out, m, z1) indexed past the an+bn output allocation
-  // (e.g. 32x63 limbs: off 32 + 65 untrimmed limbs > 95). Both operands must
-  // be >= 32 limbs to take the Karatsuba path at all; these shapes sweep the
-  // asymmetric region around and past the empty-a1 threshold bn >= 2*an - 1.
+  // (e.g. 16x31 limbs: off 16 + 33 untrimmed limbs > 47). Both operands must
+  // be >= 16 64-bit limbs to take the Karatsuba path at all; these shapes
+  // sweep the asymmetric region around and past the empty-a1 threshold
+  // bn >= 2*an - 1.
   Rng rng(109);
-  const std::size_t shapes[][2] = {{32, 60},  {32, 62},  {32, 63},  {32, 64},
-                                   {32, 65},  {32, 96},  {32, 127}, {33, 64},
-                                   {33, 200}, {40, 127}, {48, 97},  {64, 255}};
+  const std::size_t shapes[][2] = {{16, 30}, {16, 31}, {16, 32},  {16, 33},
+                                   {16, 34}, {16, 48}, {16, 63},  {17, 32},
+                                   {17, 100}, {20, 63}, {24, 48}, {32, 127}};
   for (const auto& shape : shapes) {
-    const BigUint a = randomBits(shape[0] * 32, rng);
-    const BigUint b = randomBits(shape[1] * 32, rng);
+    const BigUint a = randomBits(shape[0] * 64, rng);
+    const BigUint b = randomBits(shape[1] * 64, rng);
     EXPECT_EQ(a * b, schoolbookMul(a, b))
         << "an=" << shape[0] << " bn=" << shape[1];
     EXPECT_EQ(b * a, schoolbookMul(b, a))
@@ -186,50 +185,6 @@ TEST(BatchInv, ContextOverloadMatchesValueOverload) {
   if (viaCtx) {
     EXPECT_EQ(*viaCtx, *viaValue);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Barrett reduction vs the retained simple path (even-modulus powMod).
-
-TEST(Barrett, ReduceMatchesDivision) {
-  Rng rng(127);
-  for (const std::size_t bits : {8u, 31u, 32u, 33u, 64u, 127u, 255u, 512u}) {
-    for (const bool odd : {true, false}) {
-      const BigUint m = odd ? oddModulus(bits, rng) : evenModulus(bits, rng);
-      if (m <= BigUint(1)) continue;
-      const BarrettReducer red(m);
-      for (int i = 0; i < 8; ++i) {
-        // Products of reduced operands are the division-free range; also
-        // cover x < m and x just above the precomputed range.
-        const BigUint a = randomBits(bits, rng) % m;
-        const BigUint b = randomBits(bits, rng) % m;
-        EXPECT_EQ(red.reduce(a * b), (a * b) % m) << "bits=" << bits;
-        EXPECT_EQ(red.reduce(a), a % m);
-        EXPECT_EQ(red.mulMod(a, b), mulMod(a, b, m));
-      }
-      const BigUint wide = randomBits(bits * 3 + 7, rng);  // fallback path
-      EXPECT_EQ(red.reduce(wide), wide % m) << "bits=" << bits;
-    }
-  }
-}
-
-TEST(Barrett, PowModMatchesSimpleOnEvenModuli) {
-  Rng rng(131);
-  for (const std::size_t bits : {16u, 64u, 96u, 128u, 256u, 512u}) {
-    const BigUint m = evenModulus(bits, rng);
-    const BarrettReducer red(m);
-    for (int i = 0; i < 5; ++i) {
-      const BigUint base = randomBits(bits + 16, rng);
-      const BigUint e = randomBits(1 + (i * 53) % 300, rng);
-      EXPECT_EQ(red.powMod(base, e), powModSimple(base, e, m))
-          << "bits=" << bits << " i=" << i;
-      // The public dispatcher routes even moduli through Barrett.
-      EXPECT_EQ(powMod(base, e, m), powModSimple(base, e, m));
-    }
-    EXPECT_EQ(red.powMod(randomBits(bits, rng), BigUint(0)), BigUint(1) % m);
-  }
-  EXPECT_THROW(BarrettReducer(BigUint(0)), dosn::util::DosnError);
-  EXPECT_THROW(BarrettReducer(BigUint(1)), dosn::util::DosnError);
 }
 
 // ---------------------------------------------------------------------------

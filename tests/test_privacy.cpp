@@ -90,6 +90,7 @@ TEST_P(AclConformance, MembershipBookkeeping) {
   acl_->removeMember("g", "alice");
   EXPECT_FALSE(acl_->isMember("g", "alice"));
   EXPECT_EQ(acl_->members("g").size(), 1u);
+  EXPECT_FALSE(acl_->isMember("nope", "alice"));
 }
 
 TEST_P(AclConformance, SeparateGroupsAreIsolated) {
