@@ -38,13 +38,21 @@ MontgomeryContext::MontgomeryContext(const BigUint& modulus)
   one_ = montMul(unit, rr_);
 }
 
-MontgomeryContext::Limbs MontgomeryContext::montMul(const Limbs& a,
-                                                    const Limbs& b) const {
+MontgomeryContext::Limbs MontgomeryContext::montMul(LimbSpan a,
+                                                    LimbSpan b) const {
+  Limbs t(n_.size() + 2);
+  montMulInto(a, b, t);
+  t.resize(n_.size());
+  return t;
+}
+
+void MontgomeryContext::montMulInto(LimbSpan a, LimbSpan b,
+                                    std::span<std::uint64_t> t) const {
   // CIOS: interleaves the schoolbook multiply with the Montgomery reduction
   // one word at a time. Invariant (Koç et al.): t stays below 2n shifted, so
   // t[k+1] is at most 1 and a single conditional subtraction finishes.
   const std::size_t k = n_.size();
-  Limbs t(k + 2, 0);
+  std::fill(t.begin(), t.end(), 0);
   for (std::size_t i = 0; i < k; ++i) {
     const std::uint64_t ai = a[i];
     std::uint64_t carry = 0;
@@ -83,19 +91,17 @@ MontgomeryContext::Limbs MontgomeryContext::montMul(const Limbs& a,
       }
     }
   }
-  Limbs out(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k));
   if (subtract) {
     std::uint64_t borrow = 0;
     for (std::size_t j = 0; j < k; ++j) {
-      const std::uint64_t d1 = out[j] - n_[j];
-      const std::uint64_t b1 = out[j] < n_[j];
+      const std::uint64_t d1 = t[j] - n_[j];
+      const std::uint64_t b1 = t[j] < n_[j];
       const std::uint64_t d2 = d1 - borrow;
       const std::uint64_t b2 = d1 < borrow;
-      out[j] = d2;
+      t[j] = d2;
       borrow = b1 | b2;
     }
   }
-  return out;
 }
 
 MontgomeryContext::Limbs MontgomeryContext::toMont(const BigUint& x) const {
@@ -179,12 +185,12 @@ FixedBasePowerTable::FixedBasePowerTable(const BigUint& base,
     : ctx_(modulus),
       base_(base % modulus),
       windows_((std::max<std::size_t>(maxExponentBits, 1) + 3) / 4) {
-  table_.reserve(windows_ * 15);
+  table_.reserve(windows_ * 15 * ctx_.words());
   MontgomeryContext::Limbs cur = ctx_.toMont(base_);
   for (std::size_t i = 0; i < windows_; ++i) {
     MontgomeryContext::Limbs power = cur;
     for (std::size_t j = 1; j <= 15; ++j) {
-      table_.push_back(power);
+      table_.insert(table_.end(), power.begin(), power.end());
       power = ctx_.montMul(power, cur);
     }
     cur = std::move(power);  // cur^16: the next window's unit step
@@ -194,17 +200,25 @@ FixedBasePowerTable::FixedBasePowerTable(const BigUint& base,
 BigUint FixedBasePowerTable::pow(const BigUint& exponent) const {
   const std::size_t bits = exponent.bitLength();
   if (bits > windows_ * 4) return ctx_.powMod(base_, exponent);
-  MontgomeryContext::Limbs acc = ctx_.one();
+  const std::size_t k = ctx_.words();
+  // Two montMulInto buffers, swapped after each multiply, so the loop does
+  // not allocate; the running product is acc's low k limbs.
+  MontgomeryContext::Limbs acc(k + 2);
+  MontgomeryContext::Limbs next(k + 2);
+  std::copy(ctx_.one().begin(), ctx_.one().end(), acc.begin());
+  const BigUint::Limbs& e = exponent.limbs();
   const std::size_t windows = (bits + 3) / 4;
   for (std::size_t w = 0; w < windows; ++w) {
-    std::uint32_t digit = 0;
-    for (int i = 3; i >= 0; --i) {
-      digit = (digit << 1) |
-              static_cast<std::uint32_t>(
-                  exponent.bit(w * 4 + static_cast<std::size_t>(i)));
-    }
-    if (digit != 0) acc = ctx_.montMul(acc, table_[w * 15 + digit - 1]);
+    // Sixteen 4-bit digits per 64-bit limb.
+    const std::size_t digit = (e[w / 16] >> (4 * (w % 16))) & 0xf;
+    if (digit == 0) continue;
+    const std::size_t entry = w * 15 + digit - 1;
+    ctx_.montMulInto(MontgomeryContext::LimbSpan(acc.data(), k),
+                     MontgomeryContext::LimbSpan(table_.data() + entry * k, k),
+                     next);
+    acc.swap(next);
   }
+  acc.resize(k);
   return ctx_.fromMont(acc);
 }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dosn/bignum/biguint.hpp"
@@ -43,8 +44,17 @@ class MontgomeryContext {
   const Limbs& one() const { return one_; }
   BigUint fromMont(const Limbs& x) const;
 
-  /// CIOS multiply-reduce: a * b * R^{-1} mod n for Montgomery-domain a, b.
-  Limbs montMul(const Limbs& a, const Limbs& b) const;
+  /// A read-only view of words() Montgomery-domain limbs: a Limbs value or
+  /// one entry of a flat table.
+  using LimbSpan = std::span<const std::uint64_t>;
+
+  /// CIOS multiply-reduce: a * b * R^{-1} mod n for Montgomery-domain a, b
+  /// (each exactly words() limbs).
+  Limbs montMul(LimbSpan a, LimbSpan b) const;
+  /// montMul into a caller-owned buffer, for loops that multiply without
+  /// allocating: `t` holds words() + 2 limbs, must not overlap a or b, and
+  /// receives the product in its low words() limbs.
+  void montMulInto(LimbSpan a, LimbSpan b, std::span<std::uint64_t> t) const;
 
   /// base^exponent mod n via sliding-window recoding (width 4-6 by exponent
   /// size, odd powers only) entirely in the Montgomery domain; equals
@@ -69,8 +79,11 @@ class MontgomeryContext {
 /// computes g^e mod p with ~bits/4 Montgomery multiplies and *no squarings*,
 /// by storing g^(j * 16^i) for every 4-bit window i and digit j. Repeated
 /// g^x with the same (g, p) — DH handshakes, ElGamal encryptions, Schnorr
-/// commitments, OPRF blinding — amortizes the table across calls
-/// (pkcrypto::DlogGroup builds one for its generator).
+/// commitments, OPRF blinding, IBBE key wraps — amortizes the table across
+/// calls (pkcrypto::DlogGroup builds one for its generator, ibbe::Directory
+/// one per identity key). Building costs 15 multiplies per window, about
+/// three variable-base exponentiations; the entries sit in one contiguous
+/// limb vector, 15 * windows * words() limbs (30 KiB at 256 bits).
 class FixedBasePowerTable {
  public:
   /// Covers exponents up to maxExponentBits bits; wider exponents fall back
@@ -89,8 +102,9 @@ class FixedBasePowerTable {
   MontgomeryContext ctx_;
   BigUint base_;
   std::size_t windows_;
-  // table_[i * 15 + (j - 1)] = Mont(base^(j * 16^i)), j in [1, 15].
-  std::vector<MontgomeryContext::Limbs> table_;
+  // Entry e = i * 15 + (j - 1) is Mont(base^(j * 16^i)), j in [1, 15], and
+  // occupies limbs [e * words(), (e + 1) * words()).
+  MontgomeryContext::Limbs table_;
 };
 
 }  // namespace dosn::bignum

@@ -37,7 +37,7 @@ std::optional<IbbeCiphertext> IbbeCiphertext::deserialize(util::BytesView data) 
     util::Reader r(data);
     IbbeCiphertext ct;
     ct.c1 = BigUint::fromBytes(r.bytes());
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = r.count(8);  // a wrap: two u32 lengths
     ct.wraps.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       std::string id = r.str();
@@ -54,10 +54,14 @@ std::optional<IbbeCiphertext> IbbeCiphertext::deserialize(util::BytesView data) 
 Pkg::Pkg(const DlogGroup& group, util::Rng& rng)
     : group_(group), masterSecret_(rng.bytes(32)) {}
 
-BigUint Pkg::identitySecret(const std::string& identity) const {
-  const util::Bytes material =
-      crypto::prf(masterSecret_, util::toBytes("id:" + identity));
-  return group_.hashToScalar(material);
+const BigUint& Pkg::identitySecret(const std::string& identity) const {
+  auto it = secrets_.find(identity);
+  if (it == secrets_.end()) {
+    const util::Bytes material =
+        crypto::prf(masterSecret_, util::toBytes("id:" + identity));
+    it = secrets_.emplace(identity, group_.hashToScalar(material)).first;
+  }
+  return it->second;
 }
 
 BigUint Pkg::identityPublicKey(const std::string& identity) const {
@@ -68,8 +72,23 @@ IbbeUserKey Pkg::extract(const std::string& identity) const {
   return IbbeUserKey{identity, identitySecret(identity)};
 }
 
-IbbeCiphertext ibbeEncrypt(const DlogGroup& group,
-                           const std::map<std::string, BigUint>& directory,
+Directory::Directory(Pkg pkg) : pkg_(std::move(pkg)) {}
+
+const bignum::FixedBasePowerTable& Directory::lookup(
+    const std::string& identity) {
+  auto it = tables_.find(identity);
+  if (it == tables_.end()) {
+    // Wrap exponents are scalars below q.
+    const DlogGroup& group = pkg_.group();
+    it = tables_
+             .try_emplace(identity, pkg_.identityPublicKey(identity), group.p(),
+                          group.q().bitLength())
+             .first;
+  }
+  return it->second;
+}
+
+IbbeCiphertext ibbeEncrypt(const DlogGroup& group, Directory& directory,
                            const std::vector<std::string>& recipients,
                            util::BytesView plaintext, util::Rng& rng) {
   if (recipients.empty()) {
@@ -81,11 +100,7 @@ IbbeCiphertext ibbeEncrypt(const DlogGroup& group,
   const util::Bytes sessionKey = rng.bytes(32);
   ct.wraps.reserve(recipients.size());
   for (const auto& id : recipients) {
-    const auto it = directory.find(id);
-    if (it == directory.end()) {
-      throw util::CryptoError("ibbeEncrypt: identity not in directory: " + id);
-    }
-    const BigUint shared = group.exp(it->second, k);
+    const BigUint shared = directory.lookup(id).pow(k);
     ct.wraps.emplace_back(
         id, crypto::sealWithNonce(wrapKey(group, shared, id), sessionKey, rng));
   }

@@ -244,7 +244,7 @@ util::Bytes KademliaNode::encodeContacts(const std::vector<Contact>& contacts) {
 }
 
 std::vector<Contact> KademliaNode::decodeContacts(util::Reader& r) {
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = r.count(kIdBytes + 8);  // id + u64 address
   std::vector<Contact> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -21,7 +21,8 @@ HybridAcl::HybridAcl(const pkcrypto::DlogGroup& group, util::Rng& rng,
       rng_(rng),
       wrap_(wrap),
       abeAuthority_(group, rng),
-      pkg_(group, rng) {}
+      pkg_(group, rng),
+      directory_(pkg_) {}
 
 HybridAcl::GroupState& HybridAcl::groupRef(const GroupId& group) {
   const auto it = groups_.find(group);
@@ -139,12 +140,8 @@ util::Bytes HybridAcl::wrapKey(const GroupId& group, util::BytesView dataKey,
     case WrapScheme::kIbbe: {
       std::vector<std::string> recipients(state.members.begin(),
                                           state.members.end());
-      std::map<std::string, bignum::BigUint> directory;
-      for (const auto& id : recipients) {
-        directory.emplace(id, pkg_.identityPublicKey(id));
-      }
-      w.bytes(
-          ibbe::ibbeEncrypt(dlog_, directory, recipients, dataKey, rng).serialize());
+      w.bytes(ibbe::ibbeEncrypt(dlog_, directory_, recipients, dataKey, rng)
+                  .serialize());
       break;
     }
   }

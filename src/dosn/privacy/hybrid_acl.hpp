@@ -77,6 +77,7 @@ class HybridAcl final : public AccessController {
   WrapScheme wrap_;
   abe::CpAbeAuthority abeAuthority_;
   ibbe::Pkg pkg_;
+  ibbe::Directory directory_;  // IBBE wraps; built from pkg_
   std::map<UserId, pkcrypto::ElGamalPrivateKey> userKeys_;
   std::map<GroupId, GroupState> groups_;
   std::uint64_t nextSerial_ = 1;

@@ -5,7 +5,7 @@
 namespace dosn::privacy {
 
 IbbeAcl::IbbeAcl(const pkcrypto::DlogGroup& group, util::Rng& rng)
-    : dlog_(group), pkg_(group, rng) {}
+    : dlog_(group), pkg_(group, rng), directory_(pkg_) {}
 
 void IbbeAcl::createGroup(const GroupId& group) {
   if (groups_.count(group)) throw util::DosnError("IbbeAcl: group exists");
@@ -46,15 +46,11 @@ Envelope IbbeAcl::encrypt(const GroupId& group, util::BytesView plaintext,
   std::vector<std::string> recipients(it->second.members.begin(),
                                       it->second.members.end());
   if (recipients.empty()) throw util::DosnError("IbbeAcl: empty group");
-  std::map<std::string, bignum::BigUint> directory;
-  for (const auto& id : recipients) {
-    directory.emplace(id, pkg_.identityPublicKey(id));
-  }
   Envelope env;
   env.scheme = schemeName();
   env.group = group;
   env.serial = nextSerial_++;
-  env.blob = ibbe::ibbeEncrypt(dlog_, directory, recipients, plaintext, rng)
+  env.blob = ibbe::ibbeEncrypt(dlog_, directory_, recipients, plaintext, rng)
                  .serialize();
   it->second.history.push_back(env);
   return env;

@@ -41,6 +41,7 @@ class IbbeAcl final : public AccessController {
 
   const pkcrypto::DlogGroup& dlog_;
   ibbe::Pkg pkg_;
+  ibbe::Directory directory_;  // built from pkg_
   std::map<GroupId, GroupState> groups_;
   std::uint64_t nextSerial_ = 1;
 };

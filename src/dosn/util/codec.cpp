@@ -90,6 +90,14 @@ Bytes Reader::raw(std::size_t n) {
   return out;
 }
 
+std::uint32_t Reader::count(std::size_t minItemBytes) {
+  const std::uint32_t n = u32();
+  if (minItemBytes != 0 && n > remaining() / minItemBytes) {
+    throw CodecError("Reader: count exceeds input");
+  }
+  return n;
+}
+
 void Reader::expectEnd() const {
   if (!atEnd()) throw CodecError("Reader: trailing bytes");
 }

@@ -48,6 +48,10 @@ class Reader {
   std::string str();
   /// Reads exactly n raw bytes.
   Bytes raw(std::size_t n);
+  /// Reads a u32 item count and throws CodecError if the rest of the input
+  /// cannot hold that many items of at least minItemBytes each, so a caller
+  /// may reserve the count before decoding the items.
+  std::uint32_t count(std::size_t minItemBytes);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool atEnd() const { return remaining() == 0; }

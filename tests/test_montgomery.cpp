@@ -13,6 +13,7 @@
 #include "dosn/bignum/prime.hpp"
 #include "dosn/pkcrypto/group.hpp"
 #include "dosn/pkcrypto/rsa.hpp"
+#include "dosn/util/bytes.hpp"
 #include "dosn/util/error.hpp"
 #include "dosn/util/rng.hpp"
 
@@ -139,6 +140,36 @@ TEST(FixedBase, WideExponentFallsBack) {
   const FixedBasePowerTable table(g, m, 64);
   const BigUint wide = randomBits(200, rng);  // wider than the table
   EXPECT_EQ(table.pow(wide), powModSimple(g, wide, m));
+}
+
+// A non-generator base, as ibbe::Directory tabulates: an identity key
+// Y_id = g^{k_id} over a cached group's p, sized for scalar exponents (q's
+// width), checked at the table's edges and past them.
+TEST(FixedBase, IdentityKeyBaseMatchesSimple) {
+  for (const std::size_t bits : {256u, 512u}) {
+    const auto& group = dosn::pkcrypto::DlogGroup::cached(bits);
+    const BigUint y =
+        group.exp(group.hashToScalar(dosn::util::toBytes("id:alice")));
+    const FixedBasePowerTable table(y, group.p(), group.q().bitLength());
+    const std::size_t covered = table.maxExponentBits();  // 4 * windows
+    ASSERT_EQ(covered, bits);
+    Rng rng(41);
+    std::vector<BigUint> exponents = {
+        BigUint(0),
+        BigUint(1),
+        group.q() - BigUint(1),
+        (BigUint(1) << covered) - BigUint(1),  // widest the table covers
+        BigUint(1) << covered,                 // one bit wider: fallback
+        randomBits(3 * bits, rng),             // far wider: fallback
+    };
+    for (int i = 0; i < 8; ++i) {
+      exponents.push_back(randomBits(bits, rng) % group.q());
+    }
+    for (const BigUint& e : exponents) {
+      EXPECT_EQ(table.pow(e), powModSimple(y, e, group.p()))
+          << "bits=" << bits << " e=" << e.toHex();
+    }
+  }
 }
 
 TEST(FixedBase, CachedTableIsStableAndShared) {

@@ -3,6 +3,7 @@
 
 #include "dosn/abe/cpabe.hpp"
 #include "dosn/abe/kpabe.hpp"
+#include "dosn/crypto/sha256.hpp"
 #include "dosn/ibbe/ibbe.hpp"
 #include "dosn/policy/field.hpp"
 #include "dosn/policy/policy.hpp"
@@ -363,14 +364,12 @@ class IbbeTest : public ::testing::Test {
   util::Rng rng_{44};
   const pkcrypto::DlogGroup& group_ = testGroup();
   ibbe::Pkg pkg_{group_, rng_};
+  ibbe::Directory directory_{pkg_};
 
   ibbe::IbbeCiphertext encryptTo(const std::vector<std::string>& recipients,
                                  const std::string& msg) {
-    std::map<std::string, bignum::BigUint> directory;
-    for (const auto& id : recipients) {
-      directory.emplace(id, pkg_.identityPublicKey(id));
-    }
-    return ibbe::ibbeEncrypt(group_, directory, recipients, toBytes(msg), rng_);
+    return ibbe::ibbeEncrypt(group_, directory_, recipients, toBytes(msg),
+                             rng_);
   }
 };
 
@@ -411,6 +410,45 @@ TEST_F(IbbeTest, SerializationRoundTrip) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(ibbe::ibbeDecrypt(group_, pkg_.extract("b"), *back).value(),
             toBytes("m"));
+}
+
+// Pinned wire bytes of one broadcast at a fixed seed: the RNG draws, their
+// order and the encoding must not move.
+TEST_F(IbbeTest, EncryptionKnownAnswer) {
+  const auto ct = encryptTo({"a", "b", "c"}, "m");
+  EXPECT_EQ(util::toHex(crypto::sha256(ct.serialize())),
+            "3436ccb9813e4350c806eb3d61fc2dd0fda85a940ee4608c60d94f80a0885fde");
+}
+
+TEST_F(IbbeTest, WarmAndFreshDirectoriesAgree) {
+  encryptTo({"a", "x", "y"}, "warm-up");  // directory_ now holds tables
+  ibbe::Directory fresh(pkg_);
+  util::Rng warmRng(45);
+  util::Rng freshRng(45);
+  const std::vector<std::string> recipients = {"a", "b", "c"};
+  EXPECT_EQ(ibbe::ibbeEncrypt(group_, directory_, recipients, toBytes("m"),
+                              warmRng)
+                .serialize(),
+            ibbe::ibbeEncrypt(group_, fresh, recipients, toBytes("m"), freshRng)
+                .serialize());
+}
+
+TEST_F(IbbeTest, DirectoryBuildsOneTablePerIdentity) {
+  const auto& alice = directory_.lookup("alice@osn");
+  EXPECT_EQ(&directory_.lookup("alice@osn"), &alice);
+  EXPECT_NE(&directory_.lookup("bob@osn"), &alice);
+  EXPECT_EQ(alice.base(), pkg_.identityPublicKey("alice@osn"));
+  // Any string resolves; there is no "not in directory" failure.
+  for (const std::string id : {"", "Üñïçødé user!! +tag", "never-seen"}) {
+    EXPECT_EQ(directory_.lookup(id).base(), pkg_.identityPublicKey(id)) << id;
+  }
+}
+
+TEST_F(IbbeTest, DeserializeRejectsCountBeyondInput) {
+  // An empty c1, then 0xFFFFFFFF wraps claimed with one byte left: rejected
+  // as malformed before anything is reserved.
+  const util::Bytes blob = {0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0};
+  EXPECT_FALSE(ibbe::IbbeCiphertext::deserialize(blob).has_value());
 }
 
 TEST_F(IbbeTest, DifferentPkgsIncompatible) {

@@ -272,6 +272,48 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("Unknown");
     });
 
+// Pinned bytes of one hybrid-IBBE envelope as published and after a
+// revocation rewraps it: the RNG draws, their order and the encoding must
+// not move.
+TEST(HybridAclTest, IbbeEnvelopeKnownAnswer) {
+  util::Rng rng(9);
+  HybridAcl acl(testGroup(), rng, WrapScheme::kIbbe);
+  acl.createGroup("g");
+  for (const char* user : {"alice", "bob", "carol"}) acl.addMember("g", user);
+  acl.encrypt("g", toBytes("p1"), rng);
+  const auto digest = [&acl] {
+    return util::toHex(crypto::sha256(acl.history("g")[0].blob));
+  };
+  EXPECT_EQ(digest(),
+            "ef2ff87afb84f66d63897c686909f6f7b11b851410799b6afc1b925431d624c7");
+  acl.removeMember("g", "bob");
+  EXPECT_EQ(digest(),
+            "5fcfac0db00b0d32257e859df53b5292154f47dbb34fd84e0104bca48443ad01");
+}
+
+// A copy of an IBBE-wrapping ACL owns its identity directory: it keeps
+// encrypting to old and new members after the original is destroyed.
+template <typename Acl>
+void expectCopyOutlivesOriginal(std::unique_ptr<Acl> original,
+                                util::Rng& rng) {
+  original->createGroup("g");
+  original->addMember("g", "alice");
+  original->encrypt("g", toBytes("p1"), rng);  // builds alice's table
+  Acl copy = *original;
+  original.reset();
+  copy.addMember("g", "bob");
+  const Envelope env = copy.encrypt("g", toBytes("p2"), rng);
+  EXPECT_EQ(copy.decrypt("alice", env).value(), toBytes("p2"));
+  EXPECT_EQ(copy.decrypt("bob", env).value(), toBytes("p2"));
+}
+
+TEST(IbbeDirectoryTest, CopiedAclOutlivesOriginal) {
+  util::Rng rng(10);
+  expectCopyOutlivesOriginal(
+      std::make_unique<HybridAcl>(testGroup(), rng, WrapScheme::kIbbe), rng);
+  expectCopyOutlivesOriginal(std::make_unique<IbbeAcl>(testGroup(), rng), rng);
+}
+
 TEST(HybridAclTest, WrapIsSmallComparedToNaivePk) {
   util::Rng rng(8);
   PublicKeyAcl naive(testGroup(), rng);

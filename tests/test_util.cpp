@@ -207,6 +207,21 @@ TEST(Codec, TruncatedBytesThrows) {
   EXPECT_THROW(r.bytes(), CodecError);
 }
 
+TEST(Codec, CountBoundedByRemainingInput) {
+  // 27 bytes follow the count: room for three 8-byte items, not four.
+  const auto readCount = [](std::uint32_t count) {
+    Writer w;
+    w.u32(count);
+    w.raw(Bytes(27, 0));
+    Reader r(w.buffer());
+    return r.count(8);
+  };
+  EXPECT_EQ(readCount(3), 3u);
+  EXPECT_THROW(readCount(4), CodecError);
+  EXPECT_THROW(readCount(0xffffffffu), CodecError);
+  EXPECT_EQ(readCount(0), 0u);
+}
+
 TEST(Codec, InvalidBooleanThrows) {
   Writer w;
   w.u8(2);
