@@ -4,17 +4,18 @@
 // different numbers measures nothing).
 //
 //   mulMod           (a*b) % m division path   vs MontgomeryContext::mulMod
-//   powMod           powModSimple              vs Montgomery powMod
+//   powMod           powModSimple              vs Montgomery powMod (256-bit
+//                                                 E19 width and up)
 //   RSA sign         plain x^d mod n           vs CRT (dP/dQ/qInv)
 //   ElGamal-style    g^x via powModSimple      vs cached FixedBasePowerTable
 //   multiply         schoolbookMul             vs Karatsuba operator*
 //   batch inversion  per-element invMod        vs batchInvMod, sweep 1/4/16/64
 //   Schnorr page     per-item schnorrVerify    vs schnorrVerifyBatch, same sweep
 //
-// Runs on benchkit (BENCHMARKS.md): `--smoke` shrinks every kernel to one
-// iteration at 512 bits and asserts equality only — fast enough for CI
-// (including sanitizer jobs), no timing thresholds that could flake. Each
-// scenario records old/new ms-per-op and the speedup as JSON params, so
+// Runs on benchkit (BENCHMARKS.md): `--smoke` shrinks every kernel to a few
+// iterations at CI-friendly sizes and asserts equality only — fast enough
+// for CI (including sanitizer jobs), no timing thresholds that could flake.
+// Each scenario records old/new ms-per-op and the speedup as JSON params, so
 // BENCH_bignum.json is the artifact later bignum changes regress against.
 #include <cstdio>
 #include <string>
@@ -287,6 +288,17 @@ BENCH_SCENARIO(b1_mulmod, {.hot = true}) {
     benchMulMod(ctx, 512, 64);
   } else {
     benchMulMod(ctx, 2048, 20000);
+  }
+}
+
+// E19's width: its IBBE, Schnorr and ElGamal operations all run over 256-bit
+// moduli, on the 4-limb CIOS instantiation. The other powMod scenarios run
+// at 512 bits and up.
+BENCH_SCENARIO(b1_powmod_256, {.hot = true}) {
+  if (ctx.smoke()) {
+    benchPowMod(ctx, 256, 4);
+  } else {
+    benchPowMod(ctx, 256, 200);
   }
 }
 

@@ -7,6 +7,8 @@
 #include <ctime>
 #include <regex>
 
+#include "dosn/crypto/sha256.hpp"
+
 // The build injects `git describe --always --dirty` (see src/CMakeLists.txt)
 // so every trajectory file records the tree it was measured on.
 #ifndef DOSN_GIT_DESCRIBE
@@ -231,6 +233,8 @@ Json runScenarios(const Registry& registry, const RunConfig& config,
   doc.set("schema", kSchema);
   doc.set("bench", benchName);
   doc.set("git_describe", DOSN_GIT_DESCRIBE);
+  // Wall times depend on the host's SHA-256 block function.
+  doc.set("sha256_kernel", crypto::sha256Kernel());
   doc.set("timestamp", isoTimestampUtc());
   doc.set("smoke", config.smoke);
   doc.set("seed", config.seed);

@@ -46,13 +46,20 @@ MontgomeryContext::Limbs MontgomeryContext::montMul(LimbSpan a,
   return t;
 }
 
-void MontgomeryContext::montMulInto(LimbSpan a, LimbSpan b,
-                                    std::span<std::uint64_t> t) const {
-  // CIOS: interleaves the schoolbook multiply with the Montgomery reduction
-  // one word at a time. Invariant (Koç et al.): t stays below 2n shifted, so
-  // t[k+1] is at most 1 and a single conditional subtraction finishes.
-  const std::size_t k = n_.size();
-  std::fill(t.begin(), t.end(), 0);
+namespace {
+
+// CIOS: interleaves the schoolbook multiply with the Montgomery reduction
+// one word at a time, writing a * b * R^{-1} mod n into t's low k limbs (t
+// holds k + 2). K fixes the limb count at compile time so the word loops
+// unroll; K = 0 takes it from `words` instead. Invariant (Koç et al.): t
+// stays below 2n shifted, so t[k+1] is at most 1 and a single conditional
+// subtraction finishes.
+template <std::size_t K>
+void cios(const std::uint64_t* a, const std::uint64_t* b,
+          const std::uint64_t* n, std::uint64_t nInv, std::size_t words,
+          std::uint64_t* t) {
+  const std::size_t k = K != 0 ? K : words;
+  std::fill(t, t + k + 2, 0);
   for (std::size_t i = 0; i < k; ++i) {
     const std::uint64_t ai = a[i];
     std::uint64_t carry = 0;
@@ -65,12 +72,12 @@ void MontgomeryContext::montMulInto(LimbSpan a, LimbSpan b,
     t[k] = static_cast<std::uint64_t>(top);
     t[k + 1] = static_cast<std::uint64_t>(top >> 64);
 
-    const std::uint64_t m = t[0] * nInv_;
+    const std::uint64_t m = t[0] * nInv;
     // t[0] + m*n[0] is 0 mod 2^64 by choice of m; keep only its carry.
     carry =
-        static_cast<std::uint64_t>((static_cast<u128>(m) * n_[0] + t[0]) >> 64);
+        static_cast<std::uint64_t>((static_cast<u128>(m) * n[0] + t[0]) >> 64);
     for (std::size_t j = 1; j < k; ++j) {
-      const u128 cur = static_cast<u128>(m) * n_[j] + t[j] + carry;
+      const u128 cur = static_cast<u128>(m) * n[j] + t[j] + carry;
       t[j - 1] = static_cast<std::uint64_t>(cur);
       carry = static_cast<std::uint64_t>(cur >> 64);
     }
@@ -85,8 +92,8 @@ void MontgomeryContext::montMulInto(LimbSpan a, LimbSpan b,
   if (!subtract) {
     subtract = true;  // t == n also subtracts, down to zero
     for (std::size_t j = k; j-- > 0;) {
-      if (t[j] != n_[j]) {
-        subtract = t[j] > n_[j];
+      if (t[j] != n[j]) {
+        subtract = t[j] > n[j];
         break;
       }
     }
@@ -94,13 +101,24 @@ void MontgomeryContext::montMulInto(LimbSpan a, LimbSpan b,
   if (subtract) {
     std::uint64_t borrow = 0;
     for (std::size_t j = 0; j < k; ++j) {
-      const std::uint64_t d1 = t[j] - n_[j];
-      const std::uint64_t b1 = t[j] < n_[j];
+      const std::uint64_t d1 = t[j] - n[j];
+      const std::uint64_t b1 = t[j] < n[j];
       const std::uint64_t d2 = d1 - borrow;
       const std::uint64_t b2 = d1 < borrow;
       t[j] = d2;
       borrow = b1 | b2;
     }
+  }
+}
+
+}  // namespace
+
+void MontgomeryContext::montMulInto(LimbSpan a, LimbSpan b,
+                                    std::span<std::uint64_t> t) const {
+  if (n_.size() == 4) {
+    cios<4>(a.data(), b.data(), n_.data(), nInv_, 4, t.data());
+  } else {
+    cios<0>(a.data(), b.data(), n_.data(), nInv_, n_.size(), t.data());
   }
 }
 
@@ -122,6 +140,7 @@ MontgomeryContext::Limbs MontgomeryContext::powMont(
     const Limbs& baseMont, const BigUint& exponent) const {
   const std::size_t bits = exponent.bitLength();
   if (bits == 0) return one_;
+  const std::size_t k = n_.size();
 
   // Sliding-window recoding: only odd powers base^1, base^3, .. base^(2^w - 1)
   // are tabulated (half the table of a fixed window), and runs of zero bits
@@ -129,23 +148,39 @@ MontgomeryContext::Limbs MontgomeryContext::powMont(
   // the 2^(w-1)-entry table build.
   const std::size_t w = bits <= 128 ? 4 : (bits <= 768 ? 5 : 6);
   const std::size_t tableSize = std::size_t{1} << (w - 1);
-  std::vector<Limbs> table;
-  table.reserve(tableSize);
-  table.push_back(baseMont);
+  // Entry e is Mont(base^(2e + 1)) and occupies limbs [e * k, (e + 1) * k).
+  Limbs table(tableSize * k);
+  const auto entry = [&](std::size_t e) {
+    return LimbSpan(table.data() + e * k, k);
+  };
+  // Two montMulInto buffers, swapped after each multiply, so neither the
+  // table build nor the main loop allocates; the running value is acc's low
+  // k limbs.
+  Limbs acc(k + 2);
+  Limbs next(k + 2);
+  std::copy(baseMont.begin(), baseMont.end(), table.begin());
   if (tableSize > 1) {
-    const Limbs baseSq = montMul(baseMont, baseMont);
-    for (std::size_t i = 1; i < tableSize; ++i) {
-      table.push_back(montMul(table.back(), baseSq));
+    montMulInto(baseMont, baseMont, next);  // base^2
+    const LimbSpan baseSq(next.data(), k);
+    for (std::size_t e = 1; e < tableSize; ++e) {
+      montMulInto(entry(e - 1), baseSq, acc);
+      std::copy_n(acc.data(), k, table.data() + e * k);
     }
   }
+  const auto accLimbs = [&] { return LimbSpan(acc.data(), k); };
+  // acc <- acc * factor; factor may be accLimbs() itself, a squaring.
+  const auto mulBy = [&](LimbSpan factor) {
+    montMulInto(accLimbs(), factor, next);
+    acc.swap(next);
+  };
 
-  Limbs result;
   bool started = false;
   std::ptrdiff_t i = static_cast<std::ptrdiff_t>(bits) - 1;
   while (i >= 0) {
     if (!exponent.bit(static_cast<std::size_t>(i))) {
-      result = montMul(result, result);  // started is always true here: the
-      --i;                               // top bit of the exponent is set
+      // started is always true here: the top bit of the exponent is set.
+      mulBy(accLimbs());
+      --i;
       continue;
     }
     // Greedy window [i..l] with both end bits set, at most w bits wide; the
@@ -159,15 +194,17 @@ MontgomeryContext::Limbs MontgomeryContext::powMont(
                static_cast<std::uint32_t>(exponent.bit(static_cast<std::size_t>(j)));
     }
     if (started) {
-      for (std::ptrdiff_t j = l; j <= i; ++j) result = montMul(result, result);
-      result = montMul(result, table[(window - 1) >> 1]);
+      for (std::ptrdiff_t j = l; j <= i; ++j) mulBy(accLimbs());
+      mulBy(entry((window - 1) >> 1));
     } else {
-      result = table[(window - 1) >> 1];
+      const LimbSpan first = entry((window - 1) >> 1);
+      std::copy(first.begin(), first.end(), acc.begin());
       started = true;
     }
     i = l - 1;
   }
-  return result;
+  acc.resize(k);
+  return acc;
 }
 
 BigUint MontgomeryContext::powMod(const BigUint& base,

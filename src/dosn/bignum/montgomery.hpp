@@ -10,6 +10,13 @@
 // See Koç, Acar & Kaliski, "Analyzing and Comparing Montgomery Multiplication
 // Algorithms" (1996) for the algorithm family; this is the CIOS variant.
 //
+// There is one CIOS implementation, a template over the limb count. It is
+// instantiated at 4 limbs, where the word loops unroll (the 256-bit groups
+// every E19 signature, key wrap and ElGamal operation runs in), and at run-
+// time width for every other modulus; montMulInto picks by words(). Both
+// exponentiations multiply through montMulInto into two swapped buffers, so
+// neither allocates per multiply.
+//
 // Requirements: the modulus must be odd (R = 2^(64k) and n must be coprime).
 // bignum::powMod dispatches here automatically for odd moduli and keeps the
 // historical square-and-multiply (powModSimple) for even ones — and for
@@ -53,12 +60,15 @@ class MontgomeryContext {
   Limbs montMul(LimbSpan a, LimbSpan b) const;
   /// montMul into a caller-owned buffer, for loops that multiply without
   /// allocating: `t` holds words() + 2 limbs, must not overlap a or b, and
-  /// receives the product in its low words() limbs.
+  /// receives the product in its low words() limbs. Runs the 4-limb CIOS
+  /// instantiation when words() is 4 and the run-time-width one otherwise.
   void montMulInto(LimbSpan a, LimbSpan b, std::span<std::uint64_t> t) const;
 
   /// base^exponent mod n via sliding-window recoding (width 4-6 by exponent
   /// size, odd powers only) entirely in the Montgomery domain; equals
-  /// powModSimple(base, exponent, modulus()).
+  /// powModSimple(base, exponent, modulus()). The odd powers sit in one flat
+  /// limb vector and the loop multiplies through montMulInto, so the whole
+  /// exponentiation makes three allocations whatever the exponent.
   BigUint powMod(const BigUint& base, const BigUint& exponent) const;
   /// As powMod but in-domain at both ends: baseMont is Montgomery-form and so
   /// is the result (Miller-Rabin keeps squaring the result afterwards).

@@ -17,6 +17,13 @@ const sim::MessageType kMsgEntries("gossip.entries");
 
 namespace {
 
+// Smallest wire size of one item of each gossip list, for Reader::count: a
+// digest item is id | u64 version, an entry adds a u32-prefixed value, a
+// requested key is a bare id.
+constexpr std::size_t kDigestItemBytes = kIdBytes + 8;
+constexpr std::size_t kEntryMinBytes = kIdBytes + 8 + 4;
+constexpr std::size_t kRequestedKeyBytes = kIdBytes;
+
 void writeId(util::Writer& w, const OverlayId& id) {
   w.raw(util::BytesView(id.bytes));
 }
@@ -33,13 +40,13 @@ OverlayId readId(util::Reader& r) {
 // the digest call stays pending and the retry path gets another shot.
 void validateSync(util::BytesView body) {
   util::Reader r(body);
-  const std::uint32_t entries = r.u32();
+  const std::uint32_t entries = r.count(kEntryMinBytes);
   for (std::uint32_t i = 0; i < entries; ++i) {
     readId(r);
     r.u64();
     r.bytes();
   }
-  const std::uint32_t requested = r.u32();
+  const std::uint32_t requested = r.count(kRequestedKeyBytes);
   for (std::uint32_t i = 0; i < requested; ++i) readId(r);
 }
 
@@ -63,7 +70,7 @@ GossipNode::GossipNode(sim::Network& network, GossipConfig config)
         // an in-sync peer must still complete the RPC or it would retry.
         util::Reader r(body);
         std::map<OverlayId, std::uint64_t> peerVersions;
-        const std::uint32_t count = r.u32();
+        const std::uint32_t count = r.count(kDigestItemBytes);
         for (std::uint32_t i = 0; i < count; ++i) {
           const OverlayId key = readId(r);
           peerVersions[key] = r.u64();
@@ -164,7 +171,7 @@ void GossipNode::exchangeWith(sim::NodeAddr peer) {
         if (!ok) return;  // final timeout
         util::Reader r(reply);
         applyEntries(r);
-        const std::uint32_t requested = r.u32();
+        const std::uint32_t requested = r.count(kRequestedKeyBytes);
         std::vector<OverlayId> keys;
         keys.reserve(requested);
         for (std::uint32_t i = 0; i < requested; ++i) keys.push_back(readId(r));
@@ -185,12 +192,18 @@ util::Bytes GossipNode::encodeDigest() const {
 }
 
 util::Bytes GossipNode::encodeEntries(const std::vector<OverlayId>& keys) const {
-  util::Writer w;
-  w.u32(static_cast<std::uint32_t>(keys.size()));
+  // Keys this node does not hold are skipped, so the count is the number of
+  // entries found, not of keys asked for.
+  std::vector<std::map<OverlayId, Entry>::const_iterator> held;
+  held.reserve(keys.size());
   for (const OverlayId& key : keys) {
     const auto it = store_.find(key);
-    if (it == store_.end()) continue;
-    writeId(w, key);
+    if (it != store_.end()) held.push_back(it);
+  }
+  util::Writer w;
+  w.u32(static_cast<std::uint32_t>(held.size()));
+  for (const auto& it : held) {
+    writeId(w, it->first);
     w.u64(it->second.version);
     w.bytes(it->second.value);
   }
@@ -198,7 +211,7 @@ util::Bytes GossipNode::encodeEntries(const std::vector<OverlayId>& keys) const 
 }
 
 void GossipNode::applyEntries(util::Reader& r) {
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = r.count(kEntryMinBytes);
   for (std::uint32_t i = 0; i < count; ++i) {
     const OverlayId key = readId(r);
     const std::uint64_t version = r.u64();

@@ -13,6 +13,7 @@
 
 #include "dosn/benchkit/benchkit.hpp"
 #include "dosn/benchkit/json.hpp"
+#include "dosn/crypto/sha256.hpp"
 
 using dosn::benchkit::CliResult;
 using dosn::benchkit::Json;
@@ -236,6 +237,12 @@ TEST(RunScenarios, PlumbsSeedAndEmitsDocument) {
   EXPECT_EQ(doc.find("schema")->asString(), "dosn-bench/1");
   EXPECT_EQ(doc.find("bench")->asString(), "test_bench");
   EXPECT_DOUBLE_EQ(doc.find("seed")->asNumber(), 7.0);
+  // Which SHA-256 block function the host ran, so wall times from hosts
+  // with and without SHA extensions are told apart.
+  ASSERT_NE(doc.find("sha256_kernel"), nullptr);
+  const std::string kernel = doc.find("sha256_kernel")->asString();
+  EXPECT_TRUE(kernel == "sha-ni" || kernel == "portable") << kernel;
+  EXPECT_EQ(kernel, dosn::crypto::sha256Kernel());
   const Json* scenarios = doc.find("scenarios");
   ASSERT_NE(scenarios, nullptr);
   ASSERT_EQ(scenarios->size(), 1u);

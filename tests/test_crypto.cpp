@@ -2,6 +2,9 @@
 // RFC 4231, RFC 5869, RFC 8439) plus behavioural/property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "dosn/crypto/aead.hpp"
 #include "dosn/crypto/chacha20.hpp"
 #include "dosn/crypto/hkdf.hpp"
@@ -10,6 +13,7 @@
 #include "dosn/crypto/poly1305.hpp"
 #include "dosn/crypto/sha256.hpp"
 #include "dosn/util/error.hpp"
+#include "dosn/util/rng.hpp"
 
 namespace dosn::crypto {
 namespace {
@@ -82,6 +86,87 @@ TEST(Sha256, FinishTwiceThrows) {
   h.update(toBytes("x"));
   h.finish();
   EXPECT_THROW(h.finish(), util::CryptoError);
+}
+
+// --- SHA-256 block functions (differential) ---
+
+// Whole-message SHA-256 on the scalar block function alone: FIPS 180-4
+// padding written out here, independent of Sha256's streaming buffer.
+Digest scalarDigest(util::BytesView data) {
+  detail::Sha256State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                               0xa54ff53a, 0x510e527f, 0x9b05688c,
+                               0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % kSha256BlockSize != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{data.size()} * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  detail::sha256CompressScalar(state, padded.data(),
+                               padded.size() / kSha256BlockSize);
+  Digest out{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      out[4 * i + b] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return out;
+}
+
+TEST(Sha256Kernels, ScalarOracleMatchesKnownAnswers) {
+  EXPECT_EQ(hexDigest(scalarDigest({})),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(
+      hexDigest(scalarDigest(toBytes(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256Kernels, DispatchNamesTheChosenKernel) {
+  const std::string kernel = sha256Kernel();
+  EXPECT_EQ(kernel,
+            detail::sha256CompressShaNi() != nullptr ? "sha-ni" : "portable");
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalarOnRandomStatesAndBlocks) {
+  const detail::Sha256Compress shaNi = detail::sha256CompressShaNi();
+  if (shaNi == nullptr) {
+    GTEST_SKIP() << "CPU or build has no SHA-NI; the scalar block function "
+                    "is the only one and the known-answer tests cover it";
+  }
+  util::Rng rng(20261017);
+  for (const std::size_t blocks : {1u, 2u, 3u, 8u}) {
+    for (int trial = 0; trial < 64; ++trial) {
+      detail::Sha256State state{};
+      for (auto& word : state) word = static_cast<std::uint32_t>(rng.next());
+      const Bytes data = rng.bytes(blocks * kSha256BlockSize);
+      detail::Sha256State expected = state;
+      detail::sha256CompressScalar(expected, data.data(), blocks);
+      detail::Sha256State actual = state;
+      shaNi(actual, data.data(), blocks);
+      EXPECT_EQ(actual, expected) << "blocks=" << blocks << " trial=" << trial;
+    }
+  }
+}
+
+// Sha256 runs the dispatched block function (SHA-NI where the CPU has it);
+// every length from 0 to 1,100 bytes, fed in random pieces, must give the
+// scalar oracle's digest.
+TEST(Sha256Kernels, StreamedDigestsMatchScalarOracleAtEveryLength) {
+  util::Rng rng(20261018);
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    const Bytes data = rng.bytes(len);
+    Sha256 h;
+    std::size_t offset = 0;
+    while (offset < len) {
+      const std::size_t take = 1 + rng.uniform(std::min<std::size_t>(
+                                       len - offset, 3 * kSha256BlockSize));
+      h.update(util::BytesView(data.data() + offset, take));
+      offset += take;
+    }
+    EXPECT_EQ(h.finish(), scalarDigest(data)) << "len=" << len;
+  }
 }
 
 // --- HMAC-SHA256 (RFC 4231) ---

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dosn/bignum/modmath.hpp"
@@ -117,6 +118,144 @@ TEST(Montgomery, EvenModulusStillDispatches) {
   const BigUint base = randomBits(100, rng);
   const BigUint e = randomBits(40, rng);
   EXPECT_EQ(powMod(base, e, m), powModSimple(base, e, m));
+}
+
+// --- The CIOS kernel at 4 limbs and at run-time width ---
+//
+// montMulInto runs the 4-limb CIOS instantiation for 4-limb moduli (E19's
+// 256-bit p and q) and the run-time-width one otherwise. Both are checked
+// here against the division path, on operands chosen to reach the kernel's
+// edges: 0, 1, n - 1, pairs that take the final subtraction, and (for a
+// composite modulus) a pair whose product is exactly n before reduction.
+
+// Whether CIOS ends with its conditional subtraction for Montgomery-domain
+// operands a, b < n. Its per-word quotients make up M = -ab * n^{-1} mod R,
+// so its unreduced result is (ab + Mn) / R, and it subtracts once that
+// reaches n.
+bool takesFinalSubtraction(const BigUint& a, const BigUint& b,
+                           const BigUint& n, std::size_t words) {
+  const BigUint r = BigUint(1) << (64 * words);
+  const BigUint nInv = *dosn::bignum::invMod(n % r, r);
+  const BigUint ab = a * b;
+  const BigUint m = (ab % r) * (r - nInv) % r;
+  return ((ab + m * n) >> (64 * words)) >= n;
+}
+
+// The Montgomery product a * b * R^{-1} mod n by the division path.
+BigUint montProductByDivision(const BigUint& a, const BigUint& b,
+                              const BigUint& n, std::size_t words) {
+  const BigUint r = BigUint(1) << (64 * words);
+  const BigUint rInv = *dosn::bignum::invMod(r % n, n);
+  return dosn::bignum::mulMod(dosn::bignum::mulMod(a, b, n), rInv, n);
+}
+
+// Raw Montgomery-domain limbs of x < n, zero-padded to `words`.
+MontgomeryContext::Limbs paddedLimbs(const BigUint& x, std::size_t words) {
+  MontgomeryContext::Limbs limbs = x.limbs();
+  limbs.resize(words, 0);
+  return limbs;
+}
+
+// Checks montMul, mulMod and powMod on modulus n against the division path.
+// `extraPairs` are operand pairs the caller built for this modulus. Returns
+// how many of the checked pairs took the final subtraction.
+using OperandPairs = std::vector<std::pair<BigUint, BigUint>>;
+
+std::size_t checkKernel(const BigUint& n, const OperandPairs& extraPairs,
+                        Rng& rng) {
+  const MontgomeryContext ctx(n);
+  const std::size_t k = ctx.words();
+  std::vector<BigUint> operands = {BigUint(0), BigUint(1), n - BigUint(1)};
+  for (int i = 0; i < 3; ++i) operands.push_back(randomBits(64 * k, rng) % n);
+  OperandPairs pairs = extraPairs;
+  for (const BigUint& a : operands) {
+    for (const BigUint& b : operands) pairs.emplace_back(a, b);
+  }
+  // Random pairs until some take the final subtraction, or give up: where
+  // the top limb is small, almost no pair does.
+  std::size_t subtracted = 0;
+  for (const auto& [a, b] : pairs) {
+    subtracted += takesFinalSubtraction(a, b, n, k) ? 1 : 0;
+  }
+  for (int tries = 0; tries < 400 && subtracted < 4; ++tries) {
+    const BigUint a = randomBits(64 * k, rng) % n;
+    const BigUint b = randomBits(64 * k, rng) % n;
+    if (takesFinalSubtraction(a, b, n, k)) {
+      pairs.emplace_back(a, b);
+      ++subtracted;
+    }
+  }
+
+  for (const auto& [a, b] : pairs) {
+    EXPECT_EQ(BigUint(ctx.montMul(paddedLimbs(a, k), paddedLimbs(b, k))),
+              montProductByDivision(a, b, n, k))
+        << "n=" << n.toHex() << " a=" << a.toHex() << " b=" << b.toHex();
+    EXPECT_EQ(ctx.mulMod(a, b), dosn::bignum::mulMod(a, b, n))
+        << "n=" << n.toHex() << " a=" << a.toHex() << " b=" << b.toHex();
+  }
+
+  const BigUint q = dosn::pkcrypto::DlogGroup::cached(256).q();
+  const std::vector<BigUint> exponents = {
+      BigUint(0), BigUint(1), BigUint(2), q - BigUint(1),
+      (BigUint(1) << 256) - BigUint(1), (BigUint(1) << (64 * k)) - BigUint(1),
+      randomBits(64 * k, rng)};
+  for (const BigUint& base : operands) {
+    for (const BigUint& e : exponents) {
+      EXPECT_EQ(ctx.powMod(base, e), powModSimple(base, e, n))
+          << "n=" << n.toHex() << " base=" << base.toHex()
+          << " e=" << e.toHex();
+    }
+  }
+  return subtracted;
+}
+
+// An odd modulus n1 * n2 of `limbs` limbs whose top limb is below 2^8. The
+// raw operands n1 and n2 multiply to exactly n, so CIOS's unreduced result
+// is n itself and the final subtraction takes it to zero.
+struct SplitModulus {
+  BigUint n, n1, n2;
+};
+
+SplitModulus splitModulus(std::size_t limbs, Rng& rng) {
+  const std::size_t bits = 64 * (limbs - 1) + 8;
+  const BigUint n1 = oddModulus(bits / 2, rng);
+  const BigUint n2 = oddModulus(bits - bits / 2, rng);
+  return {n1 * n2, n1, n2};
+}
+
+TEST(MontgomeryKernel, FourLimbsMatchesDivisionOnGroupPAndQ) {
+  const auto& group = dosn::pkcrypto::DlogGroup::cached(256);
+  Rng rng(43);
+  for (const BigUint& n : {group.p(), group.q()}) {
+    ASSERT_EQ(MontgomeryContext(n).words(), 4u);
+    EXPECT_GE(checkKernel(n, {}, rng), 4u) << "n=" << n.toHex();
+  }
+}
+
+TEST(MontgomeryKernel, FourLimbsSmallTopLimbAndProductEqualToModulus) {
+  Rng rng(47);
+  const SplitModulus split = splitModulus(4, rng);
+  ASSERT_EQ(MontgomeryContext(split.n).words(), 4u);
+  ASSERT_LT(split.n.limbs()[3], 256u);
+  ASSERT_TRUE(takesFinalSubtraction(split.n1, split.n2, split.n, 4));
+  EXPECT_EQ(montProductByDivision(split.n1, split.n2, split.n, 4), BigUint(0));
+  checkKernel(split.n, {{split.n1, split.n2}, {split.n2, split.n1}}, rng);
+}
+
+// The run-time-width instantiation: 1, 3 and 5 limbs, each with a full top
+// limb (where the final subtraction is common) and with a small one.
+TEST(MontgomeryKernel, RuntimeWidthMatchesDivision) {
+  Rng rng(53);
+  for (const std::size_t limbs : {1u, 3u, 5u}) {
+    const BigUint full = oddModulus(64 * limbs, rng);
+    ASSERT_EQ(MontgomeryContext(full).words(), limbs);
+    EXPECT_GE(checkKernel(full, {}, rng), 4u) << "limbs=" << limbs;
+
+    const SplitModulus split = splitModulus(limbs, rng);
+    ASSERT_EQ(MontgomeryContext(split.n).words(), limbs);
+    ASSERT_TRUE(takesFinalSubtraction(split.n1, split.n2, split.n, limbs));
+    checkKernel(split.n, {{split.n1, split.n2}}, rng);
+  }
 }
 
 TEST(FixedBase, MatchesGenericPow) {

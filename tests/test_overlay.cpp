@@ -397,6 +397,49 @@ TEST(Gossip, StaleVersionDoesNotOverwrite) {
   EXPECT_EQ(a.get(key).value(), toBytes("v2"));
 }
 
+// A sync reply may request a key the node does not hold (a corrupted reply
+// still passes validation). The entries frame sent back must count only the
+// entries it carries, or the receiver reads past its end.
+TEST(Gossip, EntriesFrameCountsOnlyHeldKeys) {
+  util::Rng rng(15);
+  sim::Simulator sim;
+  sim::Network net(sim, sim::LatencyModel{5 * kMillisecond, 0, 0.0}, rng);
+  GossipNode node(net, gossipConfig(200 * kMillisecond, 1));
+  const OverlayId held = OverlayId::hash("held");
+  const OverlayId missing = OverlayId::hash("missing");
+  node.put(held, toBytes("v"), 3);
+
+  // A scripted peer: answers each digest with no entries and a request for
+  // both keys, and keeps every entries frame it receives.
+  net::RpcEndpoint peer(net, "scripted.rpc");
+  peer.onRequest("gossip.digest",
+                 [&](sim::NodeAddr from, util::BytesView, net::RpcId id) {
+                   util::Writer w;
+                   w.u32(0);
+                   w.u32(2);
+                   w.raw(util::BytesView(held.bytes));
+                   w.raw(util::BytesView(missing.bytes));
+                   peer.reply(from, "gossip.sync", id, w.buffer());
+                 });
+  std::vector<util::Bytes> frames;
+  peer.onMessage("gossip.entries",
+                 [&](sim::NodeAddr, util::BytesView payload) {
+                   frames.emplace_back(payload.begin(), payload.end());
+                 });
+  node.setPeers({peer.addr()});
+  node.start();
+  sim.runUntil(100 * kMillisecond);  // one round
+  node.stop();
+
+  ASSERT_EQ(frames.size(), 1u);
+  util::Reader r(frames[0]);
+  EXPECT_EQ(r.u32(), 1u);
+  EXPECT_EQ(r.raw(kIdBytes), util::Bytes(held.bytes.begin(), held.bytes.end()));
+  EXPECT_EQ(r.u64(), 3u);
+  EXPECT_EQ(r.bytes(), toBytes("v"));
+  EXPECT_NO_THROW(r.expectEnd());
+}
+
 // --- Super-peer ---
 
 TEST(SuperPeer, CrossSuperPeerSearch) {
