@@ -7,8 +7,8 @@
 // ... to ensure availability" at the price of replica exposure) measured on
 // the complete system rather than a single layer.
 // F2 (the second scenario) layers a FaultPlan on top of the churn: a
-// sustained drop storm plus a substrate partition window, sweeping the DHT
-// retry budget (single-shot, fixed, adaptive) — the combined-failure scenario
+// sustained drop storm plus a substrate partition window, sweeping the base
+// of the per-destination DHT retry budget — the combined-failure scenario
 // the unified RPC endpoint exists for.
 //
 // `--smoke` shrinks the substrate, fetch rounds and the k sweep.
@@ -24,7 +24,6 @@
 
 #include "dosn/app/microblog.hpp"
 #include "dosn/benchkit/benchkit.hpp"
-#include "dosn/net/retry.hpp"
 #include "dosn/overlay/placement.hpp"
 #include "dosn/privacy/symmetric_acl.hpp"
 #include "dosn/sim/churn.hpp"
@@ -50,7 +49,6 @@ struct Outcome {
 
 Outcome run(const ScenarioContext& ctx, std::size_t replication,
             double onlineFraction, std::size_t retryAttempts = 1,
-            net::AdaptiveRetryPolicy* adaptive = nullptr,
             bool withFaults = false, double jitterFraction = 0.0) {
   const int substrateSize = ctx.smoke() ? 12 : 30;
   const int rounds = ctx.smoke() ? 8 : 30;
@@ -72,7 +70,6 @@ Outcome run(const ScenarioContext& ctx, std::size_t replication,
   // the retransmissions of calls that timed out together.
   config.retry = overlay::RetryPolicy{retryAttempts, 150 * kMillisecond, 2.0};
   config.retry.jitterFraction = jitterFraction;
-  config.adaptiveRetry = adaptive;
   // Per-destination RFC 6298 timeouts, on for the whole experiment: each
   // peer's timeout tracks its observed RTT instead of the fixed 300ms.
   config.adaptiveTimeout = true;
@@ -160,8 +157,8 @@ Outcome run(const ScenarioContext& ctx, std::size_t replication,
   churn.stop();
   out.meanLatencyMs =
       out.fetched ? latencySum / static_cast<double>(out.fetched) : 0;
-  out.readerRetries = bob.dhtRpcRetries();
-  out.fleetRetries = alice.dhtRpcRetries() + bob.dhtRpcRetries();
+  out.readerRetries = bob.dht().rpcRetries();
+  out.fleetRetries = alice.dht().rpcRetries() + bob.dht().rpcRetries();
   for (const auto& p : substrate) out.fleetRetries += p->rpcRetries();
   return out;
 }
@@ -392,8 +389,7 @@ BENCH_SCENARIO(f2_storm) {
     ctx.counter("fleet_retries" + tag, o.fleetRetries);
   };
   for (const std::size_t attempts : {1u, 3u}) {
-    if (ctx.smoke() && attempts == 1) continue;
-    const Outcome o = run(ctx, 4, 0.8, attempts, nullptr, /*withFaults=*/true);
+    const Outcome o = run(ctx, 4, 0.8, attempts, /*withFaults=*/true);
     if (ctx.printing()) {
       std::printf("  %-10zu %13zu/%-4zu %13zu/%-4zu %14.0f %10llu %10llu\n",
                   attempts, o.fetched, o.attempts, o.decrypted, o.attempts,
@@ -407,7 +403,7 @@ BENCH_SCENARIO(f2_storm) {
     // Budget 3 with +/-30% backoff jitter: same retry spend, but the storm's
     // synchronized timeout cohorts retransmit at decorrelated instants.
     const Outcome o =
-        run(ctx, 4, 0.8, 3, nullptr, /*withFaults=*/true, /*jitterFraction=*/0.3);
+        run(ctx, 4, 0.8, 3, /*withFaults=*/true, /*jitterFraction=*/0.3);
     if (ctx.printing()) {
       std::printf("  %-10s %13zu/%-4zu %13zu/%-4zu %14.0f %10llu %10llu\n",
                   "3+jitter", o.fetched, o.attempts, o.decrypted, o.attempts,
@@ -416,25 +412,6 @@ BENCH_SCENARIO(f2_storm) {
                   static_cast<unsigned long long>(o.fleetRetries));
     }
     record("jitter", o);
-  }
-  {
-    net::AdaptiveRetryPolicy::Config config;
-    config.base = overlay::RetryPolicy{1, 150 * kMillisecond, 2.0};
-    config.maxAttempts = 4;
-    net::AdaptiveRetryPolicy adaptive(config);
-    const Outcome o = run(ctx, 4, 0.8, 1, &adaptive, /*withFaults=*/true);
-    if (ctx.printing()) {
-      std::printf("  %-10s %13zu/%-4zu %13zu/%-4zu %14.0f %10llu %10llu"
-                  "   (final budget %zu, est.rate %.0f%%)\n",
-                  "adaptive", o.fetched, o.attempts, o.decrypted, o.attempts,
-                  o.meanLatencyMs,
-                  static_cast<unsigned long long>(o.readerRetries),
-                  static_cast<unsigned long long>(o.fleetRetries),
-                  adaptive.attempts(), 100 * adaptive.timeoutRate());
-    }
-    record("adaptive", o);
-    ctx.counter("adaptive_budget", adaptive.attempts());
-    ctx.param("adaptive_timeout_rate", adaptive.timeoutRate());
   }
   if (ctx.printing()) {
     std::printf(

@@ -95,10 +95,6 @@ class MicroblogNode {
   const UserId& user() const { return keyring_.user; }
   overlay::KademliaNode& dht() { return dht_; }
 
-  // DHT RPC retry spend, surfaced so the fault/churn benches can report it
-  // per node without reaching through dht().
-  std::uint64_t dhtRpcRetries() const { return dht_.rpcRetries(); }
-
   /// Joins the DHT through a seed contact.
   void join(const overlay::Contact& seed, std::function<void()> done = {});
 

@@ -62,23 +62,26 @@ struct RetryPolicy {
 
 /// Estimates the per-attempt timeout probability from outcomes observed at an
 /// RpcEndpoint and derives the smallest attempt budget whose residual failure
-/// probability (rate^attempts) meets `targetResidualFailure`. Deterministic:
+/// probability (rate^attempts) meets kTargetResidualFailure. Deterministic:
 /// the estimate is a pure function of the observed outcome sequence.
 class AdaptiveRetryPolicy {
  public:
   struct Config {
-    RetryPolicy base;                    // backoff shape + minimum attempts
-    std::size_t maxAttempts = 6;         // budget ceiling
-    double targetResidualFailure = 0.01; // accepted give-up probability
-    double decay = 0.95;                 // EWMA weight of history per outcome
+    RetryPolicy base;             // backoff shape + minimum attempts
+    std::size_t maxAttempts = 6;  // budget ceiling
   };
+
+  /// Accepted give-up probability.
+  static constexpr double kTargetResidualFailure = 0.01;
+  /// EWMA weight of history per observed outcome.
+  static constexpr double kDecay = 0.95;
 
   AdaptiveRetryPolicy() = default;
   explicit AdaptiveRetryPolicy(Config config) : config_(config) {}
 
   /// One attempt resolved: it either timed out or was answered.
   void observeAttempt(bool timedOut) {
-    rate_ = config_.decay * rate_ + (timedOut ? 1.0 - config_.decay : 0.0);
+    rate_ = kDecay * rate_ + (timedOut ? 1.0 - kDecay : 0.0);
     ++observed_;
   }
 
@@ -92,7 +95,7 @@ class AdaptiveRetryPolicy {
     std::size_t n = config_.base.attempts > 0 ? config_.base.attempts : 1;
     if (rate_ > 0.0) {
       double residual = std::pow(rate_, static_cast<double>(n));
-      while (n < config_.maxAttempts && residual > config_.targetResidualFailure) {
+      while (n < config_.maxAttempts && residual > kTargetResidualFailure) {
         ++n;
         residual *= rate_;
       }
@@ -106,8 +109,6 @@ class AdaptiveRetryPolicy {
     policy.attempts = attempts();
     return policy;
   }
-
-  const Config& config() const { return config_; }
 
  private:
   Config config_;

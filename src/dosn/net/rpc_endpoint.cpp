@@ -22,12 +22,8 @@ auto* findByType(Table& table, sim::MessageTypeId id) {
 
 }  // namespace
 
-RpcEndpoint::RpcEndpoint(sim::Network& network, std::string statsPrefix)
+RpcEndpoint::RpcEndpoint(sim::Network& network)
     : network_(network),
-      statsPrefix_(std::move(statsPrefix)),
-      statsRetry_(statsPrefix_ + ".retry"),
-      statsFail_(statsPrefix_ + ".fail"),
-      statsOrphan_(statsPrefix_ + ".orphan"),
       addr_(network.addNode()),
       state_(std::make_shared<State>()) {
   network_.setHandler(addr_, [this](sim::NodeAddr from, const sim::Message& msg) {
@@ -94,7 +90,7 @@ RpcEndpoint::TypeMetricNames& RpcEndpoint::metricNames(sim::MessageType type) {
     slot->timeouts = "rpc." + t + ".timeouts";
     slot->completed = "rpc." + t + ".completed";
     slot->failed = "rpc." + t + ".failed";
-    slot->spuriousTimeouts = "rpc." + t + ".spurious_timeouts";
+    slot->orphans = "rpc." + t + ".orphans";
     slot->rttMs = "rpc." + t + ".rtt_ms";
     slot->rttSamples = "rpc.rtt." + t + ".samples";
     slot->rttSrtt = "rpc.rtt." + t + ".srtt";
@@ -166,7 +162,6 @@ void RpcEndpoint::transmit(sim::NodeAddr to, sim::MessageType type,
         if (!state) return;  // endpoint destroyed
         PendingCall* call = state->pending.find(id);
         if (!call) return;  // answered in time
-        ++call->timeouts;
         bump(type, &TypeMetricNames::timeouts);
         observeOutcome(true);
         if (adaptive) {
@@ -178,7 +173,6 @@ void RpcEndpoint::transmit(sim::NodeAddr to, sim::MessageType type,
           call->retransmitted = true;
           ++state->retries;
           bump(type, &TypeMetricNames::retries);
-          if (auto* m = network_.metrics()) m->increment(statsRetry_);
           network_.simulator().schedule(
               retry.backoff(attempt, network_.rng()),
               [this, weak, to, type, frame, id, attempt, timeout, retry,
@@ -193,7 +187,6 @@ void RpcEndpoint::transmit(sim::NodeAddr to, sim::MessageType type,
         }
         ++state->failures;
         bump(type, &TypeMetricNames::failed);
-        if (auto* m = network_.metrics()) m->increment(statsFail_);
         auto callback = std::move(call->onReply);
         state->pending.erase(id);
         if (callback) callback(false, {});
@@ -202,42 +195,24 @@ void RpcEndpoint::transmit(sim::NodeAddr to, sim::MessageType type,
 
 RpcId RpcEndpoint::openCall(sim::MessageType opType, sim::SimTime timeout,
                             util::Bytes tag, ReplyCallback onReply) {
-  OpenCallOptions options;
-  options.timeout = timeout;
-  return openCall(opType, options, std::move(tag), std::move(onReply));
-}
-
-RpcId RpcEndpoint::openCall(sim::MessageType opType,
-                            const OpenCallOptions& options, util::Bytes tag,
-                            ReplyCallback onReply) {
   const RpcId id =
       (static_cast<RpcId>(addr_) << 32) | static_cast<RpcId>(nextCallId_++);
-  const bool adaptive = options.adaptiveTimeout;
-  const sim::NodeAddr peer = options.peer;
   PendingCall& pending = state_->pending[id];
   pending.type = opType;
   pending.onReply = std::move(onReply);
   pending.startedAt = network_.simulator().now();
   pending.tag = std::move(tag);
-  pending.peer = peer;
-  pending.adaptive = adaptive;
   bump(opType, &TypeMetricNames::sent);
 
-  const sim::SimTime deadline =
-      adaptive ? peers_.state(peer).rtt.timeout(options.timeout)
-               : options.timeout;
   std::weak_ptr<State> weak = state_;
-  network_.simulator().schedule(deadline, [this, weak, opType, id, adaptive,
-                                           peer] {
+  network_.simulator().schedule(timeout, [this, weak, opType, id] {
     const auto state = weak.lock();
     if (!state) return;
     PendingCall* call = state->pending.find(id);
     if (!call) return;  // completed in time
     bump(opType, &TypeMetricNames::timeouts);
-    if (adaptive) peers_.state(peer).rtt.onTimeout();
     ++state->failures;
     bump(opType, &TypeMetricNames::failed);
-    if (auto* m = network_.metrics()) m->increment(statsFail_);
     auto callback = std::move(call->onReply);
     state->pending.erase(id);
     if (callback) callback(false, {});
@@ -249,10 +224,6 @@ bool RpcEndpoint::complete(RpcId id, util::BytesView payload) {
   if (!state_->pending.contains(id)) return false;
   finish(id, true, payload);
   return true;
-}
-
-bool RpcEndpoint::isPending(RpcId id) const {
-  return state_->pending.contains(id);
 }
 
 const util::Bytes* RpcEndpoint::tag(RpcId id) const {
@@ -272,20 +243,13 @@ void RpcEndpoint::finish(RpcId id, bool ok, util::BytesView payload) {
       const double rttMs =
           static_cast<double>(rtt) / static_cast<double>(sim::kMillisecond);
       m->histogram(metricNames(type).rttMs).record(rttMs);
-      if (trackSpurious_ && call->timeouts > 0) {
-        // The call completed after timing out: those timeouts fired on a
-        // reply that was late, not lost (exact when links never drop; an
-        // upper bound under loss, comparably so across timeout policies).
-        m->increment(metricNames(type).spuriousTimeouts, call->timeouts);
-      }
     }
     observeOutcome(false);
     if (call->adaptive) {
       PeerStateTable::PeerState& ps = peers_.state(call->peer);
       ps.retry.observeAttempt(false);
       // Karn's rule: only calls answered on their first attempt yield an
-      // unambiguous sample. openCall never retransmits, so every completed
-      // operation samples its first-hop estimator.
+      // unambiguous sample.
       if (!call->retransmitted) recordRttSample(call->peer, type, rtt);
     }
   }
@@ -341,7 +305,7 @@ void RpcEndpoint::handleReply(sim::NodeAddr from, const sim::Message& msg) {
     }
   }
   if (!state_->pending.contains(id)) {
-    if (auto* m = network_.metrics()) m->increment(statsOrphan_);
+    bump(msg.type, &TypeMetricNames::orphans);
     return;  // timed out already, or a fault-duplicated reply
   }
   finish(id, true, body);

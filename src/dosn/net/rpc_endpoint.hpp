@@ -12,12 +12,13 @@
 //    endpoint's observed timeout rate);
 //  - DosnError containment: a corrupted payload that makes a handler or
 //    observer throw is dropped, never propagated;
-//  - uniform observability into the network's attached Metrics:
+//  - uniform observability into the network's attached Metrics, one
+//    counter family per message type:
 //      rpc.<type>.sent / .retries / .timeouts / .completed / .failed
-//    counters plus a per-type round-trip latency histogram
-//      rpc.<type>.rtt_ms
-//    and legacy per-endpoint `<statsPrefix>.retry` / `<statsPrefix>.fail`
-//    counters (kept stable for the fault experiments);
+//    for calls (keyed by the request or open-call type),
+//      rpc.<replyType>.orphans
+//    for replies that find no pending call (late or duplicated), plus a
+//    per-type round-trip latency histogram rpc.<type>.rtt_ms;
 //  - opt-in per-destination adaptivity (CallOptions::adaptiveTimeout): a
 //    PeerStateTable keys an RFC 6298-style RttEstimator and an
 //    AdaptiveRetryPolicy by destination, so each peer earns its own timeout
@@ -36,7 +37,7 @@
 //  - openCall(): a correlation slot for multi-hop operations (flood search,
 //    super-peer query->owner->fetch chains). The overlay sends its own probe
 //    messages and completes the slot explicitly via complete(); the endpoint
-//    owns the single overall deadline.
+//    owns the single fixed overall deadline.
 #pragma once
 
 #include <cstdint>
@@ -71,18 +72,6 @@ struct CallOptions {
   bool adaptiveTimeout = false;
 };
 
-struct OpenCallOptions {
-  sim::SimTime timeout = 5 * sim::kSecond;
-  /// Opt-in adaptive deadline for multi-hop operations: the deadline comes
-  /// from the estimator keyed by `peer` (the operation's first hop, or the
-  /// caller's own address for fan-outs with no single destination), which is
-  /// fed the operation's completion time — so the estimate is an *operation*
-  /// time, not a link RTT. openCall never retransmits, so every completion
-  /// is Karn-valid by construction.
-  bool adaptiveTimeout = false;
-  sim::NodeAddr peer = sim::kNoAddr;
-};
-
 class RpcEndpoint {
  public:
   /// Completion of a call: ok=true with the reply body (after the rpcId for
@@ -102,10 +91,8 @@ class RpcEndpoint {
   using ReplyObserver =
       std::function<void(sim::NodeAddr from, util::BytesView body)>;
 
-  /// Registers a fresh node on the network and claims its handler. The
-  /// statsPrefix names the per-endpoint aggregate counters (e.g. "kad.rpc"
-  /// yields kad.rpc.retry / kad.rpc.fail in the attached Metrics).
-  RpcEndpoint(sim::Network& network, std::string statsPrefix);
+  /// Registers a fresh node on the network and claims its handler.
+  explicit RpcEndpoint(sim::Network& network);
   ~RpcEndpoint();
 
   RpcEndpoint(const RpcEndpoint&) = delete;
@@ -139,13 +126,9 @@ class RpcEndpoint {
   /// chains stash the searched key there).
   RpcId openCall(sim::MessageType opType, sim::SimTime timeout,
                  util::Bytes tag, ReplyCallback onReply);
-  /// As above with an optionally adaptive deadline (see OpenCallOptions).
-  RpcId openCall(sim::MessageType opType, const OpenCallOptions& options,
-                 util::Bytes tag, ReplyCallback onReply);
   /// Completes a pending call with a validated payload; returns false if the
   /// call is no longer pending (timed out, duplicate completion).
   bool complete(RpcId id, util::BytesView payload);
-  bool isPending(RpcId id) const;
   /// The tag attached at openCall, or nullptr if the call is not pending.
   const util::Bytes* tag(RpcId id) const;
 
@@ -159,21 +142,16 @@ class RpcEndpoint {
   /// instead.
   void setAdaptiveRetry(AdaptiveRetryPolicy* policy) { adaptive_ = policy; }
 
-  /// Replaces the per-destination state table (estimator shape, retry
-  /// config, LRU bound). Existing per-peer state is discarded.
-  void configurePeerTable(PeerTableConfig config) {
-    peers_ = PeerStateTable(config);
+  /// Sets the backoff shape and minimum attempts that every destination's
+  /// adaptive retry budget starts from. Existing per-peer state is discarded.
+  void setPeerRetryBase(const RetryPolicy& base) {
+    peers_ = PeerStateTable(base);
   }
   PeerStateTable& peerStates() { return peers_; }
   const PeerStateTable& peerStates() const { return peers_; }
 
-  /// Opt-in: counts `rpc.<type>.spurious_timeouts` — timeouts that fired on
-  /// calls which subsequently completed, i.e. the reply was merely late, not
-  /// lost. Off by default so existing metric surfaces stay byte-identical.
-  void trackSpuriousTimeouts(bool on) { trackSpurious_ = on; }
-
-  // Aggregate robustness stats (also mirrored into the network's Metrics as
-  // `<statsPrefix>.retry` / `<statsPrefix>.fail`).
+  // Retries and failures of this endpoint's calls, for per-node attribution;
+  // the network-wide counts are rpc.<type>.retries / .failed.
   std::uint64_t retries() const { return state_->retries; }
   std::uint64_t failures() const { return state_->failures; }
   std::size_t pendingCalls() const { return state_->pending.size(); }
@@ -187,7 +165,6 @@ class RpcEndpoint {
     sim::NodeAddr peer = sim::kNoAddr;  // estimator key for adaptive calls
     bool adaptive = false;
     bool retransmitted = false;  // Karn's rule: ambiguous once retransmitted
-    std::size_t timeouts = 0;    // timeouts fired against this call so far
   };
 
   // Shared with every closure scheduled on the simulator so timeouts fired
@@ -203,7 +180,7 @@ class RpcEndpoint {
   /// The per-type metric names, built once per type on first use so the
   /// hot path never concatenates strings ("rpc.<type>.sent" et al.).
   struct TypeMetricNames {
-    std::string sent, retries, timeouts, completed, failed, spuriousTimeouts;
+    std::string sent, retries, timeouts, completed, failed, orphans;
     std::string rttMs, rttSamples, rttSrtt, rttRttvar, rttTimeout;
   };
 
@@ -222,15 +199,12 @@ class RpcEndpoint {
                        sim::SimTime rtt);
 
   sim::Network& network_;
-  std::string statsPrefix_;
-  std::string statsRetry_, statsFail_, statsOrphan_;  // "<prefix>.<event>"
   sim::NodeAddr addr_;
   std::uint64_t statusToken_ = 0;
   std::shared_ptr<State> state_;
   std::uint32_t nextCallId_ = 1;
   AdaptiveRetryPolicy* adaptive_ = nullptr;
   PeerStateTable peers_;
-  bool trackSpurious_ = false;
   // Dispatch tables keyed by interned id; handler lists are deques so a
   // handler registering further handlers never invalidates the one running.
   // Endpoints register a handful of types, so lookup is a linear scan.

@@ -13,42 +13,34 @@ void RttEstimator::addSample(sim::SimTime rtt) {
   } else {
     // RFC 6298 §2.3: RTTVAR before SRTT, so the deviation is measured
     // against the pre-update smoothed estimate.
-    rttvar_ = (1.0 - config_.beta) * rttvar_ + config_.beta * std::abs(srtt_ - r);
-    srtt_ = (1.0 - config_.alpha) * srtt_ + config_.alpha * r;
+    rttvar_ = (1.0 - kBeta) * rttvar_ + kBeta * std::abs(srtt_ - r);
+    srtt_ = (1.0 - kAlpha) * srtt_ + kAlpha * r;
   }
   ++samples_;
   consecutiveTimeouts_ = 0;
 }
 
 void RttEstimator::onTimeout() {
-  // Saturate well before the backoff factor alone exceeds any plausible
-  // maxTimeout; keeps pow() finite.
+  // Saturate well before the backoff factor alone exceeds kMaxTimeout;
+  // keeps the doubling finite.
   if (consecutiveTimeouts_ < 63) ++consecutiveTimeouts_;
 }
 
 sim::SimTime RttEstimator::timeout(sim::SimTime fallback) const {
-  double base = samples_ > 0 ? srtt_ + config_.k * rttvar_
+  double base = samples_ > 0 ? srtt_ + kK * rttvar_
                              : static_cast<double>(fallback);
-  base *= std::pow(config_.backoffMultiplier,
-                   static_cast<double>(consecutiveTimeouts_));
-  const auto lo = static_cast<double>(config_.minTimeout);
-  const auto hi = static_cast<double>(config_.maxTimeout);
-  // The negated comparison also catches +inf/NaN from the pow above.
-  if (!(base < hi)) return config_.maxTimeout;
-  if (base < lo) return config_.minTimeout;
+  base = std::ldexp(base, static_cast<int>(consecutiveTimeouts_));
+  // The negated comparison also catches +inf/NaN.
+  if (!(base < static_cast<double>(kMaxTimeout))) return kMaxTimeout;
+  if (base < static_cast<double>(kMinTimeout)) return kMinTimeout;
   return static_cast<sim::SimTime>(base);
-}
-
-PeerStateTable::PeerStateTable(PeerTableConfig config) : config_(config) {
-  if (config_.maxPeers == 0) config_.maxPeers = 1;
 }
 
 PeerStateTable::PeerState& PeerStateTable::state(sim::NodeAddr peer) {
   Entry* entry = peers_.find(peer);
   if (!entry) {
     entry = &peers_[peer];
-    entry->state.rtt = RttEstimator(config_.rtt);
-    entry->state.retry = AdaptiveRetryPolicy(config_.retry);
+    entry->state.retry = AdaptiveRetryPolicy(retry_);
   }
   // Touch before evicting so a just-created entry can never be its own
   // eviction victim (unique monotonic touches keep eviction deterministic
@@ -78,7 +70,7 @@ std::size_t PeerStateTable::sampledPeers() const {
 }
 
 void PeerStateTable::evictIfNeeded() {
-  while (peers_.size() > config_.maxPeers) {
+  while (peers_.size() > kMaxPeers) {
     sim::NodeAddr victim = sim::kNoAddr;
     std::uint64_t victimTouch = ~std::uint64_t{0};
     peers_.forEach([&](sim::NodeAddr addr, const Entry& entry) {

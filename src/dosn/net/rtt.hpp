@@ -6,18 +6,21 @@
 //  - subsequent valid samples:    RTTVAR = (1-beta)*RTTVAR + beta*|SRTT - R|
 //                                 SRTT   = (1-alpha)*SRTT  + alpha*R
 //    (RTTVAR updated before SRTT, exactly as the RFC orders the assignments)
-//  - timeout = SRTT + k*RTTVAR, clamped to [minTimeout, maxTimeout]
+//  - timeout = SRTT + k*RTTVAR, clamped to [kMinTimeout, kMaxTimeout]
 //  - Karn's rule: a reply to a call that was retransmitted is ambiguous (it
 //    may answer any attempt) and must never update the estimate — the
 //    endpoint only feeds addSample() for calls answered on their first
 //    attempt.
 //  - exponential backoff: every consecutive timeout doubles the effective
-//    timeout (still clamped to maxTimeout); the next valid sample collapses
+//    timeout (still clamped to kMaxTimeout); the next valid sample collapses
 //    the backoff. Because the backoff persists across calls to the same
 //    destination, a peer whose true RTT exceeds the current estimate is
 //    probed with geometrically growing timeouts until one attempt survives
 //    unretransmitted and yields a Karn-valid sample — this is how the
 //    estimator escapes the classic "RTO < RTT forever" trap.
+//
+// alpha = 1/8, beta = 1/4 and k = 4 are the RFC's values; the timeout is
+// clamped to [50 ms, 10 s]. None of them is configurable.
 //
 // Before the first sample the estimator has no opinion: timeout(fallback)
 // returns the caller-provided fixed timeout (backed off and clamped), so an
@@ -27,7 +30,7 @@
 // destination NodeAddr, so each peer earns its own timeout and retry budget
 // instead of sharing fleet-global constants. The table is bounded: under
 // churn, peers come and go forever, so entries are evicted least-recently-
-// used once maxPeers is exceeded (eviction order is deterministic — a
+// used once kMaxPeers is exceeded (eviction order is deterministic — a
 // monotonic touch counter, no clocks). Storage is an open-addressing
 // AddrMap (DESIGN.md §3d): the per-send state(peer) lookup is one hash and
 // a short probe instead of a red-black-tree walk.
@@ -44,17 +47,11 @@ namespace dosn::net {
 
 class RttEstimator {
  public:
-  struct Config {
-    double alpha = 0.125;  // SRTT gain  (RFC 6298 value 1/8)
-    double beta = 0.25;    // RTTVAR gain (RFC 6298 value 1/4)
-    double k = 4.0;        // timeout = SRTT + k*RTTVAR
-    sim::SimTime minTimeout = 50 * sim::kMillisecond;
-    sim::SimTime maxTimeout = 10 * sim::kSecond;
-    double backoffMultiplier = 2.0;  // per consecutive timeout
-  };
-
-  RttEstimator() = default;
-  explicit RttEstimator(Config config) : config_(config) {}
+  static constexpr double kAlpha = 0.125;  // SRTT gain
+  static constexpr double kBeta = 0.25;    // RTTVAR gain
+  static constexpr double kK = 4.0;        // timeout = SRTT + k*RTTVAR
+  static constexpr sim::SimTime kMinTimeout = 50 * sim::kMillisecond;
+  static constexpr sim::SimTime kMaxTimeout = 10 * sim::kSecond;
 
   /// Feeds a Karn-valid sample (call answered without retransmission) and
   /// collapses any accumulated backoff.
@@ -64,7 +61,7 @@ class RttEstimator {
   void onTimeout();
 
   /// The adaptive timeout: SRTT + k*RTTVAR (or `fallback` before the first
-  /// sample), multiplied by the current backoff, clamped to [min, max].
+  /// sample), doubled per consecutive timeout, clamped to [min, max].
   sim::SimTime timeout(sim::SimTime fallback) const;
 
   bool hasSample() const { return samples_ > 0; }
@@ -74,38 +71,36 @@ class RttEstimator {
   double rttvar() const { return rttvar_; }
   std::size_t consecutiveTimeouts() const { return consecutiveTimeouts_; }
 
-  const Config& config() const { return config_; }
-
  private:
-  Config config_;
   double srtt_ = 0.0;
   double rttvar_ = 0.0;
   std::size_t samples_ = 0;
   std::size_t consecutiveTimeouts_ = 0;
 };
 
-struct PeerTableConfig {
-  RttEstimator::Config rtt;
-  /// Per-destination retry budget: each peer's budget is sized from the
-  /// timeout rate observed against *that peer*, not the fleet average.
-  AdaptiveRetryPolicy::Config retry;
-  /// LRU bound on tracked destinations (churny fleets meet new peers
-  /// forever; estimator state for long-gone ones is dead weight).
-  std::size_t maxPeers = 1024;
-};
-
 class PeerStateTable {
  public:
   struct PeerState {
     RttEstimator rtt;
+    /// Sized from the timeout rate observed against *this peer*, not the
+    /// fleet average.
     AdaptiveRetryPolicy retry;
   };
 
-  PeerStateTable() : PeerStateTable(PeerTableConfig{}) {}
-  explicit PeerStateTable(PeerTableConfig config);
+  /// LRU bound on tracked destinations (churny fleets meet new peers
+  /// forever; estimator state for long-gone ones is dead weight).
+  static constexpr std::size_t kMaxPeers = 1024;
+
+  PeerStateTable() = default;
+  /// Each peer's retry budget starts from `retryBase` (its backoff shape
+  /// and minimum attempts) and grows up to AdaptiveRetryPolicy's default
+  /// ceiling of 6 attempts.
+  explicit PeerStateTable(const RetryPolicy& retryBase) {
+    retry_.base = retryBase;
+  }
 
   /// The state for `peer`, created on first use; touches the LRU order and
-  /// may evict the least-recently-used other entry to stay within maxPeers.
+  /// may evict the least-recently-used other entry to stay within kMaxPeers.
   PeerState& state(sim::NodeAddr peer);
 
   /// Read-only lookup; nullptr if the peer is not tracked. Does not touch
@@ -116,7 +111,6 @@ class PeerStateTable {
   bool erase(sim::NodeAddr peer);
 
   std::size_t size() const { return peers_.size(); }
-  const PeerTableConfig& config() const { return config_; }
 
   /// Destinations with at least one Karn-valid sample.
   std::size_t sampledPeers() const;
@@ -129,7 +123,7 @@ class PeerStateTable {
 
   void evictIfNeeded();
 
-  PeerTableConfig config_;
+  AdaptiveRetryPolicy::Config retry_;
   sim::AddrMap<Entry> peers_;
   std::uint64_t touchClock_ = 0;
 };

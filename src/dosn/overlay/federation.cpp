@@ -33,7 +33,7 @@ std::map<sim::NodeAddr, std::size_t> FederationDirectory::viewSizes() const {
 
 FederatedServer::FederatedServer(sim::Network& network,
                                  const FederationDirectory& directory)
-    : network_(network), directory_(directory), endpoint_(network, "fed.rpc") {
+    : network_(network), directory_(directory), endpoint_(network) {
   endpoint_.onRequest(
       kMsgQuery,
       [this](sim::NodeAddr from, util::BytesView body, net::RpcId rpcId) {
@@ -94,7 +94,6 @@ void FederatedServer::query(
   w.str(key);
   net::CallOptions options;
   options.timeout = timeout;
-  options.adaptiveTimeout = adaptiveTimeout_;
   endpoint_.call(*home, kMsgQuery, w.buffer(), options,
                  [done = std::move(done)](bool ok, util::BytesView reply) {
                    if (!ok) {

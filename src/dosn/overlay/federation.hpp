@@ -53,17 +53,11 @@ class FederatedServer {
              sim::SimTime timeout,
              std::function<void(std::optional<util::Bytes>)> done);
 
-  /// Opts forwarded queries into per-server adaptive timeouts (net/rtt.hpp);
-  /// the `timeout` argument to query() then serves as the pre-sample
-  /// fallback. Off by default.
-  void setAdaptiveTimeout(bool enabled) { adaptiveTimeout_ = enabled; }
-
  private:
   sim::Network& network_;
   const FederationDirectory& directory_;
   net::RpcEndpoint endpoint_;
   std::map<std::string, std::map<std::string, util::Bytes>> data_;
-  bool adaptiveTimeout_ = false;
 };
 
 }  // namespace dosn::overlay

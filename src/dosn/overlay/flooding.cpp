@@ -31,7 +31,7 @@ util::Bytes encodeQuery(std::uint64_t queryId, sim::NodeAddr origin, int ttl,
 }  // namespace
 
 FloodingNode::FloodingNode(sim::Network& network, OverlayId id)
-    : network_(network), id_(id), endpoint_(network, "flood.rpc") {
+    : network_(network), id_(id), endpoint_(network) {
   endpoint_.onMessage(kMsgQuery,
                       [this](sim::NodeAddr from, util::BytesView payload) {
                         onQuery(from, payload);
@@ -74,12 +74,8 @@ void FloodingNode::search(
     });
     return;
   }
-  net::OpenCallOptions options;
-  options.timeout = timeout;
-  options.adaptiveTimeout = adaptiveTimeout_;
-  options.peer = endpoint_.addr();  // flood-wide op, keyed by the origin
   const net::RpcId queryId = endpoint_.openCall(
-      kOpSearch, options, {},
+      kOpSearch, timeout, {},
       [done = std::move(done)](bool ok, util::BytesView reply) {
         if (!ok) {
           done(std::nullopt);

@@ -40,12 +40,6 @@ class FloodingNode {
   void search(const OverlayId& key, int ttl, sim::SimTime timeout,
               std::function<void(std::optional<util::Bytes>)> done);
 
-  /// Opts search deadlines into the adaptive estimator (net/rtt.hpp). A
-  /// flood has no single destination, so completion times are keyed by this
-  /// node itself — the estimator tracks whole-flood latency and the
-  /// `timeout` argument becomes the pre-sample fallback. Off by default.
-  void setAdaptiveTimeout(bool enabled) { adaptiveTimeout_ = enabled; }
-
  private:
   void onQuery(sim::NodeAddr from, util::BytesView payload);
 
@@ -55,7 +49,6 @@ class FloodingNode {
   std::vector<sim::NodeAddr> neighbors_;
   std::map<OverlayId, util::Bytes> store_;
   std::set<std::uint64_t> seenQueries_;
-  bool adaptiveTimeout_ = false;
 };
 
 /// Convenience: creates a bidirectional link.

@@ -55,13 +55,8 @@ void validateSync(util::BytesView body) {
 GossipNode::GossipNode(sim::Network& network, GossipConfig config)
     : network_(network),
       config_(config),
-      endpoint_(network, "gossip.rpc"),
+      endpoint_(network),
       running_(std::make_shared<bool>(false)) {
-  if (config_.adaptiveTimeout) {
-    net::PeerTableConfig peerConfig;
-    peerConfig.retry.base = config_.retry;
-    endpoint_.configurePeerTable(peerConfig);
-  }
   endpoint_.onRequest(
       kMsgDigest,
       [this](sim::NodeAddr from, util::BytesView body, net::RpcId rpcId) {
@@ -162,7 +157,6 @@ void GossipNode::exchangeWith(sim::NodeAddr peer) {
   net::CallOptions options;
   options.timeout = config_.rpcTimeout;
   options.retry = config_.retry;
-  options.adaptiveTimeout = config_.adaptiveTimeout;
   endpoint_.call(
       peer, kMsgDigest, encodeDigest(), options,
       // Note no running_ gate: a stopped node still applies incoming state

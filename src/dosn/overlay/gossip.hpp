@@ -30,10 +30,6 @@ struct GossipConfig {
   /// Retry budget for the digest RPC; default attempts=1 keeps the classic
   /// fire-and-forget round economics.
   RetryPolicy retry;
-  /// Per-destination adaptive timeouts for the digest RPC (net/rtt.hpp):
-  /// `rpcTimeout` becomes the pre-sample fallback and `retry` the
-  /// per-destination budget base. Off by default.
-  bool adaptiveTimeout = false;
 };
 
 class GossipNode {
@@ -66,9 +62,8 @@ class GossipNode {
     updateHook_ = std::move(hook);
   }
 
-  /// Digest RPCs retried / given up on (from the shared endpoint).
+  /// Digest RPCs retried (from the shared endpoint).
   std::uint64_t rpcRetries() const { return endpoint_.retries(); }
-  std::uint64_t rpcFailures() const { return endpoint_.failures(); }
 
  private:
   struct Entry {

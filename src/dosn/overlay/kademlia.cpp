@@ -105,16 +105,12 @@ KademliaNode::KademliaNode(sim::Network& network, OverlayId id,
     : network_(network),
       id_(id),
       config_(config),
-      endpoint_(network, "kad.rpc"),
+      endpoint_(network),
       table_(id, config.k),
       store_(config_.makeStore ? config_.makeStore()
                                : std::make_unique<store::MemoryStore>()) {
   endpoint_.setAdaptiveRetry(config_.adaptiveRetry);
-  if (config_.adaptiveTimeout) {
-    net::PeerTableConfig peerConfig;
-    peerConfig.retry.base = config_.retry;
-    endpoint_.configurePeerTable(peerConfig);
-  }
+  if (config_.adaptiveTimeout) endpoint_.setPeerRetryBase(config_.retry);
   setupRpcHandlers();
 }
 

@@ -45,8 +45,9 @@ struct KademliaConfig {
   /// retries, preserving the classic single-shot timeout behavior.
   RetryPolicy retry;
   /// Optional shared adaptive retry budget (not owned; must outlive the
-  /// node). When set it overrides `retry` and is fed every attempt outcome,
-  /// sizing the budget from the fleet's observed timeout rate.
+  /// node). It is fed every attempt outcome, sizing the budget from the
+  /// fleet's observed timeout rate, and replaces `retry` on the fixed-timeout
+  /// path only: with `adaptiveTimeout` on, the per-destination budgets win.
   net::AdaptiveRetryPolicy* adaptiveRetry = nullptr;
   /// Per-destination adaptive timeouts (net/rtt.hpp): every RPC takes its
   /// timeout from an RFC 6298 estimator and its retry budget from an
@@ -135,8 +136,8 @@ class KademliaNode {
   /// is refreshed via a self-lookup through the seed.
   void rejoin(const Contact& seed);
 
-  // RPC retry spend (also mirrored into the network's Metrics, if attached,
-  // as `kad.rpc.retry`, beside the `kad.rpc.fail` failure count).
+  // This node's RPC retry spend; the network-wide counts are
+  // rpc.kad.<op>.retries.
   std::uint64_t rpcRetries() const { return endpoint_.retries(); }
 
  private:

@@ -162,7 +162,7 @@ ReplicaHost::ReplicaHost(sim::Network& network,
                          std::unique_ptr<store::BlockStore> blocks)
     : blocks_(blocks ? std::move(blocks)
                      : std::make_unique<store::MemoryStore>()),
-      endpoint_(network, "repl.host") {
+      endpoint_(network) {
   endpoint_.onRequest(
       kMsgStore,
       [this](sim::NodeAddr from, util::BytesView body, net::RpcId reqId) {
@@ -212,15 +212,11 @@ ReplicaHost::ReplicaHost(sim::Network& network,
 
 ReplicaClient::ReplicaClient(sim::Network& network, RetryPolicy retry,
                              sim::SimTime rpcTimeout, bool adaptiveTimeout)
-    : endpoint_(network, "repl.rpc"),
+    : endpoint_(network),
       retry_(retry),
       rpcTimeout_(rpcTimeout),
       adaptiveTimeout_(adaptiveTimeout) {
-  if (adaptiveTimeout_) {
-    net::PeerTableConfig peerConfig;
-    peerConfig.retry.base = retry_;
-    endpoint_.configurePeerTable(peerConfig);
-  }
+  if (adaptiveTimeout_) endpoint_.setPeerRetryBase(retry_);
   // No reply observers: a corrupted ack/value still completes the call and
   // the store/fetch adapters map the unparseable body to failure (matching
   // the historical client behavior the fault tests pin down).

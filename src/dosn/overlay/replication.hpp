@@ -150,8 +150,8 @@ class ReplicaClient {
   void fetch(sim::NodeAddr host, const OverlayId& item,
              std::function<void(std::optional<util::Bytes>)> done);
 
-  // Robustness stats (mirrored into the network's Metrics, if attached, as
-  // `repl.rpc.retry` / `repl.rpc.fail`).
+  // This client's robustness stats; the network-wide counts are
+  // rpc.repl.{store,fetch}.{retries,failed}.
   std::uint64_t rpcRetries() const { return endpoint_.retries(); }
   std::uint64_t rpcFailures() const { return endpoint_.failures(); }
 

@@ -34,7 +34,7 @@ OverlayId readId(util::Reader& r) {
 
 }  // namespace
 
-SuperPeer::SuperPeer(sim::Network& network) : endpoint_(network, "sp.rpc") {
+SuperPeer::SuperPeer(sim::Network& network) : endpoint_(network) {
   endpoint_.onMessage(
       kMsgRegister, [this](sim::NodeAddr from, util::BytesView payload) {
         util::Reader r(payload);
@@ -84,7 +84,7 @@ void SuperPeer::setPeers(std::vector<sim::NodeAddr> otherSuperPeers) {
 }
 
 LeafPeer::LeafPeer(sim::Network& network, sim::NodeAddr superPeer)
-    : network_(network), endpoint_(network, "sp.rpc"), superPeer_(superPeer) {
+    : network_(network), endpoint_(network), superPeer_(superPeer) {
   endpoint_.onMessage(
       kMsgOwner, [this](sim::NodeAddr, util::BytesView payload) {
         // The index gave us the owner; fetch the value from it. The searched
@@ -138,12 +138,8 @@ void LeafPeer::search(const OverlayId& key, sim::SimTime timeout,
     });
     return;
   }
-  net::OpenCallOptions options;
-  options.timeout = timeout;
-  options.adaptiveTimeout = adaptiveTimeout_;
-  options.peer = superPeer_;  // whole-chain time, keyed by the first hop
   const net::RpcId queryId = endpoint_.openCall(
-      kOpSearch, options, util::Bytes(key.bytes.begin(), key.bytes.end()),
+      kOpSearch, timeout, util::Bytes(key.bytes.begin(), key.bytes.end()),
       [done = std::move(done)](bool ok, util::BytesView reply) {
         if (!ok) {
           done(std::nullopt);

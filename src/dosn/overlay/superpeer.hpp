@@ -50,18 +50,11 @@ class LeafPeer {
   void search(const OverlayId& key, sim::SimTime timeout,
               std::function<void(std::optional<util::Bytes>)> done);
 
-  /// Opts search deadlines into the adaptive estimator (net/rtt.hpp), keyed
-  /// by the assigned super peer (the chain's first hop) and fed whole-chain
-  /// completion times; the `timeout` argument to search() becomes the
-  /// pre-sample fallback. Off by default.
-  void setAdaptiveTimeout(bool enabled) { adaptiveTimeout_ = enabled; }
-
  private:
   sim::Network& network_;
   net::RpcEndpoint endpoint_;
   sim::NodeAddr superPeer_;
   std::map<OverlayId, util::Bytes> store_;
-  bool adaptiveTimeout_ = false;
 };
 
 }  // namespace dosn::overlay

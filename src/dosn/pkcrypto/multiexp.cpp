@@ -6,30 +6,6 @@ namespace dosn::pkcrypto {
 
 using Limbs = bignum::MontgomeryContext::Limbs;
 
-BigUint dualPowMod(const bignum::MontgomeryContext& ctx, const BigUint& b1,
-                   const BigUint& e1, const BigUint& b2, const BigUint& e2) {
-  // Shamir's trick: one squaring chain over max(|e1|, |e2|) bits, with the
-  // joint table {b1, b2, b1*b2} so a position where both exponents have a set
-  // bit still costs a single multiply.
-  const Limbs m1 = ctx.toMont(b1);
-  const Limbs m2 = ctx.toMont(b2);
-  const Limbs table[3] = {m1, m2, ctx.montMul(m1, m2)};
-
-  const std::size_t bits = std::max(e1.bitLength(), e2.bitLength());
-  Limbs acc = ctx.one();
-  bool started = false;
-  for (std::size_t i = bits; i-- > 0;) {
-    if (started) acc = ctx.montMul(acc, acc);
-    const unsigned idx = static_cast<unsigned>(e1.bit(i)) |
-                         (static_cast<unsigned>(e2.bit(i)) << 1);
-    if (idx != 0) {
-      acc = started ? ctx.montMul(acc, table[idx - 1]) : table[idx - 1];
-      started = true;
-    }
-  }
-  return ctx.fromMont(acc);
-}
-
 BigUint multiPowMod(const bignum::MontgomeryContext& ctx,
                     const std::vector<PowTerm>& terms) {
   // Strauss interleaving: every term rides the same squaring chain, so k

@@ -4,9 +4,8 @@
 // costs ~k*n squarings + k*n/2 multiplies; interleaving costs n squarings +
 // k*n/2 multiplies — the squaring work is amortized k-fold.
 //
-// Consumers: the random-linear-combination combined check in
-// schnorrProofVerifyBatch (2k variable bases per batch) and Schnorr/ElGamal
-// verification shapes of the form g^s * y^e.
+// Consumer: the random-linear-combination combined check in
+// schnorrProofVerifyBatch (2k variable bases per batch).
 #pragma once
 
 #include <vector>
@@ -23,12 +22,6 @@ struct PowTerm {
   BigUint base;
   BigUint exponent;
 };
-
-/// b1^e1 * b2^e2 mod ctx.modulus() — Shamir's trick with the joint 2-bit
-/// window {b1, b2, b1*b2}; equals powModSimple(b1,e1,m) * powModSimple(
-/// b2,e2,m) mod m.
-BigUint dualPowMod(const bignum::MontgomeryContext& ctx, const BigUint& b1,
-                   const BigUint& e1, const BigUint& b2, const BigUint& e2);
 
 /// Product of terms[i].base ^ terms[i].exponent mod ctx.modulus(), bit-serial
 /// Strauss interleaving: one shared squaring chain over the widest exponent

@@ -1,6 +1,6 @@
 // Differential tests for the batch-crypto throughput pass: Karatsuba multiply
 // vs the retained schoolbook path, Montgomery batch inversion vs per-element
-// invMod, Shamir/Strauss multi-exponentiation vs products of single
+// invMod, Strauss multi-exponentiation vs products of single
 // exponentiations, batched Schnorr verification vs the one-by-one path
 // (including a randomized 1k-page differential), batched OPRF finalization,
 // and byte-pinned Shamir/Lagrange reconstruction — every fast path against
@@ -41,7 +41,6 @@ using dosn::bignum::powModSimple;
 using dosn::bignum::randomBits;
 using dosn::bignum::schoolbookMul;
 using dosn::pkcrypto::DlogGroup;
-using dosn::pkcrypto::dualPowMod;
 using dosn::pkcrypto::multiPowMod;
 using dosn::pkcrypto::PowTerm;
 using dosn::util::Rng;
@@ -215,26 +214,6 @@ TEST(SlidingWindow, EdgeExponentsAcrossWidths) {
 
 // ---------------------------------------------------------------------------
 // Multi-exponentiation vs products of single exponentiations.
-
-TEST(MultiExp, DualPowMatchesProductOfPows) {
-  Rng rng(139);
-  const BigUint m = oddModulus(256, rng);
-  const MontgomeryContext ctx(m);
-  for (int i = 0; i < 10; ++i) {
-    const BigUint b1 = randomBits(250, rng);
-    const BigUint b2 = randomBits(250, rng);
-    const BigUint e1 = randomBits(1 + (i * 29) % 256, rng);
-    const BigUint e2 = randomBits(1 + (i * 71) % 256, rng);
-    const BigUint expected =
-        mulMod(powModSimple(b1, e1, m), powModSimple(b2, e2, m), m);
-    EXPECT_EQ(dualPowMod(ctx, b1, e1, b2, e2), expected) << "i=" << i;
-  }
-  // Zero exponents collapse terms to 1.
-  const BigUint b = randomBits(200, rng);
-  EXPECT_EQ(dualPowMod(ctx, b, BigUint(0), b, BigUint(0)), BigUint(1));
-  EXPECT_EQ(dualPowMod(ctx, b, BigUint(3), b, BigUint(0)),
-            powModSimple(b, BigUint(3), m));
-}
 
 TEST(MultiExp, MultiPowMatchesProductOfPows) {
   Rng rng(149);

@@ -411,7 +411,7 @@ TEST(Gossip, EntriesFrameCountsOnlyHeldKeys) {
 
   // A scripted peer: answers each digest with no entries and a request for
   // both keys, and keeps every entries frame it receives.
-  net::RpcEndpoint peer(net, "scripted.rpc");
+  net::RpcEndpoint peer(net);
   peer.onRequest("gossip.digest",
                  [&](sim::NodeAddr from, util::BytesView, net::RpcId id) {
                    util::Writer w;

@@ -8,6 +8,8 @@
 //    the call pending until the deadline — no crash, no bogus completion;
 //  - a retransmission racing a late reply to the first attempt: the late
 //    reply completes the call, the second attempt's reply is an orphan;
+//  - every counter the endpoint writes is per message type: rpc.<type>.*
+//    (orphans under the reply channel's type), beside the network's net.*;
 //  - RetryPolicy's closed-form backoff matches iterated multiplication and
 //    clamps at maxBackoff instead of overflowing SimTime;
 //  - AdaptiveRetryPolicy grows the attempt budget as observed timeouts
@@ -77,7 +79,7 @@ class RpcEndpointTest : public ::testing::Test {
 };
 
 TEST_F(RpcEndpointTest, ReplyAfterTimeoutIsOrphanedAndCallbackFiresOnce) {
-  RpcEndpoint client(net_, "test.rpc");
+  RpcEndpoint client(net_);
   client.addReplyChannel("resp");
   // Server sits on the reply for 300ms; the call gives up after 150ms.
   const NodeAddr server = addEchoServer(1, 300 * kMillisecond);
@@ -97,13 +99,13 @@ TEST_F(RpcEndpointTest, ReplyAfterTimeoutIsOrphanedAndCallbackFiresOnce) {
   EXPECT_FALSE(lastOk);
   EXPECT_EQ(client.failures(), 1u);
   EXPECT_EQ(client.pendingCalls(), 0u);
-  EXPECT_EQ(metrics_.counter("test.rpc.orphan"), 1u);
+  EXPECT_EQ(metrics_.counter("rpc.resp.orphans"), 1u);
   EXPECT_EQ(metrics_.counter("rpc.req.failed"), 1u);
   EXPECT_EQ(metrics_.counter("rpc.req.completed"), 0u);
 }
 
 TEST_F(RpcEndpointTest, DuplicateRepliesCompleteOnce) {
-  RpcEndpoint client(net_, "test.rpc");
+  RpcEndpoint client(net_);
   client.addReplyChannel("resp");
   const NodeAddr server = addEchoServer(/*copies=*/3);
 
@@ -117,11 +119,11 @@ TEST_F(RpcEndpointTest, DuplicateRepliesCompleteOnce) {
 
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(metrics_.counter("rpc.req.completed"), 1u);
-  EXPECT_EQ(metrics_.counter("test.rpc.orphan"), 2u);  // the two duplicates
+  EXPECT_EQ(metrics_.counter("rpc.resp.orphans"), 2u);  // the two duplicates
 }
 
 TEST_F(RpcEndpointTest, CorruptedReplyRejectedByObserverLeavesCallPending) {
-  RpcEndpoint client(net_, "test.rpc");
+  RpcEndpoint client(net_);
   client.addReplyChannel("resp");
   // The observer insists the body parses as a string; the server below sends
   // a body too short for its declared length.
@@ -159,7 +161,7 @@ TEST_F(RpcEndpointTest, CorruptedReplyRejectedByObserverLeavesCallPending) {
 }
 
 TEST_F(RpcEndpointTest, RetryRacingLateFirstReplyCompletesOnceViaLateReply) {
-  RpcEndpoint client(net_, "test.rpc");
+  RpcEndpoint client(net_);
   client.addReplyChannel("resp");
   // One-way latency 50ms + 150ms server think time = 250ms round trip; the
   // call times out at 200ms and retransmits after a 40ms backoff (240ms,
@@ -190,11 +192,47 @@ TEST_F(RpcEndpointTest, RetryRacingLateFirstReplyCompletesOnceViaLateReply) {
   EXPECT_EQ(client.failures(), 0u);
   EXPECT_EQ(metrics_.counter("rpc.req.sent"), 2u);
   EXPECT_EQ(metrics_.counter("rpc.req.completed"), 1u);
-  EXPECT_EQ(metrics_.counter("test.rpc.orphan"), 1u);  // attempt 2's reply
+  EXPECT_EQ(metrics_.counter("rpc.resp.orphans"), 1u);  // attempt 2's reply
+}
+
+TEST_F(RpcEndpointTest, EveryCounterIsPerMessageType) {
+  RpcEndpoint client(net_);
+  client.addReplyChannel("resp");
+  // The late-reply race above: the first attempt's reply completes the
+  // retried call and the second attempt's reply is an orphan.
+  const NodeAddr slow = addEchoServer(1, 150 * kMillisecond);
+  CallOptions retried;
+  retried.timeout = 200 * kMillisecond;
+  retried.retry.attempts = 2;
+  retried.retry.backoffBase = 40 * kMillisecond;
+  bool completed = false;
+  client.call(slow, "req", util::toBytes("ping"), retried,
+              [&](bool ok, util::BytesView) { completed = ok; });
+  // A node that never answers: the single-shot call fails at its deadline.
+  const NodeAddr silent = net_.addNode();
+  net_.setHandler(silent, [](NodeAddr, const Message&) {});
+  bool failed = false;
+  CallOptions once;
+  once.timeout = 100 * kMillisecond;
+  client.call(silent, "ask", util::toBytes("ping"), once,
+              [&](bool ok, util::BytesView) { failed = !ok; });
+  sim_.run();
+
+  EXPECT_TRUE(completed);
+  EXPECT_TRUE(failed);
+  EXPECT_EQ(client.retries(), 1u);
+  EXPECT_EQ(client.failures(), 1u);
+  EXPECT_EQ(metrics_.counter("rpc.req.retries"), 1u);
+  EXPECT_EQ(metrics_.counter("rpc.ask.failed"), 1u);
+  EXPECT_EQ(metrics_.counter("rpc.resp.orphans"), 1u);
+  for (const auto& [name, value] : metrics_.counters()) {
+    EXPECT_TRUE(name.starts_with("rpc.") || name.starts_with("net."))
+        << name << " = " << value;
+  }
 }
 
 TEST_F(RpcEndpointTest, RttHistogramRecordsCompletedCallsOnly) {
-  RpcEndpoint client(net_, "test.rpc");
+  RpcEndpoint client(net_);
   client.addReplyChannel("resp");
   const NodeAddr server = addEchoServer();
 
@@ -283,7 +321,6 @@ TEST(RetryPolicyTest, JitteredBackoffStaysInBoundsAndIsSeedDeterministic) {
 TEST(AdaptiveRetryPolicyTest, BudgetGrowsWithTimeoutsAndDecaysWithSuccesses) {
   AdaptiveRetryPolicy::Config config;
   config.maxAttempts = 6;
-  config.targetResidualFailure = 0.01;
   AdaptiveRetryPolicy adaptive(config);
 
   EXPECT_EQ(adaptive.attempts(), 1u);  // nothing observed: base budget
