@@ -237,7 +237,7 @@ void MicroblogNode::publish(const std::string& circle, const std::string& text,
 
 struct MicroblogNode::FetchState {
   UserId author;
-  pkcrypto::SchnorrPublicKey authorKey;
+  std::shared_ptr<const pkcrypto::SchnorrVerifyingKey> authorKey;
   HeadRecord head;
   std::vector<std::optional<TimelineRecord>> records;
   std::size_t pending = 0;
@@ -249,14 +249,14 @@ struct MicroblogNode::FetchState {
 
 void MicroblogNode::fetchTimeline(const UserId& author,
                                   std::function<void(FetchedTimeline)> done) {
-  const auto identity = registry_.lookup(author);
-  if (!identity) {
+  auto authorKey = registry_.verifyingKey(author, group_);
+  if (!authorKey) {
     done(FetchedTimeline{});
     return;
   }
   auto state = std::make_shared<FetchState>();
   state->author = author;
-  state->authorKey = identity->signingKey;
+  state->authorKey = std::move(authorKey);
   state->done = std::move(done);
 
   ++fetchStats_.lookups;
@@ -267,9 +267,8 @@ void MicroblogNode::fetchTimeline(const UserId& author,
       return;
     }
     const auto head = HeadRecord::deserialize(*result.value);
-    if (!head || !pkcrypto::schnorrVerify(group_, state->authorKey,
-                                          head->signedBytes(),
-                                          head->signature)) {
+    if (!head ||
+        !state->authorKey->verify(head->signedBytes(), head->signature)) {
       state->done(FetchedTimeline{});
       return;
     }
@@ -384,10 +383,11 @@ void MicroblogNode::finishFetch(const std::shared_ptr<FetchState>& state) {
     }
     entries.push_back(record->entry);
   }
-  // verifyChain walks the whole fetched chain, then batch-verifies only the
-  // signatures past this reader's cursor for the author: the prefix it
-  // already verified is pinned by its last entry's hash.
-  if (!integrity::verifyChain(group_, state->authorKey, entries,
+  // verifyChain walks the whole fetched chain, then verifies only the
+  // signatures past this reader's cursor for the author, under the author's
+  // prepared key: the prefix it already verified is pinned by its last
+  // entry's hash.
+  if (!integrity::verifyChain(*state->authorKey, entries,
                               chainCursors_[state->author])) {
     failFetch(state, std::move(out));
     return;

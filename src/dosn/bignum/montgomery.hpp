@@ -89,11 +89,14 @@ class MontgomeryContext {
 /// computes g^e mod p with ~bits/4 Montgomery multiplies and *no squarings*,
 /// by storing g^(j * 16^i) for every 4-bit window i and digit j. Repeated
 /// g^x with the same (g, p) — DH handshakes, ElGamal encryptions, Schnorr
-/// commitments, OPRF blinding, IBBE key wraps — amortizes the table across
-/// calls (pkcrypto::DlogGroup builds one for its generator, ibbe::Directory
-/// one per identity key). Building costs 15 multiplies per window, about
-/// three variable-base exponentiations; the entries sit in one contiguous
-/// limb vector, 15 * windows * words() limbs (30 KiB at 256 bits).
+/// commitments and verifications, OPRF blinding, IBBE key wraps — amortizes
+/// the table across calls (pkcrypto::DlogGroup builds one for its generator,
+/// ibbe::Directory one per identity key, and social::IdentityRegistry one
+/// per registered author's signing key, inside its prepared
+/// pkcrypto::SchnorrVerifyingKey). Building costs 15 multiplies per window,
+/// about three variable-base exponentiations; the entries sit in one
+/// contiguous limb vector, 15 * windows * words() limbs (30 KiB at 256
+/// bits).
 class FixedBasePowerTable {
  public:
   /// Covers exponents up to maxExponentBits bits; wider exponents fall back

@@ -73,16 +73,17 @@ bool verifyChain(const pkcrypto::DlogGroup& group,
                  const pkcrypto::SchnorrPublicKey& publisherKey,
                  const std::vector<ChainEntry>& entries) {
   ChainCursor cursor;
-  return verifyChain(group, publisherKey, entries, cursor);
+  return verifyChain(pkcrypto::SchnorrVerifyingKey(group, publisherKey),
+                     entries, cursor);
 }
 
-bool verifyChain(const pkcrypto::DlogGroup& group,
-                 const pkcrypto::SchnorrPublicKey& publisherKey,
+bool verifyChain(const pkcrypto::SchnorrVerifyingKey& publisherKey,
                  const std::vector<ChainEntry>& entries, ChainCursor& cursor) {
+  const pkcrypto::SchnorrPublicKey& key = publisherKey.publicKey();
   // Structural pass first (cheap hashing), over every entry. It also finds
   // the prefix the cursor vouches for: entry cursor.length-1 must hash to
   // cursor.head, which the prev links extend to every earlier entry.
-  const bool sameKey = cursor.key.y == publisherKey.y;
+  const bool sameKey = cursor.key.y == key.y;
   std::size_t trusted = 0;
   crypto::Digest expectedPrev{};
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -94,24 +95,15 @@ bool verifyChain(const pkcrypto::DlogGroup& group,
       trusted = i + 1;
     }
   }
-  // Then every signature past that prefix in ONE schnorrVerifyBatch call —
-  // a single-publisher chain is exactly the same-key shape the batch
-  // amortizes best (subgroup check and fixed-base table once for the whole
-  // page instead of per entry).
-  std::vector<pkcrypto::SchnorrBatchItem> items;
-  items.reserve(entries.size() - trusted);
+  // Then every signature past that prefix, through the prepared key: its
+  // subgroup check and power table were paid once for the publisher.
   for (std::size_t i = trusted; i < entries.size(); ++i) {
-    items.push_back(pkcrypto::SchnorrBatchItem{publisherKey,
-                                               entries[i].signedBytes(),
-                                               entries[i].signature});
-  }
-  const std::vector<bool> results = pkcrypto::schnorrVerifyBatch(group, items);
-  if (!std::all_of(results.begin(), results.end(),
-                   [](bool ok) { return ok; })) {
-    return false;
+    if (!publisherKey.verify(entries[i].signedBytes(), entries[i].signature)) {
+      return false;
+    }
   }
   if (!sameKey || entries.size() >= cursor.length) {
-    cursor = ChainCursor{publisherKey, entries.size(), expectedPrev};
+    cursor = ChainCursor{key, entries.size(), expectedPrev};
   }
   return true;
 }

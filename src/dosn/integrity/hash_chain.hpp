@@ -1,7 +1,9 @@
 // Historical integrity via hash chaining (paper §IV-B, Fethr-style): every
 // signed entry embeds the hash of its predecessor, yielding "a provable
 // partial ordering" of one publisher's posts. Tampering, reordering, or
-// dropping interior entries breaks the chain.
+// dropping interior entries breaks the chain. Readers verify a publisher's
+// entries under that publisher's prepared key (pkcrypto::SchnorrVerifyingKey,
+// from the IdentityRegistry) and resume from a cursor.
 #pragma once
 
 #include <optional>
@@ -59,20 +61,20 @@ struct ChainCursor {
 };
 
 /// Full-chain verification with the publisher's registered key: signatures,
-/// sequence numbers and predecessor hashes must all line up.
+/// sequence numbers and predecessor hashes must all line up. One-shot: it
+/// prepares the key for this call only.
 bool verifyChain(const pkcrypto::DlogGroup& group,
                  const pkcrypto::SchnorrPublicKey& publisherKey,
                  const std::vector<ChainEntry>& entries);
 
-/// Same verdict as the three-argument form, resuming from `cursor`. The
-/// structural pass still covers every entry; signatures are checked only
-/// past the prefix whose entry cursor.length-1 hashes to cursor.head under
-/// the same key (its prev links pin every earlier entry, signatures
-/// included). On success the cursor moves to `entries` unless that chain
-/// is shorter than the one it vouches for under this key; on failure it is
-/// left as it was.
-bool verifyChain(const pkcrypto::DlogGroup& group,
-                 const pkcrypto::SchnorrPublicKey& publisherKey,
+/// Same verdict as the three-argument form under the prepared key, resuming
+/// from `cursor`. The structural pass still covers every entry; signatures
+/// are checked, one by one through the key, only past the prefix whose
+/// entry cursor.length-1 hashes to cursor.head under the same key (its prev
+/// links pin every earlier entry, signatures included). On success the
+/// cursor moves to `entries` unless that chain is shorter than the one it
+/// vouches for under this key; on failure it is left as it was.
+bool verifyChain(const pkcrypto::SchnorrVerifyingKey& publisherKey,
                  const std::vector<ChainEntry>& entries, ChainCursor& cursor);
 
 /// True if `entries[i]` provably precedes `entries[j]` in a verified chain

@@ -44,34 +44,8 @@ SignedPost signPost(const pkcrypto::DlogGroup& group,
 bool verifyPost(const pkcrypto::DlogGroup& group,
                 const social::IdentityRegistry& registry,
                 const SignedPost& signedPost) {
-  const auto identity = registry.lookup(signedPost.post.author);
-  if (!identity) return false;
-  return pkcrypto::schnorrVerify(group, identity->signingKey,
-                                 signedPost.post.serialize(),
-                                 signedPost.signature);
-}
-
-std::vector<bool> verifyPostsBatch(const pkcrypto::DlogGroup& group,
-                                   const social::IdentityRegistry& registry,
-                                   const std::vector<SignedPost>& posts) {
-  std::vector<bool> out(posts.size(), false);
-  // Posts whose claimed author is unregistered reject up front and are left
-  // out of the batch; the rest verify in one call, grouped by key inside.
-  std::vector<pkcrypto::SchnorrBatchItem> items;
-  std::vector<std::size_t> mapping;
-  items.reserve(posts.size());
-  mapping.reserve(posts.size());
-  for (std::size_t i = 0; i < posts.size(); ++i) {
-    const auto identity = registry.lookup(posts[i].post.author);
-    if (!identity) continue;
-    items.push_back(pkcrypto::SchnorrBatchItem{identity->signingKey,
-                                               posts[i].post.serialize(),
-                                               posts[i].signature});
-    mapping.push_back(i);
-  }
-  const std::vector<bool> results = pkcrypto::schnorrVerifyBatch(group, items);
-  for (std::size_t k = 0; k < mapping.size(); ++k) out[mapping[k]] = results[k];
-  return out;
+  const auto key = registry.verifyingKey(signedPost.post.author, group);
+  return key && key->verify(signedPost.post.serialize(), signedPost.signature);
 }
 
 }  // namespace dosn::integrity

@@ -1,10 +1,10 @@
 // Integrity of the data owner and the data content (paper §IV-A): hash-then-
 // sign over the post's canonical encoding. Verification keys come from the
-// out-of-band IdentityRegistry (§IV-A's key-distribution assumption).
+// out-of-band IdentityRegistry (§IV-A's key-distribution assumption), which
+// prepares each author's key once for all of that author's posts.
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "dosn/pkcrypto/schnorr.hpp"
 #include "dosn/social/content.hpp"
@@ -28,17 +28,10 @@ SignedPost signPost(const pkcrypto::DlogGroup& group,
                     const social::Keyring& keyring, Post post, util::Rng& rng);
 
 /// Verifies owner + content integrity: the signature must verify under the
-/// registered key of the post's claimed author.
+/// registered key of the post's claimed author (its prepared key,
+/// IdentityRegistry::verifyingKey).
 bool verifyPost(const pkcrypto::DlogGroup& group,
                 const social::IdentityRegistry& registry,
                 const SignedPost& signedPost);
-
-/// Verifies a fetched page of posts in one schnorrVerifyBatch call;
-/// result[i] == verifyPost(posts[i]) for every i. Feed ingestion
-/// (app/microblog) calls this so a page from one author pays the author-key
-/// subgroup check once rather than per post.
-std::vector<bool> verifyPostsBatch(const pkcrypto::DlogGroup& group,
-                                   const social::IdentityRegistry& registry,
-                                   const std::vector<SignedPost>& posts);
 
 }  // namespace dosn::integrity

@@ -82,46 +82,23 @@ bool schnorrVerify(const DlogGroup& group, const SchnorrPublicKey& key,
   return challengeHash(group, r, key.y, message) == sig.e;
 }
 
-std::vector<bool> schnorrVerifyBatch(
-    const DlogGroup& group, const std::vector<SchnorrBatchItem>& items) {
-  std::vector<bool> out(items.size(), false);
-  if (items.empty()) return out;
-
-  // Bucket item indices by public key: subgroup membership — a full q-bit
-  // exponentiation, the single most expensive step of one-by-one
-  // verification — is paid once per DISTINCT key.
-  std::map<BigUint, std::vector<std::size_t>> byKey;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    byKey[items[i].key.y].push_back(i);
+SchnorrVerifyingKey::SchnorrVerifyingKey(const DlogGroup& group,
+                                         SchnorrPublicKey key)
+    : group_(group), key_(std::move(key)) {
+  if (group_.isElement(key_.y)) {
+    // Exponents are q - e <= q, so q's width covers every call.
+    yTable_.emplace(key_.y, group_.p(), group_.q().bitLength());
   }
+}
 
-  // A fixed-base window table costs ~3 exponentiations to build and ~0.25
-  // per pow() afterwards, so it pays for itself from 4 items per key up
-  // (single-author feed pages land here).
-  constexpr std::size_t kTableThreshold = 4;
-
-  for (const auto& [y, idxs] : byKey) {
-    if (!group.isElement(y)) continue;  // every item under this key rejects
-    std::optional<bignum::FixedBasePowerTable> yTable;
-    if (idxs.size() >= kTableThreshold) {
-      yTable.emplace(y, group.p(), group.p().bitLength());
-    }
-    for (const std::size_t i : idxs) {
-      const SchnorrSignature& sig = items[i].sig;
-      if (sig.s >= group.q() || sig.e >= group.q()) continue;
-      const BigUint qe = group.q() - sig.e;  // y^{-e} == y^{q-e}, as above
-      const BigUint ypow = yTable ? yTable->pow(qe) : group.exp(y, qe);
-      const BigUint r = group.mul(group.exp(sig.s), ypow);
-      bool ok = challengeHash(group, r, y, items[i].message) == sig.e;
-      if (!ok) {
-        // Fallback contract: the retained one-by-one path arbitrates every
-        // rejection, so a batch "no" is always a single-verify "no".
-        ok = schnorrVerify(group, items[i].key, items[i].message, sig);
-      }
-      out[i] = ok;
-    }
-  }
-  return out;
+bool SchnorrVerifyingKey::verify(util::BytesView message,
+                                 const SchnorrSignature& sig) const {
+  if (sig.s >= group_.q() || sig.e >= group_.q()) return false;
+  if (!yTable_) return false;
+  // schnorrVerify's r' = g^s * y^{q-e}, with both powers read from tables.
+  const BigUint r =
+      group_.mul(group_.exp(sig.s), yTable_->pow(group_.q() - sig.e));
+  return challengeHash(group_, r, key_.y, message) == sig.e;
 }
 
 SchnorrProver::SchnorrProver(const DlogGroup& group,

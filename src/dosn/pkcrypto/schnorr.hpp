@@ -1,4 +1,5 @@
-// Schnorr signatures (Fiat-Shamir) and the interactive Schnorr identification
+// Schnorr signatures (Fiat-Shamir), verified one-shot or through a key
+// prepared once per signer, and the interactive Schnorr identification
 // protocol — the zero-knowledge proof of the paper's §V-B: proving knowledge
 // of the secret behind a pseudonym without revealing it.
 #pragma once
@@ -36,30 +37,42 @@ SchnorrSignature schnorrSign(const DlogGroup& group,
                              const SchnorrPrivateKey& key,
                              util::BytesView message, util::Rng& rng);
 
+/// One-shot verification: decides y's subgroup membership and runs a
+/// variable-base exponentiation on every call. Callers that check many
+/// signatures under one key prepare it (SchnorrVerifyingKey) instead.
 bool schnorrVerify(const DlogGroup& group, const SchnorrPublicKey& key,
                    util::BytesView message, const SchnorrSignature& sig);
 
-/// One (key, message, signature) triple of a batched verification.
-struct SchnorrBatchItem {
-  SchnorrPublicKey key;
-  util::Bytes message;
-  SchnorrSignature sig;
-};
-
-/// Verifies a page of signatures; result[i] == schnorrVerify(item i) for
-/// every i (same accept set — batching here is amortization, not a
-/// probabilistic check, because the compact (e, s) form pins each r_i
-/// through the challenge hash; DESIGN.md §3g).
+/// A Schnorr public key prepared once for repeated verification (DESIGN.md
+/// §3g): the shape of a registered author whose every post, chain entry and
+/// head record is checked against the same key. Construction decides whether
+/// y lies in the order-q subgroup, once, and for a member builds y's
+/// FixedBasePowerTable over q's width (30 KiB at 256 bits, about three
+/// one-shot verifications' work). verify() then costs two table
+/// exponentiations, one multiply and the challenge hash, against
+/// schnorrVerify's Jacobi symbol plus a variable-base exponentiation per
+/// call, and accepts exactly the same set.
 ///
-/// Cost wins over one-by-one: subgroup membership of each DISTINCT key is
-/// checked once per batch instead of per item; keys appearing >= 4 times get
-/// a per-batch fixed-base window table (feed pages are single-author, so
-/// this is the common case); and y^{-e} is computed inversion-free as
-/// y^{q-e}. Items failing the challenge-hash check are re-verified through
-/// plain schnorrVerify, so the one-by-one path remains the arbiter of every
-/// rejection (fallback contract).
-std::vector<bool> schnorrVerifyBatch(const DlogGroup& group,
-                                     const std::vector<SchnorrBatchItem>& items);
+/// The group is held by value: copies share its Montgomery contexts and
+/// generator table, so a key never refers back to the caller's group. p must
+/// be odd, as in every group the library ships.
+class SchnorrVerifyingKey {
+ public:
+  SchnorrVerifyingKey(const DlogGroup& group, SchnorrPublicKey key);
+
+  const DlogGroup& group() const { return group_; }
+  const SchnorrPublicKey& publicKey() const { return key_; }
+
+  /// Same verdict as schnorrVerify(group(), publicKey(), message, sig).
+  bool verify(util::BytesView message, const SchnorrSignature& sig) const;
+
+ private:
+  DlogGroup group_;
+  SchnorrPublicKey key_;
+  // y's power table; empty when y is outside the order-q subgroup, and then
+  // every signature rejects.
+  std::optional<bignum::FixedBasePowerTable> yTable_;
+};
 
 /// Interactive Schnorr identification (honest-verifier ZKP).
 ///

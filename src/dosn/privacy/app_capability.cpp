@@ -91,10 +91,8 @@ bool checkCapability(const pkcrypto::DlogGroup& group,
   if (token.expiresAt != 0 && now > token.expiresAt) return false;
   if (!scopeCovers(token.scope, resource)) return false;
   if (!rightsCover(token.rights, needed)) return false;
-  const auto identity = registry.lookup(token.owner);
-  if (!identity) return false;
-  return pkcrypto::schnorrVerify(group, identity->signingKey,
-                                 token.signedBytes(), token.signature);
+  const auto key = registry.verifyingKey(token.owner, group);
+  return key && key->verify(token.signedBytes(), token.signature);
 }
 
 }  // namespace dosn::privacy

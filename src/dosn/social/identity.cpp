@@ -18,6 +18,7 @@ PublicIdentity publicIdentity(const Keyring& keyring) {
 }
 
 void IdentityRegistry::registerIdentity(PublicIdentity identity) {
+  verifyingKeys_.erase(identity.user);
   identities_[identity.user] = std::move(identity);
 }
 
@@ -29,6 +30,20 @@ std::optional<PublicIdentity> IdentityRegistry::lookup(const UserId& user) const
 
 bool IdentityRegistry::contains(const UserId& user) const {
   return identities_.count(user) > 0;
+}
+
+std::shared_ptr<const pkcrypto::SchnorrVerifyingKey>
+IdentityRegistry::verifyingKey(const UserId& user,
+                               const pkcrypto::DlogGroup& group) const {
+  const auto identity = identities_.find(user);
+  if (identity == identities_.end()) return nullptr;
+  auto& key = verifyingKeys_[user];
+  if (!key || key->group().p() != group.p() || key->group().q() != group.q() ||
+      key->group().g() != group.g()) {
+    key = std::make_shared<const pkcrypto::SchnorrVerifyingKey>(
+        group, identity->second.signingKey);
+  }
+  return key;
 }
 
 }  // namespace dosn::social

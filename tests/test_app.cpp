@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "dosn/app/microblog.hpp"
 #include "dosn/privacy/abe_acl.hpp"
@@ -176,6 +178,7 @@ TEST_F(MicroblogTest, TamperedReplicaDetected) {
 
 TEST_F(MicroblogTest, ForgedHeadRejected) {
   alice_->createCircle("friends");
+  alice_->addToCircle("friends", "bob");
   alice_->publish("friends", "post", 1, rng_);
   sim_.run();
 
@@ -186,22 +189,37 @@ TEST_F(MicroblogTest, ForgedHeadRejected) {
   const auto forgerKey = pkcrypto::schnorrGenerate(group_, rng_);
   fake.signature =
       pkcrypto::schnorrSign(group_, forgerKey, fake.signedBytes(), rng_);
-  peers_[5]->store(MicroblogNode::headKey("alice"), fake.serialize());
+  const OverlayId headKey = MicroblogNode::headKey("alice");
+  peers_[5]->store(headKey, fake.serialize());
   sim_.run();
 
+  // The forgery replaced alice's head wherever it is stored, so whichever
+  // replica answers bob serves it.
+  std::vector<overlay::KademliaNode*> nodes;
+  for (const auto& peer : peers_) nodes.push_back(peer.get());
+  for (MicroblogNode* node : {alice_.get(), bob_.get(), eve_.get()}) {
+    nodes.push_back(&node->dht());
+  }
+  std::size_t holders = 0;
+  for (overlay::KademliaNode* node : nodes) {
+    if (!node->localStore().has(headKey)) continue;
+    ++holders;
+    std::optional<util::Bytes> held;
+    node->findValue(headKey,
+                    [&](overlay::LookupResult r) { held = std::move(r.value); });
+    sim_.run();
+    ASSERT_EQ(held, fake.serialize()) << "a replica kept alice's genuine head";
+  }
+  ASSERT_GT(holders, 0u);
+
   FetchedTimeline fetched;
+  fetched.headValid = true;
   fetched.chainValid = true;
   bob_->fetchTimeline("alice", [&](FetchedTimeline t) { fetched = std::move(t); });
   sim_.run();
-  // Depending on which replica answers, bob sees either the genuine head
-  // (valid chain) or the forged head (rejected signature) — never a forged
-  // timeline accepted as valid.
-  if (fetched.headValid) {
-    EXPECT_TRUE(fetched.chainValid);
-    EXPECT_LE(fetched.posts.size(), 1u);
-  } else {
-    EXPECT_FALSE(fetched.chainValid);
-  }
+  EXPECT_FALSE(fetched.headValid);
+  EXPECT_FALSE(fetched.chainValid);
+  EXPECT_TRUE(fetched.posts.empty());
 }
 
 TEST_F(MicroblogTest, RecordSerializationRoundTrips) {

@@ -1,7 +1,7 @@
 // Differential tests for the batch-crypto throughput pass: Karatsuba multiply
 // vs the retained schoolbook path, Montgomery batch inversion vs per-element
 // invMod, Strauss multi-exponentiation vs products of single
-// exponentiations, batched Schnorr verification vs the one-by-one path
+// exponentiations, batched Schnorr proof verification vs the one-by-one path
 // (including a randomized 1k-page differential), batched OPRF finalization,
 // and byte-pinned Shamir/Lagrange reconstruction — every fast path against
 // its retained simple reference (the test_montgomery pattern).
@@ -235,125 +235,9 @@ TEST(MultiExp, MultiPowMatchesProductOfPows) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched Schnorr signature verification vs the one-by-one path.
-
-using dosn::pkcrypto::SchnorrBatchItem;
-using dosn::pkcrypto::schnorrGenerate;
-using dosn::pkcrypto::SchnorrPrivateKey;
-using dosn::pkcrypto::schnorrSign;
-using dosn::pkcrypto::schnorrVerify;
-using dosn::pkcrypto::schnorrVerifyBatch;
-using dosn::pkcrypto::SchnorrSignature;
-
-TEST(SchnorrBatch, AllValidPageAccepts) {
-  const DlogGroup& group = DlogGroup::cached(256);
-  Rng rng(151);
-  const auto key = schnorrGenerate(group, rng);
-  std::vector<SchnorrBatchItem> items;
-  for (int i = 0; i < 16; ++i) {
-    const auto msg = dosn::util::toBytes("post #" + std::to_string(i));
-    items.push_back(
-        SchnorrBatchItem{key.pub, msg, schnorrSign(group, key, msg, rng)});
-  }
-  const auto results = schnorrVerifyBatch(group, items);
-  ASSERT_EQ(results.size(), items.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_TRUE(results[i]) << "i=" << i;
-  }
-  EXPECT_TRUE(schnorrVerifyBatch(group, {}).empty());
-}
-
-// A single forged signature in a page of 64 is pinpointed exactly — every
-// other item still verifies (the ISSUE's pinpointing requirement).
-TEST(SchnorrBatch, SingleForgeryInPageOf64Pinpointed) {
-  const DlogGroup& group = DlogGroup::cached(256);
-  Rng rng(157);
-  const auto key = schnorrGenerate(group, rng);
-  std::vector<SchnorrBatchItem> items;
-  for (int i = 0; i < 64; ++i) {
-    const auto msg = dosn::util::toBytes("page item " + std::to_string(i));
-    items.push_back(
-        SchnorrBatchItem{key.pub, msg, schnorrSign(group, key, msg, rng)});
-  }
-  const std::size_t forged = 37;
-  items[forged].sig.s = (items[forged].sig.s + BigUint(1)) % group.q();
-  const auto results = schnorrVerifyBatch(group, items);
-  ASSERT_EQ(results.size(), items.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], i != forged) << "i=" << i;
-  }
-}
-
-// Randomized differential over 1k pages: for every item of every page, the
-// batch verdict must equal the one-by-one verdict — in particular the batch
-// NEVER accepts anything schnorrVerify rejects.
-TEST(SchnorrBatch, RandomizedPagesMatchOneByOne) {
-  const DlogGroup& group = DlogGroup::cached(256);
-  Rng rng(163);
-  // Pre-signed pool: two signers, eight messages each.
-  std::vector<SchnorrPrivateKey> keys;
-  keys.push_back(schnorrGenerate(group, rng));
-  keys.push_back(schnorrGenerate(group, rng));
-  std::vector<SchnorrBatchItem> pool;
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    for (int i = 0; i < 8; ++i) {
-      const auto msg =
-          dosn::util::toBytes("pool " + std::to_string(k) + ":" + std::to_string(i));
-      pool.push_back(SchnorrBatchItem{keys[k].pub, msg,
-                                      schnorrSign(group, keys[k], msg, rng)});
-    }
-  }
-  std::size_t mutatedTotal = 0;
-  for (int page = 0; page < 1000; ++page) {
-    const std::size_t pageSize = 1 + rng.next() % 6;
-    std::vector<SchnorrBatchItem> items;
-    for (std::size_t i = 0; i < pageSize; ++i) {
-      SchnorrBatchItem item = pool[rng.next() % pool.size()];
-      switch (rng.next() % 8) {
-        case 0:  // tamper message
-          item.message.push_back(0x42);
-          ++mutatedTotal;
-          break;
-        case 1:  // tamper s
-          item.sig.s = (item.sig.s + BigUint(1)) % group.q();
-          ++mutatedTotal;
-          break;
-        case 2:  // tamper e
-          item.sig.e = (item.sig.e + BigUint(1)) % group.q();
-          ++mutatedTotal;
-          break;
-        case 3:  // range violation: e == q
-          item.sig.e = group.q();
-          ++mutatedTotal;
-          break;
-        case 4:  // key not in the subgroup (order-2 element p-1)
-          item.key.y = group.p() - BigUint(1);
-          ++mutatedTotal;
-          break;
-        case 5: {  // signature swapped from another pool entry
-          item.sig = pool[rng.next() % pool.size()].sig;
-          ++mutatedTotal;  // usually invalid; one-by-one arbitrates
-          break;
-        }
-        default:  // leave valid
-          break;
-      }
-      items.push_back(std::move(item));
-    }
-    const auto batch = schnorrVerifyBatch(group, items);
-    ASSERT_EQ(batch.size(), items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const bool single =
-          schnorrVerify(group, items[i].key, items[i].message, items[i].sig);
-      ASSERT_EQ(batch[i], single) << "page=" << page << " i=" << i;
-    }
-  }
-  ASSERT_GT(mutatedTotal, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Batched Schnorr proof verification (random linear combination).
 
+using dosn::pkcrypto::schnorrGenerate;
 using dosn::pkcrypto::SchnorrProof;
 using dosn::pkcrypto::SchnorrProofBatchItem;
 using dosn::pkcrypto::schnorrProofVerify;
@@ -549,9 +433,11 @@ TEST(ShamirBatch, ReconstructMatchesPerCoefficientReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Consumer wiring: signed-post pages, hash chains, ZKP access, ElGamal.
+// Consumer wiring: signed posts, hash chains, ZKP access, ElGamal.
 
-TEST(Consumers, VerifyPostsBatchMatchesVerifyPost) {
+// verifyPost checks each author's posts through the registry's prepared
+// key; every verdict equals schnorrVerify under the registered key.
+TEST(Consumers, VerifyPostMatchesSchnorrVerify) {
   const DlogGroup& group = DlogGroup::cached(256);
   Rng rng(211);
   dosn::social::IdentityRegistry registry;
@@ -571,14 +457,16 @@ TEST(Consumers, VerifyPostsBatchMatchesVerifyPost) {
   }
   posts[3].signature.s = (posts[3].signature.s + BigUint(1)) % group.q();
   posts[6].post.author = "mallory";  // unregistered author
-  const auto batch = dosn::integrity::verifyPostsBatch(group, registry, posts);
-  ASSERT_EQ(batch.size(), posts.size());
   for (std::size_t i = 0; i < posts.size(); ++i) {
-    EXPECT_EQ(batch[i], dosn::integrity::verifyPost(group, registry, posts[i]))
+    const auto identity = registry.lookup(posts[i].post.author);
+    const bool expected =
+        identity && dosn::pkcrypto::schnorrVerify(
+                        group, identity->signingKey, posts[i].post.serialize(),
+                        posts[i].signature);
+    EXPECT_EQ(dosn::integrity::verifyPost(group, registry, posts[i]), expected)
         << "i=" << i;
+    EXPECT_EQ(expected, i != 3 && i != 6) << "i=" << i;
   }
-  EXPECT_FALSE(batch[3]);
-  EXPECT_FALSE(batch[6]);
 }
 
 TEST(Consumers, VerifyChainStillCatchesEveryTamper) {

@@ -36,9 +36,15 @@ class IntegrityTest : public ::testing::Test {
   ChainCursor cursorOver(const std::vector<ChainEntry>& honest,
                          std::size_t k) const {
     ChainCursor cursor;
-    EXPECT_TRUE(verifyChain(testGroup(), bob_.signing.pub,
+    EXPECT_TRUE(verifyChain(prepared(bob_.signing.pub),
                             {honest.begin(), honest.begin() + k}, cursor));
     return cursor;
+  }
+
+  // The publisher key the cursor form of verifyChain takes.
+  static pkcrypto::SchnorrVerifyingKey prepared(
+      const pkcrypto::SchnorrPublicKey& key) {
+    return pkcrypto::SchnorrVerifyingKey(testGroup(), key);
   }
 
   static bool sameCursor(const ChainCursor& a, const ChainCursor& b) {
@@ -55,7 +61,7 @@ class IntegrityTest : public ::testing::Test {
     for (std::size_t k = 0; k <= honest.size(); ++k) {
       ChainCursor cursor = cursorOver(honest, k);
       const ChainCursor before = cursor;
-      EXPECT_EQ(verifyChain(testGroup(), key, entries, cursor), expected)
+      EXPECT_EQ(verifyChain(prepared(key), entries, cursor), expected)
           << "cursor over " << k << " entries";
       if (!expected) {
         EXPECT_TRUE(sameCursor(cursor, before)) << k;
@@ -202,7 +208,7 @@ TEST_F(IntegrityTest, CursorResumesAndAdvances) {
   for (std::size_t k = 0; k <= honest.size(); ++k) {
     ChainCursor cursor = cursorOver(honest, k);
     EXPECT_EQ(cursor.length, k);
-    ASSERT_TRUE(verifyChain(testGroup(), bob_.signing.pub, honest, cursor));
+    ASSERT_TRUE(verifyChain(prepared(bob_.signing.pub), honest, cursor));
     EXPECT_EQ(cursor.length, honest.size());
     EXPECT_EQ(cursor.head, timeline.head());
     EXPECT_EQ(cursor.key.y, bob_.signing.pub.y);
@@ -235,7 +241,7 @@ TEST_F(IntegrityTest, ForkAtCursorHeadReverifiesEverySignature) {
   fork[kCursor - 1].payload = toBytes("fork");
   relink(fork, kCursor - 1, bob_);
   ChainCursor cursor = cursorOver(honest, kCursor);
-  EXPECT_TRUE(verifyChain(testGroup(), bob_.signing.pub, fork, cursor));
+  EXPECT_TRUE(verifyChain(prepared(bob_.signing.pub), fork, cursor));
   EXPECT_EQ(cursor.length, fork.size());
   EXPECT_EQ(cursor.head, fork.back().entryHash());
   for (std::size_t j = 0; j < fork.size(); ++j) {
@@ -252,7 +258,7 @@ TEST_F(IntegrityTest, ChainShorterThanCursorReverifiesEverySignature) {
   const std::vector<ChainEntry> shorter(honest.begin(), honest.begin() + 4);
   ChainCursor cursor = cursorOver(honest, honest.size());
   const ChainCursor before = cursor;
-  EXPECT_TRUE(verifyChain(testGroup(), bob_.signing.pub, shorter, cursor));
+  EXPECT_TRUE(verifyChain(prepared(bob_.signing.pub), shorter, cursor));
   EXPECT_TRUE(sameCursor(cursor, before));  // never moves to a shorter chain
   for (std::size_t j = 0; j < shorter.size(); ++j) {
     const auto bad = withBadSignatureAt(shorter, j);
@@ -268,14 +274,14 @@ TEST_F(IntegrityTest, CursorUnderAnotherKeyGivesNoTrust) {
   const ChainCursor before = cursor;
   // Bob's chain pins the cursor's head, but not under alice's key.
   EXPECT_FALSE(
-      verifyChain(testGroup(), alice_.signing.pub, bobs.entries(), cursor));
+      verifyChain(prepared(alice_.signing.pub), bobs.entries(), cursor));
   EXPECT_TRUE(sameCursor(cursor, before));
   // Alice's own chain replaces it, although shorter: under her key the old
   // cursor vouches for nothing.
   Timeline alices(testGroup(), alice_);
   alices.append(toBytes("a"), rng_);
   EXPECT_TRUE(
-      verifyChain(testGroup(), alice_.signing.pub, alices.entries(), cursor));
+      verifyChain(prepared(alice_.signing.pub), alices.entries(), cursor));
   EXPECT_EQ(cursor.key.y, alice_.signing.pub.y);
   EXPECT_EQ(cursor.length, 1u);
   EXPECT_EQ(cursor.head, alices.head());

@@ -1,7 +1,14 @@
-// Tests for dosn/pkcrypto: group, RSA, ElGamal, Schnorr (signatures +
-// interactive ZKP), DH, OPRF, blind RSA. Uses the cached 256-bit test group
-// and 512-bit RSA so the suite stays fast on one core.
+// Tests for dosn/pkcrypto: group, RSA, ElGamal, Schnorr (signatures, prepared
+// verifying keys, interactive ZKP), DH, OPRF, blind RSA. Uses the cached
+// 256-bit test group and 512-bit RSA so the suite stays fast on one core;
+// the prepared-key differential also runs at 512 bits.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dosn/bignum/modmath.hpp"
 #include "dosn/bignum/prime.hpp"
@@ -12,6 +19,7 @@
 #include "dosn/pkcrypto/oprf.hpp"
 #include "dosn/pkcrypto/rsa.hpp"
 #include "dosn/pkcrypto/schnorr.hpp"
+#include "dosn/util/codec.hpp"
 #include "dosn/util/error.hpp"
 
 namespace dosn::pkcrypto {
@@ -251,6 +259,223 @@ TEST(Schnorr, SerializationRoundTrip) {
   EXPECT_TRUE(schnorrVerify(g, key.pub, toBytes("m"), *back));
   EXPECT_FALSE(SchnorrSignature::deserialize(toBytes("junk")).has_value());
 }
+
+// --- Prepared Schnorr keys against the one-shot schnorrVerify ---
+
+// schnorrVerify's equation without its range and subgroup checks:
+// g^s * (y mod p)^(q - e) must hash, with y's own bytes, to e (e < q).
+bool equationHolds(const DlogGroup& g, const BigUint& y,
+                   util::BytesView message, const SchnorrSignature& sig) {
+  if (sig.e >= g.q()) return false;
+  const BigUint r =
+      bignum::mulMod(bignum::powMod(g.g(), sig.s, g.p()),
+                     bignum::powMod(y % g.p(), g.q() - sig.e, g.p()), g.p());
+  util::Writer w;
+  w.bytes(r.toBytes());
+  w.bytes(y.toBytes());
+  w.bytes(message);
+  return g.hashToScalar(w.buffer()) == sig.e;
+}
+
+// A signature by secret x under the claimed key y, redrawn until
+// equationHolds, so that only a range or subgroup check can reject it.
+SchnorrSignature signUnder(const DlogGroup& g, const BigUint& y,
+                           const BigUint& x, util::BytesView message,
+                           util::Rng& rng) {
+  const SchnorrPrivateKey claimed{SchnorrPublicKey{y}, x};
+  SchnorrSignature sig = schnorrSign(g, claimed, message, rng);
+  for (int i = 0; i < 64 && !equationHolds(g, y, message, sig); ++i) {
+    sig = schnorrSign(g, claimed, message, rng);
+  }
+  return sig;
+}
+
+class SchnorrVerifyingKeyTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  const DlogGroup& group() const { return DlogGroup::cached(GetParam()); }
+
+  // Keys outside the order-q subgroup, derived from a valid y: zero, the
+  // order-2 element p-1, the quadratic non-residue -y, and y + p, which is
+  // y again once reduced mod p.
+  std::vector<BigUint> keysOutsideSubgroup(const BigUint& y) const {
+    const BigUint& p = group().p();
+    return {BigUint(0), p - BigUint(1), p - y, y + p};
+  }
+};
+
+TEST_P(SchnorrVerifyingKeyTest, AllValidPageAccepts) {
+  const DlogGroup& g = group();
+  util::Rng rng(151);
+  const auto key = schnorrGenerate(g, rng);
+  const SchnorrVerifyingKey prepared(g, key.pub);
+  for (int i = 0; i < 16; ++i) {
+    const auto msg = toBytes("post #" + std::to_string(i));
+    const auto sig = schnorrSign(g, key, msg, rng);
+    EXPECT_TRUE(prepared.verify(msg, sig)) << "i=" << i;
+    EXPECT_TRUE(schnorrVerify(g, key.pub, msg, sig)) << "i=" << i;
+  }
+}
+
+// One forged signature in a page of 64 is the only one rejected.
+TEST_P(SchnorrVerifyingKeyTest, SingleForgeryInPageOf64Pinpointed) {
+  const DlogGroup& g = group();
+  util::Rng rng(157);
+  const auto key = schnorrGenerate(g, rng);
+  const SchnorrVerifyingKey prepared(g, key.pub);
+  constexpr int kForged = 37;
+  for (int i = 0; i < 64; ++i) {
+    const auto msg = toBytes("page item " + std::to_string(i));
+    auto sig = schnorrSign(g, key, msg, rng);
+    if (i == kForged) sig.s = bignum::addMod(sig.s, BigUint(1), g.q());
+    EXPECT_EQ(prepared.verify(msg, sig), i != kForged) << "i=" << i;
+  }
+}
+
+// Randomized differential over 1k pages: every item's prepared verdict
+// equals schnorrVerify's. Keys are prepared once each and reused across
+// pages, as the identity registry reuses them across fetches.
+TEST_P(SchnorrVerifyingKeyTest, RandomizedPagesMatchSchnorrVerify) {
+  const DlogGroup& g = group();
+  util::Rng rng(163);
+  struct Item {
+    SchnorrPublicKey key;
+    util::Bytes message;
+    SchnorrSignature sig;
+  };
+  // Pre-signed pool: two signers, eight messages each.
+  std::vector<SchnorrPrivateKey> keys;
+  keys.push_back(schnorrGenerate(g, rng));
+  keys.push_back(schnorrGenerate(g, rng));
+  std::vector<Item> pool;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    for (int i = 0; i < 8; ++i) {
+      const auto msg =
+          toBytes("pool " + std::to_string(k) + ":" + std::to_string(i));
+      pool.push_back(Item{keys[k].pub, msg, schnorrSign(g, keys[k], msg, rng)});
+    }
+  }
+  std::map<BigUint, SchnorrVerifyingKey> prepared;
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int page = 0; page < 1000; ++page) {
+    const std::size_t pageSize = 1 + rng.next() % 6;
+    for (std::size_t i = 0; i < pageSize; ++i) {
+      Item item = pool[rng.next() % pool.size()];
+      switch (rng.next() % 9) {
+        case 0:  // tamper message
+          item.message.push_back(0x42);
+          break;
+        case 1:  // tamper s
+          item.sig.s = bignum::addMod(item.sig.s, BigUint(1), g.q());
+          break;
+        case 2:  // tamper e
+          item.sig.e = bignum::addMod(item.sig.e, BigUint(1), g.q());
+          break;
+        case 3:  // range violation: e == q
+          item.sig.e = g.q();
+          break;
+        case 4:  // range violation: s == q
+          item.sig.s = g.q();
+          break;
+        case 5: {  // key outside the subgroup
+          const auto bad = keysOutsideSubgroup(item.key.y);
+          item.key.y = bad[rng.next() % bad.size()];
+          break;
+        }
+        case 6:  // signature swapped from another pool entry
+          item.sig = pool[rng.next() % pool.size()].sig;
+          break;
+        default:  // leave valid
+          break;
+      }
+      auto it = prepared.find(item.key.y);
+      if (it == prepared.end()) {
+        it = prepared.emplace(item.key.y, SchnorrVerifyingKey(g, item.key))
+                 .first;
+      }
+      const bool single = schnorrVerify(g, item.key, item.message, item.sig);
+      ASSERT_EQ(it->second.verify(item.message, item.sig), single)
+          << "page=" << page << " i=" << i;
+      ++(single ? accepted : rejected);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// Signatures whose verification equation holds under a key outside the
+// subgroup: only the membership decision, made once at preparation,
+// rejects them.
+TEST_P(SchnorrVerifyingKeyTest, EquationHoldsButKeyOutsideSubgroupRejects) {
+  const DlogGroup& g = group();
+  util::Rng rng(167);
+  const auto key = schnorrGenerate(g, rng);
+  const auto msg = toBytes("forged under a non-member key");
+  const BigUint& p = g.p();
+  // p-1 = -g^0, -y = -g^x and y + p = g^x mod p: each signs with the
+  // matching secret, redrawn until the sign of (-1)^(q-e) is +1.
+  const std::vector<std::pair<BigUint, BigUint>> claims = {
+      {p - BigUint(1), BigUint(0)},
+      {p - key.pub.y, key.x},
+      {key.pub.y + p, key.x}};
+  for (const auto& [y, x] : claims) {
+    const auto sig = signUnder(g, y, x, msg, rng);
+    ASSERT_TRUE(equationHolds(g, y, msg, sig)) << y.toHex();
+    EXPECT_FALSE(g.isElement(y)) << y.toHex();
+    EXPECT_FALSE(schnorrVerify(g, SchnorrPublicKey{y}, msg, sig)) << y.toHex();
+    EXPECT_FALSE(SchnorrVerifyingKey(g, SchnorrPublicKey{y}).verify(msg, sig))
+        << y.toHex();
+  }
+  // Zero admits no such signature; it still rejects a valid one.
+  const auto valid = schnorrSign(g, key, msg, rng);
+  EXPECT_FALSE(SchnorrVerifyingKey(g, SchnorrPublicKey{BigUint(0)})
+                   .verify(msg, valid));
+}
+
+// s + q satisfies the equation as s does (g has order q); only the range
+// check rejects it. e == q and e + q never reach an exponent.
+TEST_P(SchnorrVerifyingKeyTest, ScalarsAtOrAboveQRejected) {
+  const DlogGroup& g = group();
+  util::Rng rng(173);
+  const auto key = schnorrGenerate(g, rng);
+  const SchnorrVerifyingKey prepared(g, key.pub);
+  const auto msg = toBytes("m");
+  const auto sig = schnorrSign(g, key, msg, rng);
+  ASSERT_TRUE(prepared.verify(msg, sig));
+  std::vector<SchnorrSignature> bad(4, sig);
+  bad[0].s = sig.s + g.q();
+  bad[1].s = g.q();
+  bad[2].e = g.q();
+  bad[3].e = sig.e + g.q();
+  EXPECT_TRUE(equationHolds(g, key.pub.y, msg, bad[0]));
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_FALSE(schnorrVerify(g, key.pub, msg, bad[i])) << i;
+    EXPECT_FALSE(prepared.verify(msg, bad[i])) << i;
+  }
+}
+
+// The key holds its group by value: it keeps verifying after the group it
+// was built from is gone.
+TEST_P(SchnorrVerifyingKeyTest, KeyOutlivesTheGroupItWasBuiltFrom) {
+  util::Rng rng(179);
+  const auto key = schnorrGenerate(group(), rng);
+  const auto msg = toBytes("m");
+  const auto sig = schnorrSign(group(), key, msg, rng);
+  std::optional<SchnorrVerifyingKey> prepared;
+  {
+    const DlogGroup local = group();
+    prepared.emplace(local, key.pub);
+  }
+  EXPECT_TRUE(prepared->verify(msg, sig));
+  EXPECT_EQ(prepared->publicKey().y, key.pub.y);
+  EXPECT_EQ(prepared->group().p(), group().p());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bits, SchnorrVerifyingKeyTest, ::testing::Values(256u, 512u),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::to_string(info.param);
+    });
 
 // --- Interactive Schnorr identification (the §V-B ZKP) ---
 

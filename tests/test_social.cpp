@@ -37,6 +37,78 @@ TEST(Identity, RegistryLookup) {
   EXPECT_FALSE(registry.lookup("bob").has_value());
 }
 
+// --- the registry's prepared verifying keys ---
+
+TEST(Identity, VerifyingKeyNullForUnknownUser) {
+  IdentityRegistry registry;
+  EXPECT_EQ(registry.verifyingKey("nobody", testGroup()), nullptr);
+}
+
+TEST(Identity, VerifyingKeyPreparedOncePerUser) {
+  util::Rng rng(3);
+  IdentityRegistry registry;
+  const Keyring alice = createKeyring(testGroup(), "alice", rng);
+  registry.registerIdentity(publicIdentity(alice));
+  const auto key = registry.verifyingKey("alice", testGroup());
+  ASSERT_NE(key, nullptr);
+  EXPECT_EQ(key->publicKey().y, alice.signing.pub.y);
+  EXPECT_EQ(registry.verifyingKey("alice", testGroup()), key);
+  // A copied registry hands out the same prepared key.
+  const IdentityRegistry copy = registry;
+  EXPECT_EQ(copy.verifyingKey("alice", testGroup()), key);
+  const auto msg = util::toBytes("hello");
+  EXPECT_TRUE(key->verify(
+      msg, pkcrypto::schnorrSign(testGroup(), alice.signing, msg, rng)));
+}
+
+TEST(Identity, ReRegistrationReplacesVerifyingKey) {
+  util::Rng rng(4);
+  IdentityRegistry registry;
+  const Keyring before = createKeyring(testGroup(), "alice", rng);
+  const Keyring after = createKeyring(testGroup(), "alice", rng);
+  const auto msg = util::toBytes("post");
+  const auto oldSig =
+      pkcrypto::schnorrSign(testGroup(), before.signing, msg, rng);
+  const auto newSig =
+      pkcrypto::schnorrSign(testGroup(), after.signing, msg, rng);
+  registry.registerIdentity(publicIdentity(before));
+  const auto oldKey = registry.verifyingKey("alice", testGroup());
+  ASSERT_NE(oldKey, nullptr);
+  ASSERT_TRUE(oldKey->verify(msg, oldSig));
+
+  registry.registerIdentity(publicIdentity(after));
+  const auto newKey = registry.verifyingKey("alice", testGroup());
+  ASSERT_NE(newKey, nullptr);
+  EXPECT_NE(newKey, oldKey);
+  EXPECT_EQ(newKey->publicKey().y, after.signing.pub.y);
+  EXPECT_TRUE(newKey->verify(msg, newSig));
+  EXPECT_FALSE(newKey->verify(msg, oldSig));
+}
+
+TEST(Identity, VerifyingKeyNeverCrossesGroups) {
+  util::Rng rng(5);
+  const pkcrypto::DlogGroup& small = pkcrypto::DlogGroup::cached(256);
+  const pkcrypto::DlogGroup& large = pkcrypto::DlogGroup::cached(512);
+  IdentityRegistry registry;
+  const Keyring alice = createKeyring(small, "alice", rng);
+  registry.registerIdentity(publicIdentity(alice));
+  const auto msg = util::toBytes("m");
+  const auto sig = pkcrypto::schnorrSign(small, alice.signing, msg, rng);
+  const auto forSmall = registry.verifyingKey("alice", small);
+  const auto forLarge = registry.verifyingKey("alice", large);
+  ASSERT_NE(forSmall, nullptr);
+  ASSERT_NE(forLarge, nullptr);
+  EXPECT_NE(forLarge, forSmall);
+  EXPECT_EQ(forLarge->group().p(), large.p());
+  EXPECT_EQ(forLarge->verify(msg, sig),
+            pkcrypto::schnorrVerify(large, alice.signing.pub, msg, sig));
+  // Back to the first group: a key prepared for it again, not the other.
+  const auto again = registry.verifyingKey("alice", small);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again->group().p(), small.p());
+  EXPECT_TRUE(again->verify(msg, sig));
+}
+
 // --- graph ---
 
 TEST(Graph, FriendshipBasics) {
