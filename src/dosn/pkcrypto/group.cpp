@@ -12,7 +12,6 @@ namespace dosn::pkcrypto {
 
 using bignum::invMod;
 using bignum::mulMod;
-using bignum::powMod;
 
 namespace {
 
@@ -56,17 +55,15 @@ DlogGroup fromSafePrime(const char* hex) {
 DlogGroup::DlogGroup(BigUint p, BigUint q, BigUint g)
     : p_(std::move(p)), q_(std::move(q)), g_(std::move(g)) {
   if (p_ < BigUint(7)) throw util::CryptoError("DlogGroup: modulus too small");
-  if (p_.isOdd()) {
-    pCtx_ = std::make_shared<const bignum::MontgomeryContext>(p_);
-    // Exponents are scalars < q < p, so a p-bit table covers every call;
-    // wider exponents (none in practice) fall back to generic powMod inside
-    // pow().
-    gTable_ = std::make_shared<const bignum::FixedBasePowerTable>(
-        g_, p_, p_.bitLength());
+  if (!q_.isOdd() || p_ != (q_ << 1) + BigUint(1)) {
+    throw util::CryptoError("DlogGroup: p must be 2q + 1 with q odd");
   }
-  if (q_.isOdd() && q_ > BigUint(1)) {
-    qCtx_ = std::make_shared<const bignum::MontgomeryContext>(q_);
-  }
+  pCtx_ = std::make_shared<const bignum::MontgomeryContext>(p_);
+  qCtx_ = std::make_shared<const bignum::MontgomeryContext>(q_);
+  // Exponents are scalars < q < p, so a p-bit table covers every call; wider
+  // exponents (none in practice) fall back to generic powMod inside pow().
+  gTable_ = std::make_shared<const bignum::FixedBasePowerTable>(
+      g_, p_, p_.bitLength());
 }
 
 DlogGroup DlogGroup::generate(std::size_t bits, util::Rng& rng) {
@@ -94,21 +91,16 @@ const DlogGroup& DlogGroup::cached(std::size_t bits) {
   return groups.emplace(bits, fromSafePrime(hex)).first->second;
 }
 
-BigUint DlogGroup::exp(const BigUint& e) const {
-  if (gTable_) return gTable_->pow(e);
-  return powMod(g_, e, p_);
-}
+BigUint DlogGroup::exp(const BigUint& e) const { return gTable_->pow(e); }
 
 BigUint DlogGroup::exp(const BigUint& b, const BigUint& e) const {
   // The cached context skips the per-call R^2 setup division that a plain
   // powMod(b, e, p_) would pay; the value is identical.
-  if (pCtx_) return pCtx_->powMod(b, e);
-  return powMod(b, e, p_);
+  return pCtx_->powMod(b, e);
 }
 
 BigUint DlogGroup::mul(const BigUint& a, const BigUint& b) const {
-  if (pCtx_) return pCtx_->mulMod(a, b);
-  return mulMod(a, b, p_);
+  return pCtx_->mulMod(a, b);
 }
 
 BigUint DlogGroup::inv(const BigUint& a) const {
@@ -132,8 +124,7 @@ BigUint DlogGroup::scalarInv(const BigUint& s) const {
 
 std::vector<BigUint> DlogGroup::scalarInvBatch(
     const std::vector<BigUint>& scalars) const {
-  auto result = qCtx_ ? bignum::batchInvMod(scalars, *qCtx_)
-                      : bignum::batchInvMod(scalars, q_);
+  auto result = bignum::batchInvMod(scalars, *qCtx_);
   if (!result) {
     throw util::CryptoError("DlogGroup::scalarInvBatch: not invertible");
   }
@@ -162,16 +153,10 @@ BigUint DlogGroup::hashToScalar(util::BytesView input) const {
 
 bool DlogGroup::isElement(const BigUint& x) const {
   if (x.isZero() || x >= p_) return false;
-  // For a safe prime p = 2q + 1 the order-q subgroup is exactly the set of
+  // For the safe prime p = 2q + 1 the order-q subgroup is exactly the set of
   // quadratic residues mod p, so a binary Jacobi symbol (O(bits^2)) answers
-  // membership without the O(bits^3) Euler-criterion exponentiation. Every
-  // group this library ships is a safe-prime group, but the guard keeps the
-  // slow path correct for arbitrary (p, q) pairs constructed by tests.
-  if (p_.isOdd() && p_ == (q_ << 1) + BigUint(1)) {
-    return bignum::jacobi(x, p_) == 1;
-  }
-  if (pCtx_) return pCtx_->powMod(x, q_) == BigUint(1);
-  return powMod(x, q_, p_) == BigUint(1);
+  // membership without the O(bits^3) Euler-criterion exponentiation.
+  return bignum::jacobi(x, p_) == 1;
 }
 
 }  // namespace dosn::pkcrypto

@@ -21,6 +21,9 @@ using bignum::BigUint;
 
 class DlogGroup {
  public:
+  /// Throws CryptoError unless p = 2q + 1 with q odd (so p is odd too) and
+  /// p >= 7. Primality is the caller's promise: cached and generate supply
+  /// safe primes.
   DlogGroup(BigUint p, BigUint q, BigUint g);
 
   /// Fresh parameters (expensive: safe-prime search).
@@ -61,19 +64,18 @@ class DlogGroup {
   /// Serialized element width in bytes (elements are fixed-width encoded).
   std::size_t elementBytes() const { return (p_.bitLength() + 7) / 8; }
 
-  /// The group's cached Montgomery context for p — shared by exp/mul/
-  /// isElement so no caller pays the R^2 setup division per operation.
-  /// Null only if p is even (never for a valid safe prime).
+  /// The group's cached Montgomery context for p — shared by exp/mul so no
+  /// caller pays the R^2 setup division per operation. Never null.
   const bignum::MontgomeryContext* montContext() const { return pCtx_.get(); }
 
  private:
   BigUint p_;
   BigUint q_;
   BigUint g_;
-  // Built once in the constructor; copies of the group share them. Null when
-  // the respective modulus is even (degenerate parameters only). gTable_
-  // holds g^(j * 16^i) mod p for p-bit exponents, so DH handshakes, ElGamal
-  // encryptions, Schnorr commitments and OPRF evaluations all skip squarings.
+  // Built once in the constructor (p and q are odd, so both contexts exist);
+  // copies of the group share them. gTable_ holds g^(j * 16^i) mod p for
+  // p-bit exponents, so DH handshakes, ElGamal encryptions, Schnorr
+  // commitments and OPRF evaluations all skip squarings.
   std::shared_ptr<const bignum::MontgomeryContext> pCtx_;
   std::shared_ptr<const bignum::MontgomeryContext> qCtx_;
   std::shared_ptr<const bignum::FixedBasePowerTable> gTable_;

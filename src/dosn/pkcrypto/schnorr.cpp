@@ -172,12 +172,9 @@ std::vector<bool> schnorrProofVerifyBatch(
     const DlogGroup& group, const std::vector<SchnorrProofBatchItem>& items) {
   std::vector<bool> out(items.size(), false);
   if (items.empty()) return out;
-  const bignum::MontgomeryContext* ctx = group.montContext();
-  if (!ctx || items.size() == 1) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      out[i] = schnorrProofVerify(group, items[i].key, items[i].context,
-                                  items[i].proof);
-    }
+  if (items.size() == 1) {
+    out[0] = schnorrProofVerify(group, items[0].key, items[0].context,
+                                items[0].proof);
     return out;
   }
 
@@ -240,7 +237,7 @@ std::vector<bool> schnorrProofVerifyBatch(
   // bases share one squaring chain (multiPowMod), and the g side rides the
   // cached fixed-base table.
   const BigUint lhs = group.exp(sSum);
-  const BigUint rhs = multiPowMod(*ctx, terms);
+  const BigUint rhs = multiPowMod(*group.montContext(), terms);
   if (lhs == rhs) {
     for (const std::size_t i : live) out[i] = true;
     return out;

@@ -7,10 +7,10 @@
 namespace dosn::policy {
 
 PrimeField::PrimeField(BigUint modulus) : p_(std::move(modulus)) {
-  if (p_ < BigUint(2)) throw util::DosnError("PrimeField: modulus too small");
-  if (p_.isOdd()) {
-    mont_ = std::make_shared<const bignum::MontgomeryContext>(p_);
+  if (p_ < BigUint(3) || !p_.isOdd()) {
+    throw util::DosnError("PrimeField: modulus must be odd and at least 3");
   }
+  mont_ = std::make_shared<const bignum::MontgomeryContext>(p_);
 }
 
 const PrimeField& PrimeField::standard() {
@@ -33,8 +33,7 @@ BigUint PrimeField::sub(const BigUint& a, const BigUint& b) const {
 BigUint PrimeField::mul(const BigUint& a, const BigUint& b) const {
   // Same value as the historical multiply-then-divide path, but the cached
   // context replaces the Knuth division with CIOS passes.
-  if (mont_) return mont_->mulMod(a, b);
-  return bignum::mulMod(a, b, p_);
+  return mont_->mulMod(a, b);
 }
 
 BigUint PrimeField::neg(const BigUint& a) const {
@@ -51,15 +50,13 @@ BigUint PrimeField::inv(const BigUint& a) const {
 
 std::vector<BigUint> PrimeField::invBatch(
     const std::vector<BigUint>& values) const {
-  auto result = mont_ ? bignum::batchInvMod(values, *mont_)
-                      : bignum::batchInvMod(values, p_);
+  auto result = bignum::batchInvMod(values, *mont_);
   if (!result) throw util::DosnError("PrimeField::inv: zero or non-unit");
   return std::move(*result);
 }
 
 BigUint PrimeField::pow(const BigUint& a, const BigUint& e) const {
-  if (mont_) return mont_->powMod(a, e);
-  return bignum::powMod(a, e, p_);
+  return mont_->powMod(a, e);
 }
 
 BigUint PrimeField::reduce(const BigUint& a) const { return a % p_; }

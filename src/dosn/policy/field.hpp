@@ -17,6 +17,8 @@ using bignum::BigUint;
 
 class PrimeField {
  public:
+  /// Throws DosnError unless the modulus is odd and at least 3. Primality is
+  /// the caller's promise.
   explicit PrimeField(BigUint modulus);
 
   /// The library default: GF(2^255 - 19).
@@ -44,8 +46,8 @@ class PrimeField {
 
  private:
   BigUint p_;
-  // Built once per field for odd moduli so pow() skips the per-call R^2
-  // division; shared_ptr keeps PrimeField cheaply copyable.
+  // Built once per field (the modulus is odd) so mul, invBatch and pow skip
+  // the per-call R^2 division; shared_ptr keeps PrimeField cheaply copyable.
   std::shared_ptr<const bignum::MontgomeryContext> mont_;
 };
 

@@ -7,59 +7,31 @@ namespace dosn::privacy {
 AbeAcl::AbeAcl(const pkcrypto::DlogGroup& group, util::Rng& rng)
     : dlog_(group), rng_(rng), authority_(group, rng) {}
 
-std::string AbeAcl::epochAttribute(const GroupId& group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("AbeAcl: unknown group");
-  return group + "#" + std::to_string(it->second.epoch);
-}
-
-policy::Policy AbeAcl::qualifyPolicy(const policy::Policy& p) const {
-  return p.mapAttributes([this](const std::string& name) {
-    return epochAttribute(name);
-  });
-}
-
 abe::CpAbeUserKey AbeAcl::readerKey(const UserId& reader) const {
   std::set<std::string> attrs;
-  for (const auto& [groupName, state] : groups_) {
-    if (state.members.count(reader)) {
-      attrs.insert(groupName + "#" + std::to_string(state.epoch));
-    }
+  for (const auto& [id, g] : groups()) {
+    if (g.members.count(reader)) attrs.insert(epochAttribute(id, g));
   }
   return authority_.keyGen(attrs);
 }
 
-void AbeAcl::createGroup(const GroupId& group) {
-  if (groups_.count(group)) throw util::DosnError("AbeAcl: group exists");
-  groups_.emplace(group, GroupState{});
-}
-
-void AbeAcl::addMember(const GroupId& group, const UserId& user) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("AbeAcl: unknown group");
-  it->second.members.insert(user);
-}
-
-RevocationReport AbeAcl::removeMember(const GroupId& group,
-                                      const UserId& user) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("AbeAcl: unknown group");
-  GroupState& state = it->second;
-  state.members.erase(user);
+RevocationReport AbeAcl::removeMember(const GroupId& id, const UserId& user) {
+  Group& g = group(id);
+  g.members.erase(user);
 
   // Re-keying: rotate the attribute epoch; every remaining member needs a
   // fresh key component for the new attribute.
-  ++state.epoch;
+  ++g.epoch;
   RevocationReport report;
-  report.keyOperations = state.members.size();
+  report.keyOperations = g.members.size();
 
   // Re-encrypt the retained history under the new epoch attribute.
   const policy::Policy newPolicy =
-      policy::Policy::attribute(epochAttribute(group));
+      policy::Policy::attribute(epochAttribute(id, g));
   const auto pubKeys = authority_.publicKeysFor(newPolicy);
   // The authority (as re-encryption proxy) can always open history: it
   // regenerates a key for the *previous* epoch attribute.
-  for (Envelope& env : state.history) {
+  for (Envelope& env : g.history) {
     const auto ct = abe::CpAbeCiphertext::deserialize(env.blob);
     if (!ct) throw util::DosnError("AbeAcl: corrupt history");
     const auto oldAttrs = ct->accessPolicy.attributes();
@@ -75,44 +47,26 @@ RevocationReport AbeAcl::removeMember(const GroupId& group,
   return report;
 }
 
-std::vector<UserId> AbeAcl::members(const GroupId& group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("AbeAcl: unknown group");
-  return std::vector<UserId>(it->second.members.begin(),
-                             it->second.members.end());
-}
-
-bool AbeAcl::isMember(const GroupId& group, const UserId& user) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.members.count(user) > 0;
-}
-
-Envelope AbeAcl::encrypt(const GroupId& group, util::BytesView plaintext,
+Envelope AbeAcl::encrypt(const GroupId& id, util::BytesView plaintext,
                          util::Rng& rng) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("AbeAcl: unknown group");
-  const policy::Policy p = policy::Policy::attribute(epochAttribute(group));
+  Group& g = group(id);
+  const policy::Policy p = policy::Policy::attribute(epochAttribute(id, g));
   const auto pubKeys = authority_.publicKeysFor(p);
-  Envelope env;
-  env.scheme = schemeName();
-  env.group = group;
-  env.serial = nextSerial_++;
-  env.blob = abe::cpabeEncrypt(dlog_, pubKeys, p, plaintext, rng).serialize();
-  it->second.history.push_back(env);
-  return env;
+  return retain(id, g,
+                abe::cpabeEncrypt(dlog_, pubKeys, p, plaintext, rng).serialize());
 }
 
 Envelope AbeAcl::encryptWithPolicy(const policy::Policy& accessPolicy,
                                    util::BytesView plaintext, util::Rng& rng) {
-  const policy::Policy qualified = qualifyPolicy(accessPolicy);
+  // Each leaf names a group; it is qualified with that group's epoch.
+  const policy::Policy qualified =
+      accessPolicy.mapAttributes([this](const std::string& name) {
+        return epochAttribute(name, group(name));
+      });
   const auto pubKeys = authority_.publicKeysFor(qualified);
-  Envelope env;
-  env.scheme = schemeName();
-  env.group = "";  // cross-group policy envelope
-  env.serial = nextSerial_++;
-  env.blob =
-      abe::cpabeEncrypt(dlog_, pubKeys, qualified, plaintext, rng).serialize();
-  return env;
+  // An empty group id marks a cross-group policy envelope.
+  return issue("", abe::cpabeEncrypt(dlog_, pubKeys, qualified, plaintext, rng)
+                       .serialize());
 }
 
 std::optional<util::Bytes> AbeAcl::decrypt(const UserId& reader,
@@ -121,30 +75,17 @@ std::optional<util::Bytes> AbeAcl::decrypt(const UserId& reader,
   // retained (it may have been re-encrypted since).
   const util::Bytes* blob = &envelope.blob;
   if (!envelope.group.empty()) {
-    const auto it = groups_.find(envelope.group);
-    if (it == groups_.end()) return std::nullopt;
-    for (const Envelope& stored : it->second.history) {
-      if (stored.serial == envelope.serial) {
-        blob = &stored.blob;
-        break;
-      }
-    }
+    const Group* g = findGroup(envelope.group);
+    if (g == nullptr) return std::nullopt;
+    if (const util::Bytes* stored = g->retained(envelope.serial)) blob = stored;
   }
   const auto ct = abe::CpAbeCiphertext::deserialize(*blob);
   if (!ct) return std::nullopt;
   return abe::cpabeDecrypt(dlog_, readerKey(reader), *ct);
 }
 
-std::vector<Envelope> AbeAcl::history(const GroupId& group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("AbeAcl: unknown group");
-  return it->second.history;
-}
-
-std::uint64_t AbeAcl::attributeEpoch(const GroupId& group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("AbeAcl: unknown group");
-  return it->second.epoch;
+std::uint64_t AbeAcl::attributeEpoch(const GroupId& id) const {
+  return group(id).epoch;
 }
 
 }  // namespace dosn::privacy

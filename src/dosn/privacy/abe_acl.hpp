@@ -9,32 +9,24 @@
 // Policy-based encryption across groups is exposed via encryptWithPolicy.
 #pragma once
 
-#include <map>
-#include <set>
-
 #include "dosn/abe/cpabe.hpp"
 #include "dosn/privacy/access_controller.hpp"
 
 namespace dosn::privacy {
 
-class AbeAcl final : public AccessController {
+class AbeAcl final : public GroupAccessController {
  public:
   AbeAcl(const pkcrypto::DlogGroup& group, util::Rng& rng);
 
   std::string schemeName() const override { return "cp-abe"; }
 
-  void createGroup(const GroupId& group) override;
-  void addMember(const GroupId& group, const UserId& user) override;
-  RevocationReport removeMember(const GroupId& group,
+  RevocationReport removeMember(const GroupId& id,
                                 const UserId& user) override;
-  std::vector<UserId> members(const GroupId& group) const override;
-  bool isMember(const GroupId& group, const UserId& user) const override;
 
-  Envelope encrypt(const GroupId& group, util::BytesView plaintext,
+  Envelope encrypt(const GroupId& id, util::BytesView plaintext,
                    util::Rng& rng) override;
   std::optional<util::Bytes> decrypt(const UserId& reader,
                                      const Envelope& envelope) override;
-  std::vector<Envelope> history(const GroupId& group) const override;
 
   /// Free-form policy over group names, e.g. "(family AND doctors) OR vips".
   /// The envelope is not retained in any group history.
@@ -42,27 +34,15 @@ class AbeAcl final : public AccessController {
                              util::BytesView plaintext, util::Rng& rng);
 
   /// Current attribute epoch of a group.
-  std::uint64_t attributeEpoch(const GroupId& group) const;
+  std::uint64_t attributeEpoch(const GroupId& id) const;
 
  private:
-  struct GroupState {
-    std::uint64_t epoch = 0;
-    std::set<UserId> members;
-    std::vector<Envelope> history;
-  };
-
-  /// The epoch-qualified attribute string for a group.
-  std::string epochAttribute(const GroupId& group) const;
-  /// Rewrites a free-form policy's leaves to their epoch-qualified form.
-  policy::Policy qualifyPolicy(const policy::Policy& p) const;
   /// (Re)issues the reader's user key for all their current memberships.
   abe::CpAbeUserKey readerKey(const UserId& reader) const;
 
   const pkcrypto::DlogGroup& dlog_;
   util::Rng& rng_;
   abe::CpAbeAuthority authority_;
-  std::map<GroupId, GroupState> groups_;
-  std::uint64_t nextSerial_ = 1;
 };
 
 }  // namespace dosn::privacy

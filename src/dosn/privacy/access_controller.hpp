@@ -4,6 +4,12 @@
 // revocation can honestly account for the re-encryption work each scheme
 // requires (the paper's core cost comparison between §III-B..F).
 //
+// AccessController is the pure interface (MicroblogNode and forwarding
+// decorators take it). GroupAccessController is the group table under all
+// five schemes: each group's members, retained envelopes and key epoch, and
+// the controller's serial counter. A scheme adds only its cryptography
+// (encrypt, decrypt, removeMember) and its own key state.
+//
 // Each concrete controller internally stores the per-user key material it
 // issues at addMember time — modeling each user's client-side key store, so
 // decrypt(reader, ...) runs exactly the computation that user's client would.
@@ -11,6 +17,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -69,6 +76,49 @@ class AccessController {
 
   /// Retained history (current ciphertext for each serial, in issue order).
   virtual std::vector<Envelope> history(const GroupId& group) const = 0;
+};
+
+/// The group bookkeeping the five schemes share. createGroup throws
+/// DosnError("<scheme>: group exists") for an existing group; every other
+/// group operation throws DosnError("<scheme>: unknown group") for an unknown
+/// one, except isMember, which answers false.
+class GroupAccessController : public AccessController {
+ public:
+  void createGroup(const GroupId& id) override;
+  void addMember(const GroupId& id, const UserId& user) override;
+  std::vector<UserId> members(const GroupId& id) const override;
+  bool isMember(const GroupId& id, const UserId& user) const override;
+  std::vector<Envelope> history(const GroupId& id) const override;
+
+ protected:
+  struct Group {
+    std::set<UserId> members;
+    std::vector<Envelope> history;  // retained envelopes, in issue order
+    std::uint64_t epoch = 0;        // bumped by each re-keying revocation
+
+    /// The retained blob for `serial` (revocation may have rewritten it
+    /// since it was issued); nullptr if this group retains no such serial.
+    const util::Bytes* retained(std::uint64_t serial) const;
+  };
+
+  /// Throws for an unknown group.
+  Group& group(const GroupId& id);
+  const Group& group(const GroupId& id) const;
+  /// nullptr for an unknown group.
+  const Group* findGroup(const GroupId& id) const;
+  const std::map<GroupId, Group>& groups() const { return groups_; }
+
+  /// An envelope of this scheme under the next serial, retained nowhere.
+  Envelope issue(const GroupId& id, util::Bytes blob);
+  /// issue, retained in the history of `g`, which is group(id).
+  Envelope retain(const GroupId& id, Group& g, util::Bytes blob);
+
+  /// `id#epoch`: the CP-ABE attribute of the group's current key epoch.
+  static std::string epochAttribute(const GroupId& id, const Group& g);
+
+ private:
+  std::map<GroupId, Group> groups_;
+  std::uint64_t nextSerial_ = 1;
 };
 
 }  // namespace dosn::privacy

@@ -22,48 +22,21 @@ HybridAcl::HybridAcl(const pkcrypto::DlogGroup& group, util::Rng& rng,
       wrap_(wrap),
       abeAuthority_(group, rng),
       pkg_(group, rng),
-      directory_(pkg_) {}
+      directory_(pkg_),
+      memberKeys_(group, rng) {}
 
-HybridAcl::GroupState& HybridAcl::groupRef(const GroupId& group) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("HybridAcl: unknown group");
-  return it->second;
+void HybridAcl::addMember(const GroupId& id, const UserId& user) {
+  memberKeys_.issue(user);
+  GroupAccessController::addMember(id, user);
 }
 
-const HybridAcl::GroupState& HybridAcl::groupRef(const GroupId& group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("HybridAcl: unknown group");
-  return it->second;
-}
-
-const pkcrypto::ElGamalPrivateKey& HybridAcl::userKey(const UserId& user) {
-  const auto it = userKeys_.find(user);
-  if (it != userKeys_.end()) return it->second;
-  return userKeys_.emplace(user, pkcrypto::elgamalGenerate(dlog_, rng_))
-      .first->second;
-}
-
-std::string HybridAcl::epochAttribute(const GroupId& group) const {
-  return group + "#" + std::to_string(groupRef(group).epoch);
-}
-
-void HybridAcl::createGroup(const GroupId& group) {
-  if (groups_.count(group)) throw util::DosnError("HybridAcl: group exists");
-  groups_.emplace(group, GroupState{});
-}
-
-void HybridAcl::addMember(const GroupId& group, const UserId& user) {
-  userKey(user);
-  groupRef(group).members.insert(user);
-}
-
-RevocationReport HybridAcl::removeMember(const GroupId& group,
+RevocationReport HybridAcl::removeMember(const GroupId& id,
                                          const UserId& user) {
-  GroupState& state = groupRef(group);
-  state.members.erase(user);
+  Group& g = group(id);
+  g.members.erase(user);
   RevocationReport report;
   if (wrap_ == WrapScheme::kCpAbe) {
-    report.keyOperations = state.members.size();
+    report.keyOperations = g.members.size();
   } else if (wrap_ == WrapScheme::kPublicKey) {
     report.keyOperations = 1;  // list edit
   }
@@ -73,17 +46,17 @@ RevocationReport HybridAcl::removeMember(const GroupId& group,
   // before the CP-ABE epoch moves on: its wrap opens only under the epoch
   // it was made for.
   std::vector<util::Bytes> plains;
-  for (const Envelope& env : state.history) {
+  for (const Envelope& env : g.history) {
     util::Reader r(env.blob);
     const util::Bytes wrapped = r.bytes();
     const util::Bytes payloadBox = r.bytes();
     // The group owner (who runs revocation) can always unwrap its own data.
     std::optional<util::Bytes> dataKey;
-    for (const UserId& member : state.members) {
-      dataKey = unwrapKey(member, group, wrapped);
+    for (const UserId& member : g.members) {
+      dataKey = unwrapKey(member, id, wrapped);
       if (dataKey) break;
     }
-    if (!dataKey && !state.members.empty()) {
+    if (!dataKey && !g.members.empty()) {
       throw util::DosnError("HybridAcl: cannot unwrap own history");
     }
     if (!dataKey) break;  // no members left; history stays sealed
@@ -91,14 +64,14 @@ RevocationReport HybridAcl::removeMember(const GroupId& group,
     if (!plain) throw util::DosnError("HybridAcl: corrupt history");
     plains.push_back(std::move(*plain));
   }
-  if (wrap_ == WrapScheme::kCpAbe) ++state.epoch;  // attribute re-keying
+  if (wrap_ == WrapScheme::kCpAbe) ++g.epoch;  // attribute re-keying
   for (std::size_t i = 0; i < plains.size(); ++i) {
-    Envelope& env = state.history[i];
+    Envelope& env = g.history[i];
     util::Reader r(env.blob);
     forgetUnwraps(r.bytes());
     const util::Bytes newKey = rng_.bytes(32);
     util::Writer w;
-    w.bytes(wrapKey(group, newKey, rng_));
+    w.bytes(wrapKey(id, g, newKey, rng_));
     w.bytes(crypto::sealWithNonce(newKey, plains[i], rng_));
     env.blob = w.take();
     ++report.reencryptedEnvelopes;
@@ -107,39 +80,23 @@ RevocationReport HybridAcl::removeMember(const GroupId& group,
   return report;
 }
 
-std::vector<UserId> HybridAcl::members(const GroupId& group) const {
-  const GroupState& state = groupRef(group);
-  return std::vector<UserId>(state.members.begin(), state.members.end());
-}
-
-bool HybridAcl::isMember(const GroupId& group, const UserId& user) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.members.count(user) > 0;
-}
-
-util::Bytes HybridAcl::wrapKey(const GroupId& group, util::BytesView dataKey,
-                               util::Rng& rng) {
-  const GroupState& state = groupRef(group);
+util::Bytes HybridAcl::wrapKey(const GroupId& id, const Group& g,
+                               util::BytesView dataKey, util::Rng& rng) {
   util::Writer w;
   switch (wrap_) {
-    case WrapScheme::kPublicKey: {
-      w.u32(static_cast<std::uint32_t>(state.members.size()));
-      for (const UserId& member : state.members) {
-        w.str(member);
-        w.bytes(pkcrypto::elgamalEncrypt(dlog_, userKey(member).pub, dataKey, rng));
-      }
+    case WrapScheme::kPublicKey:
+      w.raw(memberKeys_.encrypt(g.members, dataKey, rng));
       break;
-    }
     case WrapScheme::kCpAbe: {
-      const policy::Policy p = policy::Policy::attribute(epochAttribute(group));
+      const policy::Policy p = policy::Policy::attribute(epochAttribute(id, g));
       w.bytes(abe::cpabeEncrypt(dlog_, abeAuthority_.publicKeysFor(p), p,
                                 dataKey, rng)
                   .serialize());
       break;
     }
     case WrapScheme::kIbbe: {
-      std::vector<std::string> recipients(state.members.begin(),
-                                          state.members.end());
+      const std::vector<std::string> recipients(g.members.begin(),
+                                                g.members.end());
       w.bytes(ibbe::ibbeEncrypt(dlog_, directory_, recipients, dataKey, rng)
                   .serialize());
       break;
@@ -149,13 +106,13 @@ util::Bytes HybridAcl::wrapKey(const GroupId& group, util::BytesView dataKey,
 }
 
 std::optional<util::Bytes> HybridAcl::unwrapKey(const UserId& reader,
-                                                const GroupId& group,
+                                                const GroupId& id,
                                                 util::BytesView wrapped) {
-  if (wrap_ == WrapScheme::kCpAbe) return unwrapUncached(reader, group, wrapped);
+  if (wrap_ == WrapScheme::kCpAbe) return unwrapUncached(reader, id, wrapped);
   auto key = std::make_pair(crypto::sha256(wrapped), reader);
   const auto it = unwrapMemo_.find(key);
   if (it != unwrapMemo_.end()) return it->second;
-  auto dataKey = unwrapUncached(reader, group, wrapped);
+  auto dataKey = unwrapUncached(reader, id, wrapped);
   unwrapMemo_.emplace(std::move(key), dataKey);
   return dataKey;
 }
@@ -169,73 +126,47 @@ void HybridAcl::forgetUnwraps(util::BytesView wrapped) {
 }
 
 std::optional<util::Bytes> HybridAcl::unwrapUncached(const UserId& reader,
-                                                     const GroupId& group,
+                                                     const GroupId& id,
                                                      util::BytesView wrapped) {
+  if (wrap_ == WrapScheme::kPublicKey) {
+    return memberKeys_.decrypt(reader, wrapped);
+  }
   try {
     util::Reader r(wrapped);
-    switch (wrap_) {
-      case WrapScheme::kPublicKey: {
-        const auto keyIt = userKeys_.find(reader);
-        if (keyIt == userKeys_.end()) return std::nullopt;
-        const std::uint32_t count = r.u32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::string member = r.str();
-          util::Bytes ct = r.bytes();
-          if (member == reader) {
-            return pkcrypto::elgamalDecrypt(dlog_, keyIt->second, ct);
-          }
-        }
-        return std::nullopt;
-      }
-      case WrapScheme::kCpAbe: {
-        const auto ct = abe::CpAbeCiphertext::deserialize(r.bytes());
-        if (!ct) return std::nullopt;
-        const GroupState& state = groupRef(group);
-        if (!state.members.count(reader)) return std::nullopt;
-        const auto key = abeAuthority_.keyGen({epochAttribute(group)});
-        return abe::cpabeDecrypt(dlog_, key, *ct);
-      }
-      case WrapScheme::kIbbe: {
-        const auto ct = ibbe::IbbeCiphertext::deserialize(r.bytes());
-        if (!ct) return std::nullopt;
-        return ibbe::ibbeDecrypt(dlog_, pkg_.extract(reader), *ct);
-      }
+    if (wrap_ == WrapScheme::kCpAbe) {
+      const auto ct = abe::CpAbeCiphertext::deserialize(r.bytes());
+      if (!ct) return std::nullopt;
+      const Group& g = group(id);
+      if (!g.members.count(reader)) return std::nullopt;
+      const auto key = abeAuthority_.keyGen({epochAttribute(id, g)});
+      return abe::cpabeDecrypt(dlog_, key, *ct);
     }
-    return std::nullopt;
+    const auto ct = ibbe::IbbeCiphertext::deserialize(r.bytes());
+    if (!ct) return std::nullopt;
+    return ibbe::ibbeDecrypt(dlog_, pkg_.extract(reader), *ct);
   } catch (const util::CodecError&) {
     return std::nullopt;
   }
 }
 
-Envelope HybridAcl::encrypt(const GroupId& group, util::BytesView plaintext,
+Envelope HybridAcl::encrypt(const GroupId& id, util::BytesView plaintext,
                             util::Rng& rng) {
-  GroupState& state = groupRef(group);
+  Group& g = group(id);
   const util::Bytes dataKey = rng.bytes(32);
   util::Writer w;
-  w.bytes(wrapKey(group, dataKey, rng));
+  w.bytes(wrapKey(id, g, dataKey, rng));
   w.bytes(crypto::sealWithNonce(dataKey, plaintext, rng));
-  Envelope env;
-  env.scheme = schemeName();
-  env.group = group;
-  env.serial = nextSerial_++;
-  env.blob = w.take();
-  state.history.push_back(env);
-  return env;
+  return retain(id, g, w.take());
 }
 
 std::optional<util::Bytes> HybridAcl::decrypt(const UserId& reader,
                                               const Envelope& envelope) {
-  const auto it = groups_.find(envelope.group);
-  if (it == groups_.end()) return std::nullopt;
+  const Group* g = findGroup(envelope.group);
+  if (g == nullptr) return std::nullopt;
   // Fetch the current ciphertext for the serial (revocation may have
   // rewritten it).
-  const util::Bytes* blob = &envelope.blob;
-  for (const Envelope& stored : it->second.history) {
-    if (stored.serial == envelope.serial) {
-      blob = &stored.blob;
-      break;
-    }
-  }
+  const util::Bytes* blob = g->retained(envelope.serial);
+  if (blob == nullptr) blob = &envelope.blob;
   try {
     util::Reader r(*blob);
     const util::Bytes wrapped = r.bytes();
@@ -246,10 +177,6 @@ std::optional<util::Bytes> HybridAcl::decrypt(const UserId& reader,
   } catch (const util::CodecError&) {
     return std::nullopt;
   }
-}
-
-std::vector<Envelope> HybridAcl::history(const GroupId& group) const {
-  return groupRef(group).history;
 }
 
 }  // namespace dosn::privacy

@@ -7,13 +7,12 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "dosn/abe/cpabe.hpp"
 #include "dosn/crypto/sha256.hpp"
 #include "dosn/ibbe/ibbe.hpp"
-#include "dosn/pkcrypto/elgamal.hpp"
 #include "dosn/privacy/access_controller.hpp"
+#include "dosn/privacy/publickey_acl.hpp"
 
 namespace dosn::privacy {
 
@@ -25,7 +24,7 @@ enum class WrapScheme {
 
 std::string wrapSchemeName(WrapScheme scheme);
 
-class HybridAcl final : public AccessController {
+class HybridAcl final : public GroupAccessController {
  public:
   HybridAcl(const pkcrypto::DlogGroup& group, util::Rng& rng, WrapScheme wrap);
 
@@ -33,41 +32,27 @@ class HybridAcl final : public AccessController {
     return "hybrid+" + wrapSchemeName(wrap_);
   }
 
-  void createGroup(const GroupId& group) override;
-  void addMember(const GroupId& group, const UserId& user) override;
-  RevocationReport removeMember(const GroupId& group,
+  /// Issues the user's ElGamal key pair, whatever the wrap, then adds them.
+  void addMember(const GroupId& id, const UserId& user) override;
+  RevocationReport removeMember(const GroupId& id,
                                 const UserId& user) override;
-  std::vector<UserId> members(const GroupId& group) const override;
-  bool isMember(const GroupId& group, const UserId& user) const override;
 
-  Envelope encrypt(const GroupId& group, util::BytesView plaintext,
+  Envelope encrypt(const GroupId& id, util::BytesView plaintext,
                    util::Rng& rng) override;
   std::optional<util::Bytes> decrypt(const UserId& reader,
                                      const Envelope& envelope) override;
-  std::vector<Envelope> history(const GroupId& group) const override;
 
  private:
-  struct GroupState {
-    std::uint64_t epoch = 0;  // CP-ABE attribute epoch
-    std::set<UserId> members;
-    std::vector<Envelope> history;
-  };
-
-  GroupState& groupRef(const GroupId& group);
-  const GroupState& groupRef(const GroupId& group) const;
-  const pkcrypto::ElGamalPrivateKey& userKey(const UserId& user);
-  std::string epochAttribute(const GroupId& group) const;
-
   /// Wraps the data key for the group's current membership.
-  util::Bytes wrapKey(const GroupId& group, util::BytesView dataKey,
-                      util::Rng& rng);
+  util::Bytes wrapKey(const GroupId& id, const Group& g,
+                      util::BytesView dataKey, util::Rng& rng);
   /// Unwraps as `reader`; std::nullopt if not addressed. Memoized for the
   /// pk and IBBE wraps (see unwrapMemo_).
   std::optional<util::Bytes> unwrapKey(const UserId& reader,
-                                       const GroupId& group,
+                                       const GroupId& id,
                                        util::BytesView wrapped);
   std::optional<util::Bytes> unwrapUncached(const UserId& reader,
-                                            const GroupId& group,
+                                            const GroupId& id,
                                             util::BytesView wrapped);
   /// Drops every memoized unwrap of `wrapped` (it is being rewritten).
   void forgetUnwraps(util::BytesView wrapped);
@@ -78,9 +63,7 @@ class HybridAcl final : public AccessController {
   abe::CpAbeAuthority abeAuthority_;
   ibbe::Pkg pkg_;
   ibbe::Directory directory_;  // IBBE wraps; built from pkg_
-  std::map<UserId, pkcrypto::ElGamalPrivateKey> userKeys_;
-  std::map<GroupId, GroupState> groups_;
-  std::uint64_t nextSerial_ = 1;
+  MemberKeys memberKeys_;      // pk wraps
   // (SHA-256 of the wrapped key, reader) -> unwrapKey's result. A pk or IBBE
   // unwrap depends only on those bytes and the reader's fixed key material;
   // a CP-ABE unwrap also depends on membership and the epoch, so it is never

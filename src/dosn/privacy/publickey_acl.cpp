@@ -5,82 +5,38 @@
 
 namespace dosn::privacy {
 
-PublicKeyAcl::PublicKeyAcl(const pkcrypto::DlogGroup& group, util::Rng& rng)
+MemberKeys::MemberKeys(const pkcrypto::DlogGroup& group, util::Rng& rng)
     : dlog_(group), rng_(rng) {}
 
-const pkcrypto::ElGamalPrivateKey& PublicKeyAcl::userKey(const UserId& user) {
-  const auto it = userKeys_.find(user);
-  if (it != userKeys_.end()) return it->second;
-  return userKeys_.emplace(user, pkcrypto::elgamalGenerate(dlog_, rng_))
-      .first->second;
-}
-
-void PublicKeyAcl::createGroup(const GroupId& group) {
-  if (groups_.count(group)) throw util::DosnError("PublicKeyAcl: group exists");
-  groups_.emplace(group, GroupState{});
-}
-
-void PublicKeyAcl::addMember(const GroupId& group, const UserId& user) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("PublicKeyAcl: unknown group");
-  userKey(user);  // ensure the key pair exists
-  it->second.members.insert(user);
-}
-
-RevocationReport PublicKeyAcl::removeMember(const GroupId& group,
-                                            const UserId& user) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("PublicKeyAcl: unknown group");
-  it->second.members.erase(user);
-  // "His public key will be deleted from the list of group members": future
-  // envelopes exclude them; history is untouched (already-decryptable data
-  // cannot be revoked — paper §III-B caveat applies to every scheme).
-  return RevocationReport{0, 0, 1};
-}
-
-std::vector<UserId> PublicKeyAcl::members(const GroupId& group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("PublicKeyAcl: unknown group");
-  return std::vector<UserId>(it->second.members.begin(),
-                             it->second.members.end());
-}
-
-bool PublicKeyAcl::isMember(const GroupId& group, const UserId& user) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && it->second.members.count(user) > 0;
-}
-
-Envelope PublicKeyAcl::encrypt(const GroupId& group, util::BytesView plaintext,
-                               util::Rng& rng) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("PublicKeyAcl: unknown group");
-  // Naive per-member encryption: one full public-key ciphertext per member
-  // (the §III-C baseline the hybrid scheme of §III-F improves on).
-  util::Writer w;
-  w.u32(static_cast<std::uint32_t>(it->second.members.size()));
-  for (const UserId& member : it->second.members) {
-    w.str(member);
-    w.bytes(pkcrypto::elgamalEncrypt(dlog_, userKey(member).pub, plaintext, rng));
+void MemberKeys::issue(const UserId& user) {
+  if (!keys_.count(user)) {
+    keys_.emplace(user, pkcrypto::elgamalGenerate(dlog_, rng_));
   }
-  Envelope env;
-  env.scheme = schemeName();
-  env.group = group;
-  env.serial = nextSerial_++;
-  env.blob = w.take();
-  it->second.history.push_back(env);
-  return env;
 }
 
-std::optional<util::Bytes> PublicKeyAcl::decrypt(const UserId& reader,
-                                                 const Envelope& envelope) {
-  const auto keyIt = userKeys_.find(reader);
-  if (keyIt == userKeys_.end()) return std::nullopt;
+util::Bytes MemberKeys::encrypt(const std::set<UserId>& members,
+                                util::BytesView plaintext,
+                                util::Rng& rng) const {
+  util::Writer w;
+  w.u32(static_cast<std::uint32_t>(members.size()));
+  for (const UserId& member : members) {
+    w.str(member);
+    w.bytes(pkcrypto::elgamalEncrypt(dlog_, keys_.at(member).pub, plaintext,
+                                     rng));
+  }
+  return w.take();
+}
+
+std::optional<util::Bytes> MemberKeys::decrypt(const UserId& reader,
+                                               util::BytesView list) const {
+  const auto keyIt = keys_.find(reader);
+  if (keyIt == keys_.end()) return std::nullopt;
   try {
-    util::Reader r(envelope.blob);
+    util::Reader r(list);
     const std::uint32_t count = r.u32();
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::string member = r.str();
-      util::Bytes ciphertext = r.bytes();
+      const util::Bytes ciphertext = r.bytes();
       if (member == reader) {
         return pkcrypto::elgamalDecrypt(dlog_, keyIt->second, ciphertext);
       }
@@ -91,10 +47,34 @@ std::optional<util::Bytes> PublicKeyAcl::decrypt(const UserId& reader,
   }
 }
 
-std::vector<Envelope> PublicKeyAcl::history(const GroupId& group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) throw util::DosnError("PublicKeyAcl: unknown group");
-  return it->second.history;
+PublicKeyAcl::PublicKeyAcl(const pkcrypto::DlogGroup& group, util::Rng& rng)
+    : memberKeys_(group, rng) {}
+
+void PublicKeyAcl::addMember(const GroupId& id, const UserId& user) {
+  GroupAccessController::addMember(id, user);
+  memberKeys_.issue(user);
+}
+
+RevocationReport PublicKeyAcl::removeMember(const GroupId& id,
+                                            const UserId& user) {
+  group(id).members.erase(user);
+  // "His public key will be deleted from the list of group members": future
+  // envelopes exclude them; history is untouched (already-decryptable data
+  // cannot be revoked — paper §III-B caveat applies to every scheme).
+  return RevocationReport{0, 0, 1};
+}
+
+Envelope PublicKeyAcl::encrypt(const GroupId& id, util::BytesView plaintext,
+                               util::Rng& rng) {
+  Group& g = group(id);
+  // Naive per-member encryption: one full public-key ciphertext per member
+  // (the §III-C baseline the hybrid scheme of §III-F improves on).
+  return retain(id, g, memberKeys_.encrypt(g.members, plaintext, rng));
+}
+
+std::optional<util::Bytes> PublicKeyAcl::decrypt(const UserId& reader,
+                                                 const Envelope& envelope) {
+  return memberKeys_.decrypt(reader, envelope.blob);
 }
 
 }  // namespace dosn::privacy

@@ -12,39 +12,49 @@
 
 namespace dosn::privacy {
 
-class PublicKeyAcl final : public AccessController {
+/// Per-member public-key encryption, shared by PublicKeyAcl and HybridAcl's
+/// pk wrap: one ElGamal key pair per user, and the recipient list
+/// `u32 count | (str member | bytes ciphertext)*` with one ciphertext per
+/// member.
+class MemberKeys {
+ public:
+  MemberKeys(const pkcrypto::DlogGroup& group, util::Rng& rng);
+
+  /// Draws the user's key pair on their first membership.
+  void issue(const UserId& user);
+  /// The recipient list: `plaintext` encrypted to each member's key. Every
+  /// member must hold a key.
+  util::Bytes encrypt(const std::set<UserId>& members,
+                      util::BytesView plaintext, util::Rng& rng) const;
+  /// Opens the reader's entry of a recipient list; std::nullopt if the
+  /// reader holds no key, is not listed, or the list is malformed.
+  std::optional<util::Bytes> decrypt(const UserId& reader,
+                                     util::BytesView list) const;
+
+ private:
+  const pkcrypto::DlogGroup& dlog_;
+  util::Rng& rng_;
+  std::map<UserId, pkcrypto::ElGamalPrivateKey> keys_;
+};
+
+class PublicKeyAcl final : public GroupAccessController {
  public:
   PublicKeyAcl(const pkcrypto::DlogGroup& group, util::Rng& rng);
 
   std::string schemeName() const override { return "public-key"; }
 
-  void createGroup(const GroupId& group) override;
-  void addMember(const GroupId& group, const UserId& user) override;
-  RevocationReport removeMember(const GroupId& group,
+  /// Issues the user's key pair once the group is known.
+  void addMember(const GroupId& id, const UserId& user) override;
+  RevocationReport removeMember(const GroupId& id,
                                 const UserId& user) override;
-  std::vector<UserId> members(const GroupId& group) const override;
-  bool isMember(const GroupId& group, const UserId& user) const override;
 
-  Envelope encrypt(const GroupId& group, util::BytesView plaintext,
+  Envelope encrypt(const GroupId& id, util::BytesView plaintext,
                    util::Rng& rng) override;
   std::optional<util::Bytes> decrypt(const UserId& reader,
                                      const Envelope& envelope) override;
-  std::vector<Envelope> history(const GroupId& group) const override;
 
  private:
-  struct GroupState {
-    std::set<UserId> members;
-    std::vector<Envelope> history;
-  };
-
-  /// Key pair per user, generated lazily on first membership.
-  const pkcrypto::ElGamalPrivateKey& userKey(const UserId& user);
-
-  const pkcrypto::DlogGroup& dlog_;
-  util::Rng& rng_;
-  std::map<GroupId, GroupState> groups_;
-  std::map<UserId, pkcrypto::ElGamalPrivateKey> userKeys_;
-  std::uint64_t nextSerial_ = 1;
+  MemberKeys memberKeys_;
 };
 
 }  // namespace dosn::privacy

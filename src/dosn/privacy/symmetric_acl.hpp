@@ -5,48 +5,33 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "dosn/privacy/access_controller.hpp"
 
 namespace dosn::privacy {
 
-class SymmetricAcl final : public AccessController {
+class SymmetricAcl final : public GroupAccessController {
  public:
   explicit SymmetricAcl(util::Rng& rng);
 
   std::string schemeName() const override { return "symmetric"; }
 
-  void createGroup(const GroupId& group) override;
-  void addMember(const GroupId& group, const UserId& user) override;
-  RevocationReport removeMember(const GroupId& group,
+  /// Draws the group's first key.
+  void createGroup(const GroupId& id) override;
+  RevocationReport removeMember(const GroupId& id,
                                 const UserId& user) override;
-  std::vector<UserId> members(const GroupId& group) const override;
-  bool isMember(const GroupId& group, const UserId& user) const override;
 
-  Envelope encrypt(const GroupId& group, util::BytesView plaintext,
+  Envelope encrypt(const GroupId& id, util::BytesView plaintext,
                    util::Rng& rng) override;
   std::optional<util::Bytes> decrypt(const UserId& reader,
                                      const Envelope& envelope) override;
-  std::vector<Envelope> history(const GroupId& group) const override;
 
   /// Current key epoch of a group (bumped by every revocation).
-  std::uint64_t keyEpoch(const GroupId& group) const;
+  std::uint64_t keyEpoch(const GroupId& id) const;
 
  private:
-  struct Group {
-    util::Bytes key;
-    std::uint64_t epoch = 0;
-    std::set<UserId> members;
-    std::vector<Envelope> history;
-  };
-
-  Group& groupRef(const GroupId& group);
-  const Group& groupRef(const GroupId& group) const;
-
   util::Rng& rng_;
-  std::map<GroupId, Group> groups_;
-  std::uint64_t nextSerial_ = 1;
+  std::map<GroupId, util::Bytes> keys_;  // each group's current key
 };
 
 }  // namespace dosn::privacy

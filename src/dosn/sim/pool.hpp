@@ -2,10 +2,10 @@
 // two clients that put it on every message's critical path:
 //
 //  - EventClosure: the move-only type-erased closure stored in the event
-//    queue. Small captures (<= 48 bytes) live inline in the queue slot;
-//    larger ones take one pool block instead of a malloc. Every scheduled
-//    event used to cost at least one std::function heap allocation; now the
-//    common ones cost none and the rest recycle freed blocks.
+//    queue. The handle is one pointer; the capture always takes one pool
+//    block behind a small header (a capture larger than a block spills to
+//    the heap). Every scheduled event used to cost at least one
+//    std::function heap allocation; now it recycles a freed block.
 //  - PooledBytes: the owning payload buffer of an in-flight sim::Message.
 //    Small payloads are copied into pool blocks; oversized ones spill to a
 //    regular heap buffer (util::Bytes), and buffers adopted from an rvalue

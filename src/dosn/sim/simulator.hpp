@@ -4,11 +4,12 @@
 // the FIFO tie-break for same-timestamp events and is load-bearing for
 // deterministic replay.
 //
-// The hot path is allocation-free for small closures: schedule() type-erases
-// the callable into an EventClosure (48-byte inline buffer, simulator-owned
-// pool for larger captures — no std::function, no malloc per event) and the
-// calendar EventQueue buckets near-future events so pushes and pops stop
-// paying log(pending) comparisons across the whole horizon.
+// The hot path is allocation-free for closures that fit one pool block:
+// schedule() type-erases the callable into an EventClosure (a one-pointer
+// handle whose capture takes one block of the simulator-owned pool — no
+// std::function, no malloc per event) and the calendar EventQueue buckets
+// near-future events so pushes and pops stop paying log(pending)
+// comparisons across the whole horizon.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,9 @@
-# ctest driver for the byte-identity gate (label `quick`): runs the fault
-# benchmark in smoke mode at the pinned seed and requires every counter to
-# match the committed baseline EXACTLY via bench_compare.py --exact-counters.
-# The simulator is deterministic, so sim-driven counters at a fixed seed are
-# a pure function of the code — any drift means event ordering, RNG
-# consumption, or delivery semantics changed (see DESIGN.md §3d).
+# ctest driver for the byte-identity gates: runs one benchmark in smoke mode
+# at the pinned seed and requires every counter to match the committed
+# baseline EXACTLY via bench_compare.py --exact-counters. The benchmarks are
+# deterministic, so their counters at a fixed seed are a pure function of the
+# code — any drift means event ordering, RNG consumption, or delivery
+# semantics changed (see DESIGN.md §3d).
 #
 # Expects: BENCH (bench binary), BASELINE (committed JSON), COMPARE
 # (tools/bench_compare.py), PYTHON (python3), OUT (scratch JSON path).

@@ -88,13 +88,12 @@ TEST(Group, IsElementRejectsNonMembers) {
 }
 
 TEST(Group, IsElementMatchesEulerCriterion) {
-  // The safe-prime fast path answers membership with a Jacobi symbol;
-  // differential-test it against the full Euler-criterion exponentiation the
-  // slow path uses, on members (squares), their complements, and arbitrary
-  // candidates.
+  // isElement answers membership with a Jacobi symbol; differential-test it
+  // against the full Euler-criterion exponentiation x^q == 1, on members
+  // (squares), their complements, and arbitrary candidates.
   util::Rng rng(7);
   const DlogGroup& g = testGroup();
-  ASSERT_EQ((g.q() << 1) + bignum::BigUint(1), g.p());  // fast path active
+  ASSERT_EQ((g.q() << 1) + bignum::BigUint(1), g.p());
   for (int i = 0; i < 32; ++i) {
     const auto candidate = bignum::randomUnit(g.p(), rng);
     const bool viaEuler =
@@ -105,6 +104,24 @@ TEST(Group, IsElementMatchesEulerCriterion) {
     EXPECT_TRUE(g.isElement(square));
     EXPECT_FALSE(g.isElement(g.p() - square));
   }
+}
+
+TEST(Group, ConstructorRejectsAnythingButOddPEqualTwoQPlusOne) {
+  using bignum::BigUint;
+  // 23 = 2 * 11 + 1 is accepted; 4 is a quadratic residue mod 23.
+  EXPECT_NO_THROW(DlogGroup(BigUint(23), BigUint(11), BigUint(4)));
+  // Even p (and so p != 2q + 1 for any q).
+  EXPECT_THROW(DlogGroup(BigUint(22), BigUint(11), BigUint(4)),
+               util::CryptoError);
+  // Odd p, but not 2q + 1.
+  EXPECT_THROW(DlogGroup(BigUint(23), BigUint(5), BigUint(4)),
+               util::CryptoError);
+  // p = 2q + 1 with q even.
+  EXPECT_THROW(DlogGroup(BigUint(17), BigUint(8), BigUint(4)),
+               util::CryptoError);
+  // Too small.
+  EXPECT_THROW(DlogGroup(BigUint(3), BigUint(1), BigUint(1)),
+               util::CryptoError);
 }
 
 // --- RSA ---

@@ -34,6 +34,14 @@ TEST(Field, BasicOps) {
   EXPECT_THROW(f.inv(bignum::BigUint(0)), util::DosnError);
 }
 
+TEST(Field, ConstructorRejectsEvenOrTinyModuli) {
+  EXPECT_NO_THROW(PrimeField(bignum::BigUint(3)));
+  for (const std::uint64_t modulus : {0u, 1u, 2u, 96u}) {
+    EXPECT_THROW(PrimeField(bignum::BigUint(modulus)), util::DosnError)
+        << modulus;
+  }
+}
+
 TEST(Field, StandardFieldIs255Bits) {
   EXPECT_EQ(PrimeField::standard().modulus().bitLength(), 255u);
   EXPECT_EQ(PrimeField::standard().encodedSize(), 32u);

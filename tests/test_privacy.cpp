@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "dosn/crypto/sha256.hpp"
 #include "dosn/privacy/abe_acl.hpp"
 #include "dosn/privacy/hybrid_acl.hpp"
 #include "dosn/privacy/ibbe_acl.hpp"
@@ -12,6 +13,8 @@
 #include "dosn/privacy/publickey_acl.hpp"
 #include "dosn/privacy/substitution.hpp"
 #include "dosn/privacy/symmetric_acl.hpp"
+#include "dosn/util/codec.hpp"
+#include "dosn/util/error.hpp"
 
 namespace dosn::privacy {
 namespace {
@@ -111,6 +114,124 @@ TEST_P(AclConformance, HistoryRetained) {
   EXPECT_EQ(acl_->history("g").size(), 2u);
 }
 
+TEST_P(AclConformance, DuplicateOrUnknownGroupThrows) {
+  acl_->createGroup("g");
+  // These throw before any key or nonce is drawn.
+  util::Rng untouched = rng_;
+  EXPECT_THROW(acl_->createGroup("g"), util::DosnError);
+  EXPECT_THROW(acl_->removeMember("nope", "alice"), util::DosnError);
+  EXPECT_THROW(acl_->encrypt("nope", toBytes("x"), rng_), util::DosnError);
+  EXPECT_THROW(acl_->members("nope"), util::DosnError);
+  EXPECT_THROW(acl_->history("nope"), util::DosnError);
+  EXPECT_EQ(rng_.next(), untouched.next());
+  // HybridAcl issues the user's ElGamal key before it looks the group up,
+  // whatever its wrap; the other schemes look first.
+  untouched = rng_;
+  EXPECT_THROW(acl_->addMember("nope", "alice"), util::DosnError);
+  const bool hybrid = GetParam() == Scheme::kHybridPk ||
+                      GetParam() == Scheme::kHybridAbe ||
+                      GetParam() == Scheme::kHybridIbbe;
+  EXPECT_EQ(rng_.next() != untouched.next(), hybrid);
+}
+
+TEST_P(AclConformance, SerialsRiseByOnePerIssuedEnvelope) {
+  acl_->createGroup("g1");
+  acl_->createGroup("g2");
+  acl_->addMember("g1", "alice");
+  acl_->addMember("g2", "bob");
+  std::vector<Envelope> issued;
+  for (const char* group : {"g1", "g2", "g2", "g1"}) {
+    issued.push_back(acl_->encrypt(group, toBytes("p"), rng_));
+    EXPECT_EQ(issued.back().group, group);
+  }
+  for (std::size_t i = 0; i < issued.size(); ++i) {
+    EXPECT_EQ(issued[i].serial, issued[0].serial + i);
+    EXPECT_EQ(issued[i].scheme, acl_->schemeName());
+  }
+}
+
+TEST_P(AclConformance, RevocationKeepsHistoryForRemainingMembers) {
+  acl_->createGroup("g");
+  for (const char* user : {"alice", "bob", "carol"}) acl_->addMember("g", user);
+  std::vector<std::uint64_t> serials;
+  for (int i = 0; i < 3; ++i) {
+    serials.push_back(
+        acl_->encrypt("g", toBytes("post " + std::to_string(i)), rng_).serial);
+  }
+  acl_->removeMember("g", "bob");
+  const std::vector<Envelope> history = acl_->history("g");
+  ASSERT_EQ(history.size(), serials.size());
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    EXPECT_EQ(history[i].serial, serials[i]);
+    for (const char* user : {"alice", "carol"}) {
+      EXPECT_EQ(acl_->decrypt(user, history[i]).value(),
+                toBytes("post " + std::to_string(i)))
+          << user << " serial " << serials[i];
+    }
+  }
+}
+
+// Every output byte of one scripted session, hashed: the retained envelopes
+// after a revocation (scheme, group, serial, blob), what each user decrypts
+// from them, the revocation's report and the rng's next draw. A moved draw, a
+// changed encoding or a changed serial changes the digest.
+std::string scriptedSessionDigest(AccessController& acl, util::Rng& rng) {
+  acl.createGroup("g");
+  acl.createGroup("h");
+  for (const char* user : {"alice", "bob", "carol"}) acl.addMember("g", user);
+  acl.addMember("h", "dave");
+  acl.encrypt("g", toBytes("post 1"), rng);
+  acl.encrypt("h", toBytes("post 2"), rng);
+  acl.encrypt("g", toBytes("post 3"), rng);
+  const RevocationReport report = acl.removeMember("g", "bob");
+  acl.encrypt("g", toBytes("post 4"), rng);
+  util::Writer w;
+  w.u64(report.reencryptedEnvelopes);
+  w.u64(report.rewrittenBytes);
+  w.u64(report.keyOperations);
+  for (const Envelope& env : acl.history("g")) {
+    w.str(env.scheme);
+    w.str(env.group);
+    w.u64(env.serial);
+    w.bytes(env.blob);
+    for (const char* user : {"alice", "bob", "carol", "dave"}) {
+      const auto plain = acl.decrypt(user, env);
+      w.u8(plain.has_value() ? 1 : 0);
+      if (plain) w.bytes(*plain);
+    }
+  }
+  w.u64(rng.next());
+  return util::toHex(crypto::sha256(w.take()));
+}
+
+TEST_P(AclConformance, ScriptedSessionKnownAnswer) {
+  const char* expected = "";
+  switch (GetParam()) {
+    case Scheme::kSymmetric:
+      expected = "4607cf11a2ae4c5ff3efd09a72fdfae4fd554d63139de1f9a21a760bf5fe38ed";
+      break;
+    case Scheme::kPublicKey:
+      expected = "d231eedc87ee03c87fbaa4fcfd75aed7c8af2e17068e5239419a403303072bf4";
+      break;
+    case Scheme::kAbe:
+      expected = "c1866ec79c77bf2b78ceb005ae604e599070ce524b735ecaed035a6aa47c84a5";
+      break;
+    case Scheme::kIbbe:
+      expected = "ceadc53670dd66b176de2582bb7ac0c0e2e248cbfee3ca98d85a85da485983f1";
+      break;
+    case Scheme::kHybridPk:
+      expected = "dc6e7dc65e2b3f6a2f32ad946c55766a49a94e7ae8343660fdc35da51bb6217d";
+      break;
+    case Scheme::kHybridAbe:
+      expected = "6c19a392a1dab32e4bf089c92a4bc45ccdce6ed3774b67a44a656ccdbaaa5521";
+      break;
+    case Scheme::kHybridIbbe:
+      expected = "ebea8a40813181296cac238a70c2af5b66bd67953d65c425cc767ad459e46898";
+      break;
+  }
+  EXPECT_EQ(scriptedSessionDigest(*acl_, rng_), expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Schemes, AclConformance,
     ::testing::Values(Scheme::kSymmetric, Scheme::kPublicKey, Scheme::kAbe,
@@ -182,6 +303,20 @@ TEST(PublicKeyAclTest, EnvelopeGrowsWithMembers) {
   const auto large = acl.encrypt("large", toBytes("m"), rng);
   // §III-C: naive per-member encryption — blob scales with group size.
   EXPECT_GT(large.blob.size(), small.blob.size() * 6);
+}
+
+TEST(PublicKeyAclTest, TruncatedRecipientListOpensToNothing) {
+  util::Rng rng(11);
+  PublicKeyAcl acl(testGroup(), rng);
+  acl.createGroup("g");
+  acl.addMember("g", "alice");
+  acl.addMember("g", "bob");  // bob's entry is the last in the list
+  Envelope env = acl.encrypt("g", toBytes("p"), rng);
+  const util::Bytes whole = env.blob;
+  for (std::size_t len = 0; len < whole.size(); len += 7) {
+    env.blob.assign(whole.begin(), whole.begin() + len);
+    EXPECT_FALSE(acl.decrypt("bob", env).has_value()) << len;
+  }
 }
 
 TEST(AbeAclTest, RevocationBumpsEpochAndReencrypts) {
