@@ -7,18 +7,17 @@
 //
 // Since every overlay RPC now flows through net::RpcEndpoint, the run also
 // reports the endpoint's uniform observability surface — rpc.<type>.*
-// counters and per-type round-trip latency histograms — plus an adaptive
-// row per storm where a fleet-shared AdaptiveRetryPolicy sizes the budget
-// from the observed timeout rate instead of a hand-picked constant.
+// counters and per-type round-trip latency histograms. Per-destination
+// adaptive timeouts and retry budgets are measured by F3 below and by F2
+// (bench_microblog).
 //
-// Four benchkit scenarios: f1_drop_retry, f1a_adaptive, f1b_observability,
-// f3_bimodal. `--smoke` shrinks the swarm and trims the sweeps.
+// Three benchkit scenarios: f1_drop_retry, f1b_observability, f3_bimodal.
+// `--smoke` shrinks the swarm and trims the sweeps.
 #include <cstdio>
 #include <memory>
 #include <string>
 
 #include "dosn/benchkit/benchkit.hpp"
-#include "dosn/net/retry.hpp"
 #include "dosn/overlay/kademlia.hpp"
 #include "dosn/sim/faults.hpp"
 #include "dosn/sim/metrics.hpp"
@@ -45,8 +44,6 @@ struct Outcome {
   double successRate = 0;
   double msgsPerLookup = 0;
   std::size_t retries = 0;
-  std::size_t finalBudget = 0;   // adaptive runs: attempts() after the sweep
-  double timeoutRate = 0;        // adaptive runs: final EWMA
 };
 
 // --- F3: bimodal link delays, fixed vs adaptive timeout ------------------
@@ -169,7 +166,6 @@ std::vector<WaveStats> runF3(const ScenarioContext& ctx, bool adaptiveTimeout) {
 }
 
 Outcome run(const ScenarioContext& ctx, double drop, std::size_t retryAttempts,
-            net::AdaptiveRetryPolicy* adaptive = nullptr,
             sim::Metrics* metricsOut = nullptr) {
   const Sizes sz = sizesFor(ctx);
   util::Rng rng(ctx.seed());
@@ -186,7 +182,6 @@ Outcome run(const ScenarioContext& ctx, double drop, std::size_t retryAttempts,
   config.rpcTimeout = 250 * kMillisecond;
   config.storeWidth = 3;
   config.retry = RetryPolicy{retryAttempts, 150 * kMillisecond, 2.0};
-  config.adaptiveRetry = adaptive;
 
   std::vector<std::unique_ptr<KademliaNode>> peers;
   for (std::size_t i = 0; i < sz.peers; ++i) {
@@ -229,10 +224,6 @@ Outcome run(const ScenarioContext& ctx, double drop, std::size_t retryAttempts,
   out.msgsPerLookup =
       static_cast<double>(net.messagesSent()) / static_cast<double>(sz.lookups);
   for (const auto& peer : peers) out.retries += peer->rpcRetries();
-  if (adaptive) {
-    out.finalBudget = adaptive->attempts();
-    out.timeoutRate = adaptive->timeoutRate();
-  }
   return out;
 }
 
@@ -279,48 +270,13 @@ BENCH_SCENARIO(f1_drop_retry, {.hot = true}) {
   }
 }
 
-BENCH_SCENARIO(f1a_adaptive) {
-  if (ctx.printing()) {
-    std::printf(
-        "\nF1a: adaptive retry budget (fleet-shared EWMA of timeout outcomes,\n"
-        "budget = smallest n with rate^n <= 1%%, capped at 4 attempts)\n\n");
-    std::printf("%-8s %10s %14s %10s %8s %9s\n", "drop", "success",
-                "msgs/lookup", "retries", "budget", "est.rate");
-  }
-  for (const double drop : {0.0, 0.1, 0.2, 0.35}) {
-    if (ctx.smoke() && drop > 0.2) continue;
-    net::AdaptiveRetryPolicy::Config config;
-    config.base = RetryPolicy{1, 150 * kMillisecond, 2.0};
-    config.maxAttempts = 4;
-    net::AdaptiveRetryPolicy adaptive(config);
-    const Outcome o = run(ctx, drop, 1, &adaptive);
-    if (ctx.printing()) {
-      std::printf("%-8.2f %9.0f%% %14.1f %10zu %8zu %8.2f%%\n", drop,
-                  100 * o.successRate, o.msgsPerLookup, o.retries,
-                  o.finalBudget, 100 * o.timeoutRate);
-    }
-    const std::string tag = ".d" + dropTag(drop);
-    ctx.param("success" + tag, o.successRate);
-    ctx.param("msgs_per_lookup" + tag, o.msgsPerLookup);
-    ctx.counter("retries" + tag, o.retries);
-    ctx.counter("budget" + tag, o.finalBudget);
-    ctx.param("timeout_rate" + tag, o.timeoutRate);
-  }
-  if (ctx.printing()) {
-    std::printf(
-        "expected shape: the budget stays at 1 on a clean network (no retry\n"
-        "overhead) and grows with the observed timeout rate, approaching the\n"
-        "fixed attempts=4 row's success without hand-tuning per deployment.\n");
-  }
-}
-
 BENCH_SCENARIO(f1b_observability) {
   if (ctx.printing()) {
     std::printf(
         "\nF1b: per-RPC observability at drop=0.20, attempts=4 (the endpoint's\n"
         "uniform rpc.<type>.* surface; lookup phase only)\n\n");
   }
-  const Outcome o = run(ctx, 0.2, 4, nullptr, &ctx.metrics());
+  const Outcome o = run(ctx, 0.2, 4, &ctx.metrics());
   if (ctx.printing()) sim::printRpcObservability(ctx.metrics());
   ctx.param("success", o.successRate);
   ctx.param("msgs_per_lookup", o.msgsPerLookup);

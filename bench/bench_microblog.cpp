@@ -7,9 +7,9 @@
 // ... to ensure availability" at the price of replica exposure) measured on
 // the complete system rather than a single layer.
 // F2 (the second scenario) layers a FaultPlan on top of the churn: a
-// sustained drop storm plus a substrate partition window, sweeping the base
-// of the per-destination DHT retry budget — the combined-failure scenario
-// the unified RPC endpoint exists for.
+// sustained drop storm plus a substrate partition window, sweeping the floor
+// of the per-destination DHT retry budget (the calls' own attempts) — the
+// combined-failure scenario the unified RPC endpoint exists for.
 //
 // `--smoke` shrinks the substrate, fetch rounds and the k sweep.
 // E18 compares vanilla vs socially-aware placement (overlay/placement.hpp)
@@ -373,9 +373,9 @@ BENCH_SCENARIO(f2_storm) {
     std::printf(
         "\nF2: churn + fault storm combined (k=4, a=80%%, 25%% drop for the\n"
         "whole fetch phase, 1/3 of the substrate partitioned for ~5 minutes),\n"
-        "sweeping the per-destination retry budget base through the shared\n"
+        "sweeping the per-destination retry budget floor through the shared\n"
         "RPC endpoint (adaptive timeouts on: each peer's budget can grow\n"
-        "beyond the base as its observed timeout rate warrants)\n\n");
+        "beyond the floor as its observed timeout rate warrants)\n\n");
     std::printf("  %-10s %18s %18s %14s %10s %10s\n", "budget",
                 "verified fetches", "fully decrypted", "latency(ms)",
                 "rdr.retry", "all.retry");
@@ -416,7 +416,7 @@ BENCH_SCENARIO(f2_storm) {
   if (ctx.printing()) {
     std::printf(
         "expected shape: per-destination budgets grow where the storm bites,\n"
-        "so even base 1 recovers most fetches; a larger base spends more\n"
+        "so even floor 1 recovers most fetches; a larger floor spends more\n"
         "retries for the same success; backoff jitter decorrelates the\n"
         "storm's synchronized retransmit cohorts and buys back the rest.\n");
   }

@@ -357,16 +357,19 @@ int benchMain(int argc, char** argv) {
       runScenarios(registry, cli.config, baseName(argv[0]), &failed);
 
   if (!cli.config.jsonPath.empty()) {
+    const std::string text = doc.dump(2) + "\n";
     std::FILE* f = std::fopen(cli.config.jsonPath.c_str(), "w");
-    if (!f) {
+    bool written = f != nullptr;
+    if (f) {
+      written = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+      // fclose flushes the buffer, so a full device often fails only here.
+      written = std::fclose(f) == 0 && written;
+    }
+    if (!written) {
       std::fprintf(stderr, "%s: cannot write %s\n", baseName(argv[0]).c_str(),
                    cli.config.jsonPath.c_str());
       return 2;
     }
-    const std::string text = doc.dump(2);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
   }
   return failed ? 1 : 0;
 }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace dosn::benchkit {
@@ -48,188 +47,6 @@ void appendNumber(std::string& out, double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
 }
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  std::optional<Json> parseDocument() {
-    skipWs();
-    Json value;
-    if (!parseValue(value)) return std::nullopt;
-    skipWs();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
-    return value;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-
-  bool eof() const { return pos_ >= text_.size(); }
-  char peek() const { return text_[pos_]; }
-
-  void skipWs() {
-    while (!eof()) {
-      const char c = peek();
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool consume(char c) {
-    if (eof() || peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool consumeLiteral(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool parseValue(Json& out) {
-    if (eof()) return false;
-    switch (peek()) {
-      case '{': return parseObject(out);
-      case '[': return parseArray(out);
-      case '"': {
-        std::string s;
-        if (!parseString(s)) return false;
-        out = Json(std::move(s));
-        return true;
-      }
-      case 't':
-        if (!consumeLiteral("true")) return false;
-        out = Json(true);
-        return true;
-      case 'f':
-        if (!consumeLiteral("false")) return false;
-        out = Json(false);
-        return true;
-      case 'n':
-        if (!consumeLiteral("null")) return false;
-        out = Json();
-        return true;
-      default: return parseNumber(out);
-    }
-  }
-
-  bool parseObject(Json& out) {
-    if (!consume('{')) return false;
-    out = Json::object();
-    skipWs();
-    if (consume('}')) return true;
-    while (true) {
-      skipWs();
-      std::string key;
-      if (!parseString(key)) return false;
-      skipWs();
-      if (!consume(':')) return false;
-      skipWs();
-      Json value;
-      if (!parseValue(value)) return false;
-      out.set(key, std::move(value));
-      skipWs();
-      if (consume(',')) continue;
-      return consume('}');
-    }
-  }
-
-  bool parseArray(Json& out) {
-    if (!consume('[')) return false;
-    out = Json::array();
-    skipWs();
-    if (consume(']')) return true;
-    while (true) {
-      skipWs();
-      Json value;
-      if (!parseValue(value)) return false;
-      out.push(std::move(value));
-      skipWs();
-      if (consume(',')) continue;
-      return consume(']');
-    }
-  }
-
-  static int hexDigit(char c) {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  }
-
-  bool parseString(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (true) {
-      if (eof()) return false;
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        if (static_cast<unsigned char>(c) < 0x20) return false;
-        out += c;
-        continue;
-      }
-      if (eof()) return false;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const int d = hexDigit(text_[pos_++]);
-            if (d < 0) return false;
-            code = code * 16 + static_cast<unsigned>(d);
-          }
-          // BMP only (we never emit surrogate pairs); reject lone surrogates.
-          if (code >= 0xD800 && code <= 0xDFFF) return false;
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: return false;
-      }
-    }
-  }
-
-  bool parseNumber(Json& out) {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    while (!eof() && (std::isdigit(static_cast<unsigned char>(peek())) ||
-                      peek() == '.' || peek() == 'e' || peek() == 'E' ||
-                      peek() == '+' || peek() == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return false;
-    out = Json(v);
-    return true;
-  }
-};
 
 }  // namespace
 
@@ -284,19 +101,6 @@ const Json& Json::at(std::size_t index) const {
   return elements_.at(index);
 }
 
-bool Json::operator==(const Json& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
-    case Type::kNull: return true;
-    case Type::kBool: return bool_ == other.bool_;
-    case Type::kNumber: return number_ == other.number_;
-    case Type::kString: return string_ == other.string_;
-    case Type::kArray: return elements_ == other.elements_;
-    case Type::kObject: return members_ == other.members_;
-  }
-  return false;
-}
-
 void Json::dumpTo(std::string& out, int indent, int depth) const {
   const auto newline = [&](int d) {
     if (indent <= 0) return;
@@ -347,10 +151,6 @@ std::string Json::dump(int indent) const {
   std::string out;
   dumpTo(out, indent, 0);
   return out;
-}
-
-std::optional<Json> Json::parse(std::string_view text) {
-  return Parser(text).parseDocument();
 }
 
 }  // namespace dosn::benchkit

@@ -1,12 +1,11 @@
-// Minimal JSON document model for the benchmark harness: enough to emit the
-// schema-versioned BENCH_<name>.json trajectory files and to parse them back
-// (the round-trip is pinned by test_benchkit and consumed by
-// tools/bench_compare.py). Objects preserve insertion order so the emitted
-// files diff cleanly; non-finite numbers serialize as null (JSON has no NaN).
+// Minimal JSON document model for the benchmark harness: enough to build and
+// emit the schema-versioned BENCH_<name>.json trajectory files, which
+// tools/bench_compare.py reads (test_benchkit pins the emitted text). Objects
+// preserve insertion order so the emitted files diff cleanly; non-finite
+// numbers serialize as null (JSON has no NaN).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -68,17 +67,9 @@ class Json {
   }
   const std::vector<Json>& elements() const { return elements_; }
 
-  /// Structural equality; numbers compare exactly.
-  bool operator==(const Json& other) const;
-  bool operator!=(const Json& other) const { return !(*this == other); }
-
   /// indent == 0 renders compact; indent > 0 pretty-prints with that many
   /// spaces per nesting level.
   std::string dump(int indent = 0) const;
-
-  /// Strict parse of a complete document; std::nullopt on any syntax error
-  /// or trailing garbage.
-  static std::optional<Json> parse(std::string_view text);
 
  private:
   Type type_;

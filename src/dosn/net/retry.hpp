@@ -8,9 +8,10 @@
 // calls that timed out together decorrelate instead of re-colliding in
 // synchronized retry storms.
 //
-// AdaptiveRetryPolicy: sizes the retry budget from the observed per-attempt
-// timeout rate (an EWMA over attempt outcomes the endpoint feeds it), picking
-// the smallest budget whose residual failure probability meets a target.
+// AdaptiveRetryPolicy: one destination's attempt budget for adaptive calls,
+// sized from the per-attempt timeout rate observed against that destination
+// (an EWMA over attempt outcomes the endpoint feeds it). The call's own
+// RetryPolicy::attempts is the budget's floor.
 #pragma once
 
 #include <cmath>
@@ -22,14 +23,15 @@
 namespace dosn::net {
 
 struct RetryPolicy {
+  /// Upper clamp on any single backoff delay. Keeps pathological attempt
+  /// counts (or multipliers) from overflowing SimTime in the cast below.
+  static constexpr sim::SimTime kMaxBackoff = 60 * sim::kSecond;
+
   /// Total send attempts per RPC; 1 means no retries (classic behavior).
   std::size_t attempts = 1;
   /// Backoff before the 2nd attempt; attempt n waits base * multiplier^(n-1).
   sim::SimTime backoffBase = 100 * sim::kMillisecond;
   double backoffMultiplier = 2.0;
-  /// Upper clamp on any single backoff delay. Keeps pathological attempt
-  /// counts (or multipliers) from overflowing SimTime in the cast below.
-  sim::SimTime maxBackoff = 60 * sim::kSecond;
   /// Fraction f in [0, 1): each backoff is scaled by a uniform factor in
   /// [1-f, 1+f] drawn from the rng passed to backoff(). 0 (the default)
   /// draws nothing, so existing fixed-seed runs stay byte-identical.
@@ -41,7 +43,7 @@ struct RetryPolicy {
         static_cast<double>(backoffBase) *
         std::pow(backoffMultiplier, static_cast<double>(attempt - 1));
     // The negated comparison also catches NaN (e.g. 0 * inf) and +inf.
-    if (!(delay < static_cast<double>(maxBackoff))) return maxBackoff;
+    if (!(delay < static_cast<double>(kMaxBackoff))) return kMaxBackoff;
     return static_cast<sim::SimTime>(delay);
   }
 
@@ -54,48 +56,41 @@ struct RetryPolicy {
     const double scale =
         1.0 + jitterFraction * (2.0 * rng.uniformReal() - 1.0);
     const double jittered = static_cast<double>(flat) * scale;
-    if (!(jittered < static_cast<double>(maxBackoff))) return maxBackoff;
+    if (!(jittered < static_cast<double>(kMaxBackoff))) return kMaxBackoff;
     if (jittered <= 0.0) return 0;
     return static_cast<sim::SimTime>(jittered);
   }
 };
 
-/// Estimates the per-attempt timeout probability from outcomes observed at an
-/// RpcEndpoint and derives the smallest attempt budget whose residual failure
-/// probability (rate^attempts) meets kTargetResidualFailure. Deterministic:
-/// the estimate is a pure function of the observed outcome sequence.
+/// Estimates the per-attempt timeout probability from the outcomes observed
+/// against one destination and derives the smallest attempt budget whose
+/// residual failure probability (rate^attempts) meets kTargetResidualFailure.
+/// Deterministic: the estimate is a pure function of the observed outcome
+/// sequence.
 class AdaptiveRetryPolicy {
  public:
-  struct Config {
-    RetryPolicy base;             // backoff shape + minimum attempts
-    std::size_t maxAttempts = 6;  // budget ceiling
-  };
-
   /// Accepted give-up probability.
   static constexpr double kTargetResidualFailure = 0.01;
   /// EWMA weight of history per observed outcome.
   static constexpr double kDecay = 0.95;
-
-  AdaptiveRetryPolicy() = default;
-  explicit AdaptiveRetryPolicy(Config config) : config_(config) {}
+  /// Budget ceiling; a floor above it is kept as it is.
+  static constexpr std::size_t kMaxAttempts = 6;
 
   /// One attempt resolved: it either timed out or was answered.
   void observeAttempt(bool timedOut) {
     rate_ = kDecay * rate_ + (timedOut ? 1.0 - kDecay : 0.0);
-    ++observed_;
   }
 
   /// EWMA of the per-attempt timeout probability (0 until first observation).
   double timeoutRate() const { return rate_; }
-  std::size_t observedAttempts() const { return observed_; }
 
-  /// Current budget: smallest n with timeoutRate()^n <= target, clamped to
-  /// [base.attempts, maxAttempts].
-  std::size_t attempts() const {
-    std::size_t n = config_.base.attempts > 0 ? config_.base.attempts : 1;
+  /// Current budget: smallest n >= minAttempts (and >= 1) with
+  /// timeoutRate()^n <= target, growing no further than kMaxAttempts.
+  std::size_t attempts(std::size_t minAttempts) const {
+    std::size_t n = minAttempts > 0 ? minAttempts : 1;
     if (rate_ > 0.0) {
       double residual = std::pow(rate_, static_cast<double>(n));
-      while (n < config_.maxAttempts && residual > kTargetResidualFailure) {
+      while (n < kMaxAttempts && residual > kTargetResidualFailure) {
         ++n;
         residual *= rate_;
       }
@@ -103,17 +98,8 @@ class AdaptiveRetryPolicy {
     return n;
   }
 
-  /// The base policy with the adaptive attempt budget substituted in.
-  RetryPolicy current() const {
-    RetryPolicy policy = config_.base;
-    policy.attempts = attempts();
-    return policy;
-  }
-
  private:
-  Config config_;
   double rate_ = 0.0;
-  std::size_t observed_ = 0;
 };
 
 }  // namespace dosn::net

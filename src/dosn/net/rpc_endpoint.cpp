@@ -107,10 +107,6 @@ void RpcEndpoint::bump(sim::MessageType type,
   }
 }
 
-void RpcEndpoint::observeOutcome(bool timedOut) {
-  if (adaptive_) adaptive_->observeAttempt(timedOut);
-}
-
 RpcId RpcEndpoint::call(sim::NodeAddr to, sim::MessageType type,
                         util::BytesView body, const CallOptions& options,
                         ReplyCallback onReply) {
@@ -127,10 +123,10 @@ RpcId RpcEndpoint::call(sim::NodeAddr to, sim::MessageType type,
   pending.peer = to;
   pending.adaptive = options.adaptiveTimeout;
 
-  const RetryPolicy retry = options.adaptiveTimeout
-                                ? peers_.state(to).retry.current()
-                                : (adaptive_ ? adaptive_->current()
-                                             : options.retry);
+  RetryPolicy retry = options.retry;
+  if (options.adaptiveTimeout) {
+    retry.attempts = peers_.state(to).retry.attempts(options.retry.attempts);
+  }
   transmit(to, type, w.take(), id, 1, options.timeout, retry,
            options.adaptiveTimeout);
   return id;
@@ -163,7 +159,6 @@ void RpcEndpoint::transmit(sim::NodeAddr to, sim::MessageType type,
         PendingCall* call = state->pending.find(id);
         if (!call) return;  // answered in time
         bump(type, &TypeMetricNames::timeouts);
-        observeOutcome(true);
         if (adaptive) {
           PeerStateTable::PeerState& ps = peers_.state(to);
           ps.rtt.onTimeout();
@@ -244,7 +239,6 @@ void RpcEndpoint::finish(RpcId id, bool ok, util::BytesView payload) {
           static_cast<double>(rtt) / static_cast<double>(sim::kMillisecond);
       m->histogram(metricNames(type).rttMs).record(rttMs);
     }
-    observeOutcome(false);
     if (call->adaptive) {
       PeerStateTable::PeerState& ps = peers_.state(call->peer);
       ps.retry.observeAttempt(false);

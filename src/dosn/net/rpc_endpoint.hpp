@@ -7,9 +7,8 @@
 //    ids can double as flood/query identifiers deduplicated across nodes);
 //  - the pending-call map. A pending entry survives retransmissions, so a
 //    late reply to an earlier attempt still completes the call;
-//  - single-shot and retry-with-backoff timeout handling via RetryPolicy
-//    (or an attached AdaptiveRetryPolicy that sizes budgets from the
-//    endpoint's observed timeout rate);
+//  - single-shot and retry-with-backoff timeout handling via the call's
+//    RetryPolicy, its only retry budget;
 //  - DosnError containment: a corrupted payload that makes a handler or
 //    observer throw is dropped, never propagated;
 //  - uniform observability into the network's attached Metrics, one
@@ -22,7 +21,8 @@
 //  - opt-in per-destination adaptivity (CallOptions::adaptiveTimeout): a
 //    PeerStateTable keys an RFC 6298-style RttEstimator and an
 //    AdaptiveRetryPolicy by destination, so each peer earns its own timeout
-//    and retry budget instead of fleet-global constants. Samples export
+//    and a retry budget that grows from the call's attempts with the peer's
+//    timeout rate, instead of fleet-global constants. Samples export
 //    rpc.rtt.<type>.{srtt,rttvar,timeout} gauges and a
 //    rpc.rtt.<type>.samples counter. With the flag off (the default) the
 //    fixed-timeout path is byte-identical to the pre-adaptive endpoint.
@@ -60,14 +60,17 @@ using RpcId = std::uint64_t;
 
 struct CallOptions {
   sim::SimTime timeout = 500 * sim::kMillisecond;
-  /// attempts=1 preserves classic single-shot behavior. Ignored when an
-  /// AdaptiveRetryPolicy is attached to the endpoint.
+  /// The call's retry budget; attempts=1 preserves classic single-shot
+  /// behavior. Adaptive calls keep its backoff shape and use its attempts as
+  /// the floor of the destination's budget.
   RetryPolicy retry{};
   /// Opt-in per-destination adaptivity (RFC 6298 semantics, see net/rtt.hpp):
   /// each attempt's timeout comes from the destination's RttEstimator
-  /// (`timeout` above is only the pre-sample fallback), the retry budget from
-  /// the destination's own AdaptiveRetryPolicy, and completions answered on
-  /// their first attempt feed the estimator (Karn's rule: retransmitted calls
+  /// (`timeout` above is only the pre-sample fallback), the attempt budget
+  /// from the destination's own AdaptiveRetryPolicy (at least
+  /// `retry.attempts`, growing with its timeout rate up to
+  /// AdaptiveRetryPolicy::kMaxAttempts), and completions answered on their
+  /// first attempt feed the estimator (Karn's rule: retransmitted calls
   /// never do). Off by default: the classic fixed-timeout path is untouched.
   bool adaptiveTimeout = false;
 };
@@ -135,18 +138,6 @@ class RpcEndpoint {
   /// Fire-and-forget message from this endpoint's address.
   void send(sim::NodeAddr to, sim::MessageType type, util::Bytes payload);
 
-  /// Attaches an adaptive budget (nullptr detaches). Not owned; must outlive
-  /// use. While attached it replaces CallOptions::retry on every call and is
-  /// fed every attempt outcome (timeout / answered). Calls made with
-  /// adaptiveTimeout take their budget from the per-destination table
-  /// instead.
-  void setAdaptiveRetry(AdaptiveRetryPolicy* policy) { adaptive_ = policy; }
-
-  /// Sets the backoff shape and minimum attempts that every destination's
-  /// adaptive retry budget starts from. Existing per-peer state is discarded.
-  void setPeerRetryBase(const RetryPolicy& base) {
-    peers_ = PeerStateTable(base);
-  }
   PeerStateTable& peerStates() { return peers_; }
   const PeerStateTable& peerStates() const { return peers_; }
 
@@ -192,7 +183,6 @@ class RpcEndpoint {
   void finish(RpcId id, bool ok, util::BytesView payload);
   TypeMetricNames& metricNames(sim::MessageType type);
   void bump(sim::MessageType type, std::string TypeMetricNames::* event);
-  void observeOutcome(bool timedOut);
   /// Feeds a Karn-valid sample to `peer`'s estimator and exports the
   /// rpc.rtt.<type>.{srtt,rttvar,timeout} gauges + sample counter.
   void recordRttSample(sim::NodeAddr peer, sim::MessageType type,
@@ -203,7 +193,6 @@ class RpcEndpoint {
   std::uint64_t statusToken_ = 0;
   std::shared_ptr<State> state_;
   std::uint32_t nextCallId_ = 1;
-  AdaptiveRetryPolicy* adaptive_ = nullptr;
   PeerStateTable peers_;
   // Dispatch tables keyed by interned id; handler lists are deques so a
   // handler registering further handlers never invalidates the one running.

@@ -38,10 +38,7 @@ sim::SimTime RttEstimator::timeout(sim::SimTime fallback) const {
 
 PeerStateTable::PeerState& PeerStateTable::state(sim::NodeAddr peer) {
   Entry* entry = peers_.find(peer);
-  if (!entry) {
-    entry = &peers_[peer];
-    entry->state.retry = AdaptiveRetryPolicy(retry_);
-  }
+  if (!entry) entry = &peers_[peer];
   // Touch before evicting so a just-created entry can never be its own
   // eviction victim (unique monotonic touches keep eviction deterministic
   // regardless of the table's iteration order).

@@ -28,12 +28,13 @@
 //
 // PeerStateTable keys one RttEstimator plus one AdaptiveRetryPolicy per
 // destination NodeAddr, so each peer earns its own timeout and retry budget
-// instead of sharing fleet-global constants. The table is bounded: under
-// churn, peers come and go forever, so entries are evicted least-recently-
-// used once kMaxPeers is exceeded (eviction order is deterministic — a
-// monotonic touch counter, no clocks). Storage is an open-addressing
-// AddrMap (DESIGN.md §3d): the per-send state(peer) lookup is one hash and
-// a short probe instead of a red-black-tree walk.
+// (the call's own attempts are the budget's floor) instead of sharing
+// fleet-global constants. The table is bounded: under churn, peers come and
+// go forever, so entries are evicted least-recently-used once kMaxPeers is
+// exceeded (eviction order is deterministic — a monotonic touch counter, no
+// clocks). Storage is an open-addressing AddrMap (DESIGN.md §3d): the
+// per-send state(peer) lookup is one hash and a short probe instead of a
+// red-black-tree walk.
 #pragma once
 
 #include <cstddef>
@@ -91,14 +92,6 @@ class PeerStateTable {
   /// forever; estimator state for long-gone ones is dead weight).
   static constexpr std::size_t kMaxPeers = 1024;
 
-  PeerStateTable() = default;
-  /// Each peer's retry budget starts from `retryBase` (its backoff shape
-  /// and minimum attempts) and grows up to AdaptiveRetryPolicy's default
-  /// ceiling of 6 attempts.
-  explicit PeerStateTable(const RetryPolicy& retryBase) {
-    retry_.base = retryBase;
-  }
-
   /// The state for `peer`, created on first use; touches the LRU order and
   /// may evict the least-recently-used other entry to stay within kMaxPeers.
   PeerState& state(sim::NodeAddr peer);
@@ -123,7 +116,6 @@ class PeerStateTable {
 
   void evictIfNeeded();
 
-  AdaptiveRetryPolicy::Config retry_;
   sim::AddrMap<Entry> peers_;
   std::uint64_t touchClock_ = 0;
 };

@@ -37,7 +37,7 @@ OverlayId readId(util::Reader& r) {
 
 // Parses a sync body (`entries | requested keys`) without applying it, so a
 // truncated/corrupted reply throws here and is dropped by the endpoint —
-// the digest call stays pending and the retry path gets another shot.
+// the digest call stays pending until its deadline.
 void validateSync(util::BytesView body) {
   util::Reader r(body);
   const std::uint32_t entries = r.count(kEntryMinBytes);
@@ -62,7 +62,7 @@ GossipNode::GossipNode(sim::Network& network, GossipConfig config)
       [this](sim::NodeAddr from, util::BytesView body, net::RpcId rpcId) {
         // Push-pull: reply with entries the peer is missing plus the keys we
         // want from it. The reply is sent even when both lists are empty —
-        // an in-sync peer must still complete the RPC or it would retry.
+        // an in-sync peer must still complete the RPC or it would time out.
         util::Reader r(body);
         std::map<OverlayId, std::uint64_t> peerVersions;
         const std::uint32_t count = r.count(kDigestItemBytes);
@@ -154,11 +154,8 @@ void GossipNode::round() {
 }
 
 void GossipNode::exchangeWith(sim::NodeAddr peer) {
-  net::CallOptions options;
-  options.timeout = config_.rpcTimeout;
-  options.retry = config_.retry;
   endpoint_.call(
-      peer, kMsgDigest, encodeDigest(), options,
+      peer, kMsgDigest, encodeDigest(), net::CallOptions{},
       // Note no running_ gate: a stopped node still applies incoming state
       // passively, exactly as the pre-endpoint message handler did.
       [this, peer](bool ok, util::BytesView reply) {

@@ -4,9 +4,9 @@
 //
 // A round's digest exchange is a paired RPC on the shared net::RpcEndpoint
 // ("gossip.digest" -> "gossip.sync"), which buys the anti-entropy path what
-// every other overlay already had: correlation, per-RPC metrics, and —
-// new for gossip — timeout-driven retry with backoff, so a dropped digest
-// or sync no longer silently wastes the whole round.
+// every other overlay already had: correlation and per-RPC metrics. Each
+// digest is one attempt with the endpoint's default 500 ms deadline; a
+// dropped digest or sync is retried by the next anti-entropy round.
 #pragma once
 
 #include <functional>
@@ -16,7 +16,6 @@
 
 #include "dosn/net/rpc_endpoint.hpp"
 #include "dosn/overlay/node_id.hpp"
-#include "dosn/overlay/retry.hpp"
 #include "dosn/sim/network.hpp"
 #include "dosn/util/codec.hpp"
 
@@ -25,11 +24,6 @@ namespace dosn::overlay {
 struct GossipConfig {
   sim::SimTime interval = 1 * sim::kSecond;  // anti-entropy round period
   std::size_t fanout = 1;                    // peers contacted per round
-  /// Deadline for one digest/sync exchange.
-  sim::SimTime rpcTimeout = 500 * sim::kMillisecond;
-  /// Retry budget for the digest RPC; default attempts=1 keeps the classic
-  /// fire-and-forget round economics.
-  RetryPolicy retry;
 };
 
 class GossipNode {
@@ -61,9 +55,6 @@ class GossipNode {
   void onUpdate(std::function<void(const OverlayId&, const util::Bytes&)> hook) {
     updateHook_ = std::move(hook);
   }
-
-  /// Digest RPCs retried (from the shared endpoint).
-  std::uint64_t rpcRetries() const { return endpoint_.retries(); }
 
  private:
   struct Entry {

@@ -109,8 +109,6 @@ KademliaNode::KademliaNode(sim::Network& network, OverlayId id,
       table_(id, config.k),
       store_(config_.makeStore ? config_.makeStore()
                                : std::make_unique<store::MemoryStore>()) {
-  endpoint_.setAdaptiveRetry(config_.adaptiveRetry);
-  if (config_.adaptiveTimeout) endpoint_.setPeerRetryBase(config_.retry);
   setupRpcHandlers();
 }
 

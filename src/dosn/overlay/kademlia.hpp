@@ -44,16 +44,11 @@ struct KademliaConfig {
   /// Per-RPC retry with exponential backoff; default attempts=1 disables
   /// retries, preserving the classic single-shot timeout behavior.
   RetryPolicy retry;
-  /// Optional shared adaptive retry budget (not owned; must outlive the
-  /// node). It is fed every attempt outcome, sizing the budget from the
-  /// fleet's observed timeout rate, and replaces `retry` on the fixed-timeout
-  /// path only: with `adaptiveTimeout` on, the per-destination budgets win.
-  net::AdaptiveRetryPolicy* adaptiveRetry = nullptr;
   /// Per-destination adaptive timeouts (net/rtt.hpp): every RPC takes its
   /// timeout from an RFC 6298 estimator and its retry budget from an
   /// AdaptiveRetryPolicy keyed by the destination, with `rpcTimeout` as the
-  /// pre-sample fallback and `retry` as the per-destination budget base.
-  /// Off by default: the classic fixed-timeout behavior is untouched.
+  /// pre-sample fallback and `retry.attempts` as the per-destination budget
+  /// floor. Off by default: the classic fixed-timeout behavior is untouched.
   bool adaptiveTimeout = false;
   /// Optional placement policy for store(): when set, the `width` targets
   /// are chosen by policy from the XOR-closest contacts the lookup found

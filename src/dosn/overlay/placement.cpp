@@ -92,7 +92,7 @@ std::vector<sim::NodeAddr> SocialPolicy::select(
   for (const sim::NodeAddr addr : pool) {
     Ranked r;
     r.addr = addr;
-    r.offline = config_.preferOnline && !network_.isOnline(addr);
+    r.offline = !network_.isOnline(addr);
     const social::UserId* user = users_.find(addr);
     if (owner && user) {
       if (*user == *owner || friends.count(*user)) {

@@ -80,20 +80,18 @@ struct SocialPolicyConfig {
   /// lands in the stranger tier and selection degrades gracefully to the
   /// XOR/addr fallback order.
   const social::SocialGraph* graph = nullptr;
-  /// Rank online candidates ahead of offline ones (liveness is the primary
-  /// sort key; social tier only breaks liveness ties).
-  bool preferOnline = true;
 };
 
 /// Social-locality placement. Candidates are ranked by
 ///   (liveness, social tier, XOR distance to the item, NodeAddr)
-/// where tier 0 = the owner's own node or a direct friend, tier 1 = a
-/// friend-of-a-friend, tier 2 = everyone else. XOR distance is available
-/// only for candidates whose overlay id was bound via bindId(); unbound
-/// candidates sort after bound ones within a tier, by address. The final
-/// NodeAddr key makes the whole ordering a strict total order, so placement
-/// is deterministic regardless of candidate order — the tie-break the
-/// placement tests pin.
+/// where online candidates rank ahead of offline ones (the social tier only
+/// breaks liveness ties), tier 0 = the owner's own node or a direct friend,
+/// tier 1 = a friend-of-a-friend, tier 2 = everyone else. XOR distance is
+/// available only for candidates whose overlay id was bound via bindId();
+/// unbound candidates sort after bound ones within a tier, by address. The
+/// final NodeAddr key makes the whole ordering a strict total order, so
+/// placement is deterministic regardless of candidate order — the tie-break
+/// the placement tests pin.
 class SocialPolicy final : public PlacementPolicy {
  public:
   SocialPolicy(sim::Network& network, SocialPolicyConfig config);

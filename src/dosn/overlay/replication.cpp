@@ -216,7 +216,6 @@ ReplicaClient::ReplicaClient(sim::Network& network, RetryPolicy retry,
       retry_(retry),
       rpcTimeout_(rpcTimeout),
       adaptiveTimeout_(adaptiveTimeout) {
-  if (adaptiveTimeout_) endpoint_.setPeerRetryBase(retry_);
   // No reply observers: a corrupted ack/value still completes the call and
   // the store/fetch adapters map the unparseable body to failure (matching
   // the historical client behavior the fault tests pin down).

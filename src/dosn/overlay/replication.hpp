@@ -133,7 +133,8 @@ class ReplicaClient {
  public:
   /// `adaptiveTimeout` opts store/fetch RPCs into per-destination adaptive
   /// timeouts and retry budgets (net/rtt.hpp); `rpcTimeout` then serves as
-  /// the pre-sample fallback and `retry` as the per-host budget base.
+  /// the pre-sample fallback and `retry.attempts` as the per-host budget
+  /// floor.
   explicit ReplicaClient(sim::Network& network, RetryPolicy retry = {},
                          sim::SimTime rpcTimeout = 500 * sim::kMillisecond,
                          bool adaptiveTimeout = false);

@@ -1,8 +1,8 @@
 // Unit tests for the shared benchmark harness (src/dosn/benchkit): scenario
 // registry and --filter matching, wall-clock statistics on hand-computed
-// samples, the JSON document round-trip bench_compare.py depends on, the
-// shared CLI's exit-code contract, and seed/smoke plumbing through
-// runScenarios.
+// samples, the exact JSON text bench_compare.py reads, the shared CLI's
+// exit-code contract (a failed --json write included), and seed/smoke
+// plumbing through runScenarios.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -103,7 +103,8 @@ TEST(JsonTest, RoundTripPreservesStructure) {
   doc.set("negative", -42.5);
   doc.set("flag", true);
   doc.set("nothing", Json());
-  doc.set("escaped", std::string("line\nquote\"back\\slash\ttab"));
+  doc.set("escaped", std::string("line\nquote\"back\\slash\ttab\x01"));
+  doc.set("empty", Json::array());
   Json arr = Json::array();
   arr.push(1.0);
   arr.push("two");
@@ -112,12 +113,30 @@ TEST(JsonTest, RoundTripPreservesStructure) {
   arr.push(std::move(nested));
   doc.set("items", std::move(arr));
 
-  for (const int indent : {0, 2}) {
-    const std::string text = doc.dump(indent);
-    const auto parsed = Json::parse(text);
-    ASSERT_TRUE(parsed.has_value()) << text;
-    EXPECT_EQ(*parsed, doc) << text;
-  }
+  // Integers print without ".0", control characters as \u00XX, and an empty
+  // array as [] at every indent.
+  EXPECT_EQ(doc.dump(0),
+            R"({"schema":"dosn-bench/1","count":12345,"ratio":0.125,)"
+            R"("negative":-42.5,"flag":true,"nothing":null,)"
+            R"("escaped":"line\nquote\"back\\slash\ttab\u0001",)"
+            R"("empty":[],"items":[1,"two",{"deep":3.5}]})");
+  EXPECT_EQ(doc.dump(2), R"({
+  "schema": "dosn-bench/1",
+  "count": 12345,
+  "ratio": 0.125,
+  "negative": -42.5,
+  "flag": true,
+  "nothing": null,
+  "escaped": "line\nquote\"back\\slash\ttab\u0001",
+  "empty": [],
+  "items": [
+    1,
+    "two",
+    {
+      "deep": 3.5
+    }
+  ]
+})");
 }
 
 TEST(JsonTest, ObjectsPreserveInsertionOrderAndSetReplacesInPlace) {
@@ -137,23 +156,6 @@ TEST(JsonTest, NonFiniteNumbersSerializeAsNull) {
   EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).dump(), "null");
   EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(), "null");
   EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).dump(), "null");
-}
-
-TEST(JsonTest, ParseRejectsMalformedDocuments) {
-  EXPECT_FALSE(Json::parse("{").has_value());
-  EXPECT_FALSE(Json::parse("[1, 2] garbage").has_value());
-  EXPECT_FALSE(Json::parse("tru").has_value());
-  EXPECT_FALSE(Json::parse("{\"a\": }").has_value());
-  EXPECT_FALSE(Json::parse("").has_value());
-
-  const auto ok = Json::parse("{\"a\": [1, 2.5, \"x\", null, false]}");
-  ASSERT_TRUE(ok.has_value());
-  const Json* a = ok->find("a");
-  ASSERT_NE(a, nullptr);
-  ASSERT_EQ(a->size(), 5u);
-  EXPECT_DOUBLE_EQ(a->at(1).asNumber(), 2.5);
-  EXPECT_TRUE(a->at(3).isNull());
-  EXPECT_FALSE(a->at(4).asBool());
 }
 
 CliResult parseArgs(const std::vector<const char*>& args) {
@@ -201,6 +203,27 @@ TEST(Cli, DefaultsMatchHistoricalBehavior) {
   EXPECT_FALSE(bare.config.smoke);
   EXPECT_TRUE(bare.config.filter.empty());
   EXPECT_TRUE(bare.config.jsonPath.empty());
+}
+
+// benchMain runs the process-wide registry, so the probe registers there once.
+int runBenchMain(const std::string& jsonPath) {
+  static const bool registered =
+      Registry::instance().add("json_write_probe", &noop);
+  EXPECT_TRUE(registered);
+  std::string name = "test_benchkit";
+  std::string filter = "--filter=^json_write_probe$";
+  std::string json = "--json=" + jsonPath;
+  char* argv[] = {name.data(), filter.data(), json.data()};
+  return dosn::benchkit::benchMain(3, argv);
+}
+
+TEST(BenchMain, JsonWriteFailureExitsTwo) {
+  const std::string path = ::testing::TempDir() + "benchmain_probe.json";
+  EXPECT_EQ(runBenchMain(path), 0);
+  std::remove(path.c_str());
+  // /dev/full accepts the open and the buffered write; the flush in fclose
+  // fails with ENOSPC.
+  EXPECT_EQ(runBenchMain("/dev/full"), 2);
 }
 
 // runScenarios probes: plain function pointers, so state lives in globals.

@@ -11,11 +11,12 @@
 //  - every counter the endpoint writes is per message type: rpc.<type>.*
 //    (orphans under the reply channel's type), beside the network's net.*;
 //  - RetryPolicy's closed-form backoff matches iterated multiplication and
-//    clamps at maxBackoff instead of overflowing SimTime;
-//  - AdaptiveRetryPolicy grows the attempt budget as observed timeouts
-//    accumulate and decays it back on successes;
-//  - gossip anti-entropy (the layer that gained retry last) converges under
-//    a drop storm, with uniform rpc.gossip.digest.* counters to show for it.
+//    clamps at kMaxBackoff instead of overflowing SimTime;
+//  - AdaptiveRetryPolicy grows the attempt budget above its floor as
+//    observed timeouts accumulate and decays it back on successes;
+//  - gossip anti-entropy converges under a drop storm with single-attempt
+//    digests (the next round is its retry), with uniform
+//    rpc.gossip.digest.* counters to show for it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -262,9 +263,9 @@ TEST(RetryPolicyTest, BackoffClampsAtMaxInsteadOfOverflowing) {
   RetryPolicy policy;
   policy.backoffBase = 100 * kMillisecond;
   policy.backoffMultiplier = 2.0;
-  policy.maxBackoff = 60 * kSecond;
+  ASSERT_EQ(RetryPolicy::kMaxBackoff, 60 * kSecond);
   // 2^1000 overflows every integer type; the clamp must win first.
-  EXPECT_EQ(policy.backoff(1000), policy.maxBackoff);
+  EXPECT_EQ(policy.backoff(1000), RetryPolicy::kMaxBackoff);
   // The crossover attempt: first delay at or past the clamp.
   EXPECT_EQ(policy.backoff(11), 60 * kSecond);  // 100ms * 2^10 = 102.4s
   EXPECT_EQ(policy.backoff(10), SimTime{100 * kMillisecond} * 512);
@@ -272,7 +273,7 @@ TEST(RetryPolicyTest, BackoffClampsAtMaxInsteadOfOverflowing) {
   RetryPolicy weird;
   weird.backoffBase = 0;
   weird.backoffMultiplier = 1e308;
-  EXPECT_LE(weird.backoff(50), weird.maxBackoff);
+  EXPECT_LE(weird.backoff(50), RetryPolicy::kMaxBackoff);
 }
 
 TEST(RetryPolicyTest, ZeroJitterConsumesNoRngDraws) {
@@ -302,39 +303,44 @@ TEST(RetryPolicyTest, JitteredBackoffStaysInBoundsAndIsSeedDeterministic) {
     const SimTime jittered = policy.backoff(attempt, rng);
     EXPECT_GE(jittered, static_cast<SimTime>(static_cast<double>(flat) * 0.7) - 1);
     EXPECT_LE(jittered, static_cast<SimTime>(static_cast<double>(flat) * 1.3) + 1);
-    EXPECT_LE(jittered, policy.maxBackoff);
+    EXPECT_LE(jittered, RetryPolicy::kMaxBackoff);
     if (jittered != flat) sawJitter = true;
     // Deterministic per seed: a same-seeded replay produces the same delay.
     EXPECT_EQ(policy.backoff(attempt, replay), jittered);
   }
   EXPECT_TRUE(sawJitter);
-  // At the clamp, jitter scales downward from maxBackoff (spreading even the
+  // At the clamp, jitter scales downward from kMaxBackoff (spreading even the
   // saturated cohort) but can never exceed it.
   const SimTime clamped = policy.backoff(1000, rng);
-  EXPECT_LE(clamped, policy.maxBackoff);
-  EXPECT_GE(clamped,
-            static_cast<SimTime>(static_cast<double>(policy.maxBackoff) * 0.7) - 1);
+  const double maxBackoff = static_cast<double>(RetryPolicy::kMaxBackoff);
+  EXPECT_LE(clamped, RetryPolicy::kMaxBackoff);
+  EXPECT_GE(clamped, static_cast<SimTime>(maxBackoff * 0.7) - 1);
 }
 
 // --- AdaptiveRetryPolicy ---
 
 TEST(AdaptiveRetryPolicyTest, BudgetGrowsWithTimeoutsAndDecaysWithSuccesses) {
-  AdaptiveRetryPolicy::Config config;
-  config.maxAttempts = 6;
-  AdaptiveRetryPolicy adaptive(config);
+  AdaptiveRetryPolicy adaptive;
 
-  EXPECT_EQ(adaptive.attempts(), 1u);  // nothing observed: base budget
+  // Nothing observed: the budget is the floor (and at least one attempt).
+  EXPECT_EQ(adaptive.attempts(1), 1u);
+  EXPECT_EQ(adaptive.attempts(3), 3u);
+  EXPECT_EQ(adaptive.attempts(0), 1u);
   EXPECT_DOUBLE_EQ(adaptive.timeoutRate(), 0.0);
 
   for (int i = 0; i < 50; ++i) adaptive.observeAttempt(true);
   EXPECT_GT(adaptive.timeoutRate(), 0.8);
-  EXPECT_EQ(adaptive.attempts(), config.maxAttempts);  // rate^n never meets 1%
-  EXPECT_EQ(adaptive.current().attempts, config.maxAttempts);
+  // rate^n never meets 1%: every floor grows to the ceiling...
+  EXPECT_EQ(adaptive.attempts(1), AdaptiveRetryPolicy::kMaxAttempts);
+  EXPECT_EQ(adaptive.attempts(4), AdaptiveRetryPolicy::kMaxAttempts);
+  // ...and a floor above the ceiling is kept as it is.
+  EXPECT_EQ(adaptive.attempts(8), 8u);
 
   for (int i = 0; i < 100; ++i) adaptive.observeAttempt(false);
   EXPECT_LT(adaptive.timeoutRate(), 0.01);
-  EXPECT_EQ(adaptive.attempts(), 1u);  // healthy again: budget shrinks back
-  EXPECT_EQ(adaptive.observedAttempts(), 150u);
+  // Healthy again: the budget shrinks back to the floor.
+  EXPECT_EQ(adaptive.attempts(1), 1u);
+  EXPECT_EQ(adaptive.attempts(2), 2u);
 }
 
 TEST(AdaptiveRetryPolicyTest, ModerateLossPicksIntermediateBudget) {
@@ -345,11 +351,15 @@ TEST(AdaptiveRetryPolicyTest, ModerateLossPicksIntermediateBudget) {
   EXPECT_GT(rate, 0.05);
   EXPECT_LT(rate, 0.45);
   // smallest n with rate^n <= 0.01 for rate in (0.05, 0.45) is 2 or 3.
-  EXPECT_GE(adaptive.attempts(), 2u);
-  EXPECT_LE(adaptive.attempts(), 3u);
+  const std::size_t budget = adaptive.attempts(1);
+  EXPECT_GE(budget, 2u);
+  EXPECT_LE(budget, 3u);
+  // The floor only ever raises it.
+  EXPECT_EQ(adaptive.attempts(budget), budget);
+  EXPECT_EQ(adaptive.attempts(5), 5u);
 }
 
-// --- Gossip over the endpoint: anti-entropy retry under loss ---
+// --- Gossip over the endpoint: anti-entropy under loss ---
 
 TEST(GossipRetryTest, AntiEntropyConvergesUnderDropStormWithRetries) {
   util::Rng rng(1234);
@@ -364,9 +374,6 @@ TEST(GossipRetryTest, AntiEntropyConvergesUnderDropStormWithRetries) {
   overlay::GossipConfig config;
   config.interval = 200 * kMillisecond;
   config.fanout = 2;
-  config.rpcTimeout = 100 * kMillisecond;
-  config.retry.attempts = 4;
-  config.retry.backoffBase = 20 * kMillisecond;
 
   std::vector<std::unique_ptr<overlay::GossipNode>> nodes;
   for (int i = 0; i < 8; ++i) {
@@ -390,14 +397,14 @@ TEST(GossipRetryTest, AntiEntropyConvergesUnderDropStormWithRetries) {
   }
   EXPECT_EQ(have, nodes.size()) << "anti-entropy did not converge";
 
-  // The uniform rpc.* surface exists and shows retry work under the storm.
+  // The uniform rpc.* surface exists and shows the storm's work: digests
+  // are single-attempt, so a lost one fails and the next round (not the
+  // endpoint) retries the exchange.
   EXPECT_GT(metrics.counter("rpc.gossip.digest.sent"), 0u);
-  EXPECT_GT(metrics.counter("rpc.gossip.digest.retries"), 0u);
+  EXPECT_EQ(metrics.counter("rpc.gossip.digest.retries"), 0u);
+  EXPECT_GT(metrics.counter("rpc.gossip.digest.failed"), 0u);
   EXPECT_GT(metrics.counter("rpc.gossip.digest.completed"), 0u);
   EXPECT_GT(metrics.histogram("rpc.gossip.digest.rtt_ms").count(), 0u);
-  std::uint64_t retries = 0;
-  for (const auto& n : nodes) retries += n->rpcRetries();
-  EXPECT_GT(retries, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 //    the RTTVAR-before-SRTT update order, the SRTT+4*RTTVAR timeout);
 //  - Karn's rule enforced by the endpoint: a call that was retransmitted
 //    never samples, a call answered on its first attempt always does;
+//  - an adaptive call's own retry.attempts are the floor of the
+//    destination's budget;
 //  - clamp bounds and the persistent cross-call backoff that lets a
 //    mis-trained estimator escape the "timeout < RTT forever" trap;
 //  - PeerStateTable LRU semantics (deterministic eviction, no clocks);
@@ -221,15 +223,12 @@ TEST_F(AdaptiveRpcTest, KarnRuleRetransmittedCallNeverSamples) {
   client.addReplyChannel("resp");
   const NodeAddr server = addEchoServer();
 
-  // Adaptive calls take their retry budget from the per-destination table
-  // (CallOptions::retry is ignored), so give the table a budget that allows
-  // retransmission.
-  client.setPeerRetryBase(RetryPolicy{3, 50 * kMillisecond, 2.0});
-
   // Fallback 150ms < the 200ms RTT: the first attempt times out, the call
-  // completes on the late reply — ambiguous under Karn, so no sample.
+  // completes on the late reply — ambiguous under Karn, so no sample. The
+  // budget allows the retransmission that makes the reply ambiguous.
   CallOptions options;
   options.timeout = 150 * kMillisecond;
+  options.retry = RetryPolicy{3, 50 * kMillisecond, 2.0};
   options.adaptiveTimeout = true;
   bool ok = false;
   client.call(server, "req", {}, options,
@@ -252,6 +251,30 @@ TEST_F(AdaptiveRpcTest, KarnRuleRetransmittedCallNeverSamples) {
   ASSERT_TRUE(state->rtt.hasSample());
   EXPECT_DOUBLE_EQ(state->rtt.srtt(), 200000.0);
   EXPECT_EQ(state->rtt.consecutiveTimeouts(), 0u);
+}
+
+TEST_F(AdaptiveRpcTest, CallAttemptsAreTheAdaptiveBudgetFloor) {
+  RpcEndpoint client(net_);
+  client.addReplyChannel("resp");
+  const NodeAddr silent = net_.addNode();  // no handler: never answers
+
+  // No history against `silent` yet, so its budget is exactly the call's
+  // attempts; the adaptive path neither ignores nor lowers them.
+  CallOptions options;
+  options.retry.attempts = 3;
+  options.adaptiveTimeout = true;
+  bool done = false;
+  bool ok = true;
+  client.call(silent, "req", {}, options, [&](bool replied, util::BytesView) {
+    done = true;
+    ok = replied;
+  });
+  sim_.run();
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(metrics_.counter("rpc.req.sent"), 3u);
+  EXPECT_EQ(metrics_.counter("rpc.req.retries"), 2u);
+  EXPECT_EQ(metrics_.counter("rpc.req.failed"), 1u);
 }
 
 TEST_F(AdaptiveRpcTest, CleanCallSamplesAndExportsGauges) {
@@ -366,7 +389,6 @@ SweepOutcome runSweep(bool adaptive, std::size_t farServers,
   RpcEndpoint client(net);
   client.addReplyChannel("resp");
   const RetryPolicy retry{4, 100 * kMillisecond, 2.0};
-  if (adaptive) client.setPeerRetryBase(retry);
 
   sim::FaultPlan plan;
   addRules(plan, std::vector<NodeAddr>(servers.end() - farServers,
