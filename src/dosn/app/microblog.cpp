@@ -1,6 +1,8 @@
 #include "dosn/app/microblog.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 
 #include "dosn/util/codec.hpp"
 #include "dosn/util/error.hpp"
@@ -27,6 +29,7 @@ constexpr sim::SimTime kCacheProbeTimeout = 200 * sim::kMillisecond;
 
 util::Bytes HeadRecord::signedBytes() const {
   util::Writer w;
+  w.reserve(8 + crypto::kSha256DigestSize);
   w.u64(length);
   w.raw(util::BytesView(headHash));
   return w.take();
@@ -45,9 +48,8 @@ std::optional<HeadRecord> HeadRecord::deserialize(util::BytesView data) {
     util::Reader r(data);
     HeadRecord record;
     record.length = r.u64();
-    const util::Bytes hash = r.raw(crypto::kSha256DigestSize);
-    std::copy(hash.begin(), hash.end(), record.headHash.begin());
-    const auto sig = pkcrypto::SchnorrSignature::deserialize(r.bytes());
+    r.rawInto(record.headHash);
+    const auto sig = pkcrypto::SchnorrSignature::deserialize(r.bytesView());
     if (!sig) return std::nullopt;
     record.signature = *sig;
     r.expectEnd();
@@ -58,8 +60,11 @@ std::optional<HeadRecord> HeadRecord::deserialize(util::BytesView data) {
 }
 
 util::Bytes TimelineRecord::serialize() const {
+  const util::Bytes entryBytes = entry.serialize();
   util::Writer w;
-  w.bytes(entry.serialize());
+  w.reserve(4 + entryBytes.size() + 4 + envelope.scheme.size() + 4 +
+            envelope.group.size() + 8 + 4 + envelope.blob.size());
+  w.bytes(entryBytes);
   w.str(envelope.scheme);
   w.str(envelope.group);
   w.u64(envelope.serial);
@@ -71,7 +76,7 @@ std::optional<TimelineRecord> TimelineRecord::deserialize(util::BytesView data) 
   try {
     util::Reader r(data);
     TimelineRecord record;
-    const auto entry = integrity::ChainEntry::deserialize(r.bytes());
+    const auto entry = integrity::ChainEntry::deserialize(r.bytesView());
     if (!entry) return std::nullopt;
     record.entry = *entry;
     record.envelope.scheme = r.str();
@@ -86,12 +91,24 @@ std::optional<TimelineRecord> TimelineRecord::deserialize(util::BytesView data) 
 }
 
 overlay::OverlayId MicroblogNode::headKey(const UserId& user) {
-  return overlay::OverlayId::hash("mb:" + user + ":head");
+  // The id of "mb:<user>:head", streamed.
+  crypto::Sha256 h;
+  h.update(util::asBytes("mb:")).update(util::asBytes(user));
+  h.update(util::asBytes(":head"));
+  return overlay::OverlayId::hash(h);
 }
 
 overlay::OverlayId MicroblogNode::entryKey(const UserId& user,
                                            std::uint64_t seq) {
-  return overlay::OverlayId::hash("mb:" + user + ":" + std::to_string(seq));
+  // The id of "mb:<user>:<seq>", streamed.
+  std::array<char, 20> digits{};
+  const char* end =
+      std::to_chars(digits.data(), digits.data() + digits.size(), seq).ptr;
+  crypto::Sha256 h;
+  h.update(util::asBytes("mb:")).update(util::asBytes(user));
+  h.update(util::asBytes(":"));
+  h.update(util::asBytes(std::string_view(digits.data(), end)));
+  return overlay::OverlayId::hash(h);
 }
 
 MicroblogNode::MicroblogNode(sim::Network& network, overlay::OverlayId dhtId,
@@ -115,9 +132,8 @@ MicroblogNode::MicroblogNode(sim::Network& network, overlay::OverlayId dhtId,
         kMsgCacheGet,
         [this](sim::NodeAddr from, util::BytesView body, net::RpcId reqId) {
           util::Reader r(body);
-          const util::Bytes raw = r.raw(overlay::kIdBytes);
           overlay::OverlayId key;
-          std::copy(raw.begin(), raw.end(), key.bytes.begin());
+          r.rawInto(key.bytes);
           util::Writer w;
           const auto value = friendCache_->get(key);
           if (value) {
@@ -375,13 +391,16 @@ void MicroblogNode::finishFetch(const std::shared_ptr<FetchState>& state) {
   // when a cache tier contributed records, the cached copies may simply be
   // stale (the author overwrote the timeline since they were cached) — the
   // cache is invalidated and the fetch retried once straight from the DHT.
+  // The entries move out of the records: past this point only the
+  // envelopes are read, and a retry refetches every record.
   std::vector<integrity::ChainEntry> entries;
-  for (const auto& record : state->records) {
+  entries.reserve(state->records.size());
+  for (auto& record : state->records) {
     if (!record) {
       failFetch(state, std::move(out));  // missing entry: chain invalid
       return;
     }
-    entries.push_back(record->entry);
+    entries.push_back(std::move(record->entry));
   }
   // verifyChain walks the whole fetched chain, then verifies only the
   // signatures past this reader's cursor for the author, under the author's
@@ -399,8 +418,10 @@ void MicroblogNode::finishFetch(const std::shared_ptr<FetchState>& state) {
   }
   // Each chain entry must commit to its envelope (payload = H(envelope)).
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].payload !=
-        crypto::sha256Bytes((*state->records[i]).envelope.blob)) {
+    const crypto::Digest commitment =
+        crypto::sha256((*state->records[i]).envelope.blob);
+    if (!std::equal(entries[i].payload.begin(), entries[i].payload.end(),
+                    commitment.begin(), commitment.end())) {
       failFetch(state, std::move(out));
       return;
     }
@@ -414,9 +435,9 @@ void MicroblogNode::finishFetch(const std::shared_ptr<FetchState>& state) {
       ++out.undecryptable;
       continue;
     }
-    const auto post = social::Post::deserialize(*plain);
+    auto post = social::Post::deserialize(*plain);
     if (post) {
-      out.posts.push_back(*post);
+      out.posts.push_back(std::move(*post));
     } else {
       ++out.undecryptable;
     }

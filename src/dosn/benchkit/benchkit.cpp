@@ -7,6 +7,7 @@
 #include <ctime>
 #include <regex>
 
+#include "dosn/bignum/montgomery.hpp"
 #include "dosn/crypto/sha256.hpp"
 
 // The build injects `git describe --always --dirty` (see src/CMakeLists.txt)
@@ -233,8 +234,10 @@ Json runScenarios(const Registry& registry, const RunConfig& config,
   doc.set("schema", kSchema);
   doc.set("bench", benchName);
   doc.set("git_describe", DOSN_GIT_DESCRIBE);
-  // Wall times depend on the host's SHA-256 block function.
+  // Wall times depend on the host's SHA-256 block function and 4-limb
+  // Montgomery kernel.
   doc.set("sha256_kernel", crypto::sha256Kernel());
+  doc.set("montmul_kernel", bignum::montMulKernel());
   doc.set("timestamp", isoTimestampUtc());
   doc.set("smoke", config.smoke);
   doc.set("seed", config.seed);

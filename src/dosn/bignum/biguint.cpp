@@ -234,22 +234,27 @@ std::string BigUint::toDecimal() const {
 }
 
 util::Bytes BigUint::toBytes() const {
-  util::Bytes out;
-  const std::size_t bytes = (bitLength() + 7) / 8;
-  out.reserve(bytes);
-  for (std::size_t i = bytes; i-- > 0;) {
-    out.push_back(static_cast<std::uint8_t>(limbs_[i / 8] >> ((i % 8) * 8)));
-  }
+  util::Bytes out(byteLength());
+  toBytesInto(out);
   return out;
 }
 
-util::Bytes BigUint::toBytesPadded(std::size_t width) const {
-  util::Bytes minimal = toBytes();
-  if (minimal.size() > width) {
-    throw util::DosnError("BigUint::toBytesPadded: value too wide");
+void BigUint::toBytesInto(std::span<std::uint8_t> out) const {
+  const std::size_t bytes = byteLength();
+  if (bytes > out.size()) {
+    throw util::DosnError("BigUint::toBytesInto: value too wide");
   }
-  util::Bytes out(width - minimal.size(), 0);
-  out.insert(out.end(), minimal.begin(), minimal.end());
+  const std::size_t pad = out.size() - bytes;
+  std::fill_n(out.begin(), pad, 0);
+  for (std::size_t i = bytes; i-- > 0;) {
+    out[pad + bytes - 1 - i] =
+        static_cast<std::uint8_t>(limbs_[i / 8] >> ((i % 8) * 8));
+  }
+}
+
+util::Bytes BigUint::toBytesPadded(std::size_t width) const {
+  util::Bytes out(width);
+  toBytesInto(out);
   return out;
 }
 

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,8 +59,13 @@ class BigUint {
 
   std::string toHex() const;
   std::string toDecimal() const;
+  /// Length of toBytes(): the minimal big-endian byte count.
+  std::size_t byteLength() const { return (bitLength() + 7) / 8; }
   /// Big-endian bytes, minimal length (empty for zero).
   util::Bytes toBytes() const;
+  /// Big-endian bytes right-aligned in `out`, zero-filled on the left;
+  /// throws if the value needs more than out.size() bytes.
+  void toBytesInto(std::span<std::uint8_t> out) const;
   /// Big-endian bytes left-padded to exactly `width` bytes; throws if the
   /// value doesn't fit.
   util::Bytes toBytesPadded(std::size_t width) const;

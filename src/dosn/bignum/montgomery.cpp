@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <array>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 #include "dosn/util/error.hpp"
 
 namespace dosn::bignum {
@@ -10,6 +14,31 @@ namespace dosn::bignum {
 namespace {
 
 using u128 = unsigned __int128;
+
+// The working limbs of one operation: on the stack while `count` fits in N,
+// on the heap beyond. N is sized so every modulus of up to 4 limbs fits.
+template <std::size_t N>
+class ScratchLimbs {
+ public:
+  explicit ScratchLimbs(std::size_t count) {
+    if (count > N) {
+      heap_.resize(count);
+      data_ = heap_.data();
+    }
+  }
+  ScratchLimbs(const ScratchLimbs&) = delete;
+  ScratchLimbs& operator=(const ScratchLimbs&) = delete;
+
+  std::uint64_t* data() { return data_; }
+
+ private:
+  std::array<std::uint64_t, N> stack_{};
+  std::vector<std::uint64_t> heap_;
+  std::uint64_t* data_ = stack_.data();
+};
+
+// A montMulInto output: words() + 2 limbs.
+using ProductLimbs = ScratchLimbs<6>;
 
 // n0^{-1} mod 2^64 by Newton iteration: x = n0 is correct mod 2^3 for odd
 // n0, and each step doubles the number of valid low bits.
@@ -111,36 +140,194 @@ void cios(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
+#if defined(__x86_64__)
+
+// One CIOS word of the ADX kernel, as assembler text. The accumulator is six
+// registers T0..T5 holding t[0..4] and a free register (zero on entry);
+// rdx carries the multiplier and rax is zero. Each half adds a word product
+// row with two interleaved carry chains: ADOX adds the low halves into t
+// (carry in OF), ADCX adds the high halves one word up (carry in CF), and
+// both chains end in T5. The reduction zeroes T0, so the next word runs on
+// (T1, .., T5, T0): the shift of the portable CIOS is a register renaming.
+#define DOSN_MONT_ROW(SRC, T0, T1, T2, T3, T4, T5)  \
+  "xorl %%eax, %%eax\n\t"                           \
+  "mulxq 0(%[" SRC "]), %[lo], %[hi]\n\t"           \
+  "adoxq %[lo], %[t" T0 "]\n\t"                     \
+  "adcxq %[hi], %[t" T1 "]\n\t"                     \
+  "mulxq 8(%[" SRC "]), %[lo], %[hi]\n\t"           \
+  "adoxq %[lo], %[t" T1 "]\n\t"                     \
+  "adcxq %[hi], %[t" T2 "]\n\t"                     \
+  "mulxq 16(%[" SRC "]), %[lo], %[hi]\n\t"          \
+  "adoxq %[lo], %[t" T2 "]\n\t"                     \
+  "adcxq %[hi], %[t" T3 "]\n\t"                     \
+  "mulxq 24(%[" SRC "]), %[lo], %[hi]\n\t"          \
+  "adoxq %[lo], %[t" T3 "]\n\t"                     \
+  "adcxq %[hi], %[t" T4 "]\n\t"                     \
+  "adoxq %%rax, %[t" T4 "]\n\t"                     \
+  "adcxq %%rax, %[t" T5 "]\n\t"                     \
+  "adoxq %%rax, %[t" T5 "]\n\t"
+
+// t += a[i] * b, then t += m * n with m = t[0] * nInv, which zeroes T0.
+#define DOSN_MONT_WORD(AOFF, T0, T1, T2, T3, T4, T5) \
+  "movq " AOFF "(%[a]), %%rdx\n\t"                   \
+  DOSN_MONT_ROW("b", T0, T1, T2, T3, T4, T5)         \
+  "movq %[t" T0 "], %%rdx\n\t"                       \
+  "imulq %[nInv], %%rdx\n\t"                         \
+  DOSN_MONT_ROW("n", T0, T1, T2, T3, T4, T5)
+
+// The CIOS of cios<4> with the accumulator in registers. Only this function
+// uses MULX, ADCX and ADOX; it runs only after CPUID reported BMI2 and ADX.
+void montMul4AdxKernel(const std::uint64_t* a, const std::uint64_t* b,
+                       const std::uint64_t* n, std::uint64_t nInv,
+                       std::uint64_t* t) {
+  std::uint64_t t0, t1, t2, t3, t4, t5, lo, hi;
+  __asm__(
+      "xorl %k[t0], %k[t0]\n\t"
+      "xorl %k[t1], %k[t1]\n\t"
+      "xorl %k[t2], %k[t2]\n\t"
+      "xorl %k[t3], %k[t3]\n\t"
+      "xorl %k[t4], %k[t4]\n\t"
+      "xorl %k[t5], %k[t5]\n\t"
+      DOSN_MONT_WORD("0", "0", "1", "2", "3", "4", "5")
+      DOSN_MONT_WORD("8", "1", "2", "3", "4", "5", "0")
+      DOSN_MONT_WORD("16", "2", "3", "4", "5", "0", "1")
+      DOSN_MONT_WORD("24", "3", "4", "5", "0", "1", "2")
+      // The result (t4, t5, t0, t1) with top word t2 is below 2n. Subtract n
+      // unless that borrows out of the top word.
+      "movq %[t4], %%rax\n\t"
+      "subq 0(%[n]), %%rax\n\t"
+      "movq %[t5], %%rdx\n\t"
+      "sbbq 8(%[n]), %%rdx\n\t"
+      "movq %[t0], %[lo]\n\t"
+      "sbbq 16(%[n]), %[lo]\n\t"
+      "movq %[t1], %[hi]\n\t"
+      "sbbq 24(%[n]), %[hi]\n\t"
+      "sbbq $0, %[t2]\n\t"
+      "cmovaeq %%rax, %[t4]\n\t"
+      "cmovaeq %%rdx, %[t5]\n\t"
+      "cmovaeq %[lo], %[t0]\n\t"
+      "cmovaeq %[hi], %[t1]\n\t"
+      : [t0] "=&r"(t0), [t1] "=&r"(t1), [t2] "=&r"(t2), [t3] "=&r"(t3),
+        [t4] "=&r"(t4), [t5] "=&r"(t5), [lo] "=&r"(lo), [hi] "=&r"(hi)
+      : [a] "r"(a), [b] "r"(b), [n] "r"(n), [nInv] "m"(nInv)
+      : "rax", "rdx", "cc", "memory");
+  t[0] = t4;
+  t[1] = t5;
+  t[2] = t0;
+  t[3] = t1;
+}
+
+#undef DOSN_MONT_WORD
+#undef DOSN_MONT_ROW
+
+bool cpuHasBmi2Adx() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & bit_BMI2) != 0 && (ebx & bit_ADX) != 0;
+}
+
+#endif  // __x86_64__
+
+// Chosen once, on first use; a function-local static, so exponentiating
+// from another translation unit's static initializer is safe.
+detail::MontMul4 activeMontMul4() {
+  static const detail::MontMul4 kernel = [] {
+    const detail::MontMul4 adx = detail::montMul4Adx();
+    return adx != nullptr ? adx : &detail::montMul4Portable;
+  }();
+  return kernel;
+}
+
 }  // namespace
 
-void MontgomeryContext::montMulInto(LimbSpan a, LimbSpan b,
-                                    std::span<std::uint64_t> t) const {
+namespace detail {
+
+void montMul4Portable(const std::uint64_t* a, const std::uint64_t* b,
+                      const std::uint64_t* n, std::uint64_t nInv,
+                      std::uint64_t* t) {
+  cios<4>(a, b, n, nInv, 4, t);
+}
+
+MontMul4 montMul4Adx() {
+#if defined(__x86_64__)
+  if (cpuHasBmi2Adx()) return &montMul4AdxKernel;
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
+const char* montMulKernel() {
+  return activeMontMul4() == &detail::montMul4Portable ? "portable" : "adx";
+}
+
+void MontgomeryContext::mulInto(const std::uint64_t* a, const std::uint64_t* b,
+                                std::uint64_t* t) const {
   if (n_.size() == 4) {
-    cios<4>(a.data(), b.data(), n_.data(), nInv_, 4, t.data());
+    activeMontMul4()(a, b, n_.data(), nInv_, t);
   } else {
-    cios<0>(a.data(), b.data(), n_.data(), nInv_, n_.size(), t.data());
+    cios<0>(a, b, n_.data(), nInv_, n_.size(), t);
   }
 }
 
-MontgomeryContext::Limbs MontgomeryContext::toMont(const BigUint& x) const {
-  if (x >= modulus_) return toMont(x % modulus_);
+void MontgomeryContext::montMulInto(LimbSpan a, LimbSpan b,
+                                    std::span<std::uint64_t> t) const {
+  mulInto(a.data(), b.data(), t.data());
+}
+
+void MontgomeryContext::toMontInto(const BigUint& x, std::uint64_t* out) const {
+  if (x >= modulus_) {
+    toMontInto(x % modulus_, out);
+    return;
+  }
   // A reduced value has at most words() limbs; zero-pad it to exactly that.
-  Limbs padded(n_.size(), 0);
-  std::copy(x.limbs().begin(), x.limbs().end(), padded.begin());
-  return montMul(padded, rr_);
+  const std::size_t k = n_.size();
+  ProductLimbs padded(k);
+  std::fill_n(padded.data(), k, 0);
+  std::copy(x.limbs().begin(), x.limbs().end(), padded.data());
+  mulInto(padded.data(), rr_.data(), out);
+}
+
+MontgomeryContext::Limbs MontgomeryContext::toMont(const BigUint& x) const {
+  const std::size_t k = n_.size();
+  Limbs out(k + 2);
+  toMontInto(x, out.data());
+  out.resize(k);
+  return out;
+}
+
+BigUint MontgomeryContext::fromMontLimbs(const std::uint64_t* x) const {
+  const std::size_t k = n_.size();
+  ProductLimbs unit(k);
+  std::fill_n(unit.data(), k, 0);
+  unit.data()[0] = 1;
+  ProductLimbs t(k + 2);
+  mulInto(x, unit.data(), t.data());
+  return BigUint(Limbs(t.data(), t.data() + k));  // trims the padding
 }
 
 BigUint MontgomeryContext::fromMont(const Limbs& x) const {
-  Limbs unit(n_.size(), 0);
-  unit[0] = 1;
-  return BigUint(montMul(x, unit));  // trims the padding
+  return fromMontLimbs(x.data());
 }
 
 MontgomeryContext::Limbs MontgomeryContext::powMont(
     const Limbs& baseMont, const BigUint& exponent) const {
-  const std::size_t bits = exponent.bitLength();
-  if (bits == 0) return one_;
   const std::size_t k = n_.size();
+  Limbs out(k + 2);
+  powInto(baseMont.data(), exponent, out.data());
+  out.resize(k);
+  return out;
+}
+
+void MontgomeryContext::powInto(const std::uint64_t* baseMont,
+                                const BigUint& exponent,
+                                std::uint64_t* out) const {
+  const std::size_t k = n_.size();
+  const std::size_t bits = exponent.bitLength();
+  if (bits == 0) {
+    std::copy(one_.begin(), one_.end(), out);
+    return;
+  }
 
   // Sliding-window recoding: only odd powers base^1, base^3, .. base^(2^w - 1)
   // are tabulated (half the table of a fixed window), and runs of zero bits
@@ -148,30 +335,30 @@ MontgomeryContext::Limbs MontgomeryContext::powMont(
   // the 2^(w-1)-entry table build.
   const std::size_t w = bits <= 128 ? 4 : (bits <= 768 ? 5 : 6);
   const std::size_t tableSize = std::size_t{1} << (w - 1);
-  // Entry e is Mont(base^(2e + 1)) and occupies limbs [e * k, (e + 1) * k).
-  Limbs table(tableSize * k);
-  const auto entry = [&](std::size_t e) {
-    return LimbSpan(table.data() + e * k, k);
-  };
+  // Entry e is Mont(base^(2e + 1)) and occupies limbs [e * k, (e + 1) * k);
+  // 32 entries of 4 limbs is the widest table a 4-limb modulus needs.
+  ScratchLimbs<32 * 4> tableLimbs(tableSize * k);
+  std::uint64_t* table = tableLimbs.data();
+  const auto entry = [&](std::size_t e) { return table + e * k; };
   // Two montMulInto buffers, swapped after each multiply, so neither the
   // table build nor the main loop allocates; the running value is acc's low
   // k limbs.
-  Limbs acc(k + 2);
-  Limbs next(k + 2);
-  std::copy(baseMont.begin(), baseMont.end(), table.begin());
+  ProductLimbs accLimbs(k + 2);
+  ProductLimbs nextLimbs(k + 2);
+  std::uint64_t* acc = accLimbs.data();
+  std::uint64_t* next = nextLimbs.data();
+  std::copy_n(baseMont, k, table);
   if (tableSize > 1) {
-    montMulInto(baseMont, baseMont, next);  // base^2
-    const LimbSpan baseSq(next.data(), k);
+    mulInto(baseMont, baseMont, next);  // base^2
     for (std::size_t e = 1; e < tableSize; ++e) {
-      montMulInto(entry(e - 1), baseSq, acc);
-      std::copy_n(acc.data(), k, table.data() + e * k);
+      mulInto(entry(e - 1), next, acc);
+      std::copy_n(acc, k, entry(e));
     }
   }
-  const auto accLimbs = [&] { return LimbSpan(acc.data(), k); };
-  // acc <- acc * factor; factor may be accLimbs() itself, a squaring.
-  const auto mulBy = [&](LimbSpan factor) {
-    montMulInto(accLimbs(), factor, next);
-    acc.swap(next);
+  // acc <- acc * factor; factor may be acc itself, a squaring.
+  const auto mulBy = [&](const std::uint64_t* factor) {
+    mulInto(acc, factor, next);
+    std::swap(acc, next);
   };
 
   bool started = false;
@@ -179,7 +366,7 @@ MontgomeryContext::Limbs MontgomeryContext::powMont(
   while (i >= 0) {
     if (!exponent.bit(static_cast<std::size_t>(i))) {
       // started is always true here: the top bit of the exponent is set.
-      mulBy(accLimbs());
+      mulBy(acc);
       --i;
       continue;
     }
@@ -194,22 +381,25 @@ MontgomeryContext::Limbs MontgomeryContext::powMont(
                static_cast<std::uint32_t>(exponent.bit(static_cast<std::size_t>(j)));
     }
     if (started) {
-      for (std::ptrdiff_t j = l; j <= i; ++j) mulBy(accLimbs());
+      for (std::ptrdiff_t j = l; j <= i; ++j) mulBy(acc);
       mulBy(entry((window - 1) >> 1));
     } else {
-      const LimbSpan first = entry((window - 1) >> 1);
-      std::copy(first.begin(), first.end(), acc.begin());
+      std::copy_n(entry((window - 1) >> 1), k, acc);
       started = true;
     }
     i = l - 1;
   }
-  acc.resize(k);
-  return acc;
+  std::copy_n(acc, k, out);
 }
 
 BigUint MontgomeryContext::powMod(const BigUint& base,
                                   const BigUint& exponent) const {
-  return fromMont(powMont(toMont(base), exponent));
+  const std::size_t k = n_.size();
+  ProductLimbs baseMont(k + 2);
+  toMontInto(base, baseMont.data());
+  ProductLimbs result(k + 2);
+  powInto(baseMont.data(), exponent, result.data());
+  return fromMontLimbs(result.data());
 }
 
 BigUint MontgomeryContext::mulMod(const BigUint& a, const BigUint& b) const {
@@ -240,9 +430,11 @@ BigUint FixedBasePowerTable::pow(const BigUint& exponent) const {
   const std::size_t k = ctx_.words();
   // Two montMulInto buffers, swapped after each multiply, so the loop does
   // not allocate; the running product is acc's low k limbs.
-  MontgomeryContext::Limbs acc(k + 2);
-  MontgomeryContext::Limbs next(k + 2);
-  std::copy(ctx_.one().begin(), ctx_.one().end(), acc.begin());
+  ProductLimbs accLimbs(k + 2);
+  ProductLimbs nextLimbs(k + 2);
+  std::uint64_t* acc = accLimbs.data();
+  std::uint64_t* next = nextLimbs.data();
+  std::copy(ctx_.one().begin(), ctx_.one().end(), acc);
   const BigUint::Limbs& e = exponent.limbs();
   const std::size_t windows = (bits + 3) / 4;
   for (std::size_t w = 0; w < windows; ++w) {
@@ -250,13 +442,10 @@ BigUint FixedBasePowerTable::pow(const BigUint& exponent) const {
     const std::size_t digit = (e[w / 16] >> (4 * (w % 16))) & 0xf;
     if (digit == 0) continue;
     const std::size_t entry = w * 15 + digit - 1;
-    ctx_.montMulInto(MontgomeryContext::LimbSpan(acc.data(), k),
-                     MontgomeryContext::LimbSpan(table_.data() + entry * k, k),
-                     next);
-    acc.swap(next);
+    ctx_.mulInto(acc, table_.data() + entry * k, next);
+    std::swap(acc, next);
   }
-  acc.resize(k);
-  return ctx_.fromMont(acc);
+  return ctx_.fromMontLimbs(acc);
 }
 
 }  // namespace dosn::bignum

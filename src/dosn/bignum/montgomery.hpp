@@ -13,9 +13,16 @@
 // There is one CIOS implementation, a template over the limb count. It is
 // instantiated at 4 limbs, where the word loops unroll (the 256-bit groups
 // every E19 signature, key wrap and ElGamal operation runs in), and at run-
-// time width for every other modulus; montMulInto picks by words(). Both
-// exponentiations multiply through montMulInto into two swapped buffers, so
-// neither allocates per multiply.
+// time width for every other modulus; montMulInto picks by words(). At 4
+// limbs an x86-64 CPU whose CPUID reports BMI2 and ADX runs a second kernel
+// instead: the same CIOS with its accumulator in registers and two carry
+// chains (MULX, with ADCX and ADOX adding into independent carry flags). The
+// choice is made once per process, as Sha256 chooses SHA-NI; nothing forces
+// either path, and the CIOS instantiation stays the fallback and the oracle
+// the differential tests compare the ADX kernel with. Both exponentiations
+// multiply through montMulInto into two swapped buffers, and keep those and
+// their window tables on the stack whenever they fit (every modulus of up to
+// 4 limbs), so neither allocates per multiply.
 //
 // Requirements: the modulus must be odd (R = 2^(64k) and n must be coprime).
 // bignum::powMod dispatches here automatically for odd moduli and keeps the
@@ -60,15 +67,16 @@ class MontgomeryContext {
   Limbs montMul(LimbSpan a, LimbSpan b) const;
   /// montMul into a caller-owned buffer, for loops that multiply without
   /// allocating: `t` holds words() + 2 limbs, must not overlap a or b, and
-  /// receives the product in its low words() limbs. Runs the 4-limb CIOS
-  /// instantiation when words() is 4 and the run-time-width one otherwise.
+  /// receives the product in its low words() limbs. Runs the 4-limb kernel
+  /// (montMulKernel()) when words() is 4 and the run-time-width CIOS
+  /// otherwise.
   void montMulInto(LimbSpan a, LimbSpan b, std::span<std::uint64_t> t) const;
 
   /// base^exponent mod n via sliding-window recoding (width 4-6 by exponent
   /// size, odd powers only) entirely in the Montgomery domain; equals
   /// powModSimple(base, exponent, modulus()). The odd powers sit in one flat
-  /// limb vector and the loop multiplies through montMulInto, so the whole
-  /// exponentiation makes three allocations whatever the exponent.
+  /// table and the loop multiplies through montMulInto; up to 4 limbs the
+  /// only allocation is the result's.
   BigUint powMod(const BigUint& base, const BigUint& exponent) const;
   /// As powMod but in-domain at both ends: baseMont is Montgomery-form and so
   /// is the result (Miller-Rabin keeps squaring the result afterwards).
@@ -78,12 +86,49 @@ class MontgomeryContext {
   BigUint mulMod(const BigUint& a, const BigUint& b) const;
 
  private:
+  friend class FixedBasePowerTable;
+
+  /// montMulInto on raw limbs: `t` holds words() + 2.
+  void mulInto(const std::uint64_t* a, const std::uint64_t* b,
+               std::uint64_t* t) const;
+  /// x * R mod n into out[0, words()); `out` holds words() + 2.
+  void toMontInto(const BigUint& x, std::uint64_t* out) const;
+  /// The value of words() Montgomery-domain limbs.
+  BigUint fromMontLimbs(const std::uint64_t* x) const;
+  /// powMont into out[0, words()); `out` holds words() + 2.
+  void powInto(const std::uint64_t* baseMont, const BigUint& exponent,
+               std::uint64_t* out) const;
+
   BigUint modulus_;
   Limbs n_;                  // modulus, 64-bit limbs
   Limbs rr_;                 // R^2 mod n (Montgomery form of R)
   Limbs one_;                // R mod n (Montgomery form of 1)
   std::uint64_t nInv_ = 0;   // -n^{-1} mod 2^64
 };
+
+/// The kernel montMulInto runs at 4 limbs in this process: "adx" (MULX with
+/// ADCX/ADOX) or "portable" (the 4-limb CIOS instantiation).
+const char* montMulKernel();
+
+namespace detail {
+
+/// A 4-limb Montgomery multiply: t[0, 4) = a * b * 2^-256 mod n for a, b < n,
+/// odd n and nInv = -n^{-1} mod 2^64. `t` holds 6 limbs and must not overlap
+/// a or b.
+using MontMul4 = void (*)(const std::uint64_t* a, const std::uint64_t* b,
+                          const std::uint64_t* n, std::uint64_t nInv,
+                          std::uint64_t* t);
+
+/// The 4-limb CIOS instantiation: the fallback and the oracle.
+void montMul4Portable(const std::uint64_t* a, const std::uint64_t* b,
+                      const std::uint64_t* n, std::uint64_t nInv,
+                      std::uint64_t* t);
+
+/// The MULX/ADCX/ADOX kernel, or nullptr if the CPU lacks BMI2 or ADX or the
+/// build does not target x86-64.
+MontMul4 montMul4Adx();
+
+}  // namespace detail
 
 /// Precomputed window table for a fixed base g and odd modulus p: pow(e)
 /// computes g^e mod p with ~bits/4 Montgomery multiplies and *no squarings*,

@@ -66,21 +66,26 @@ std::array<std::uint8_t, 64> chacha20Block(util::BytesView key,
 
 util::Bytes chacha20Xor(util::BytesView key, util::BytesView nonce,
                         std::uint32_t counter, util::BytesView data) {
+  util::Bytes out(data.begin(), data.end());
+  chacha20XorInPlace(key, nonce, counter, out);
+  return out;
+}
+
+void chacha20XorInPlace(util::BytesView key, util::BytesView nonce,
+                        std::uint32_t counter, std::span<std::uint8_t> data) {
   if (key.size() != kChaChaKeySize) {
     throw util::CryptoError("chacha20: key must be 32 bytes");
   }
   if (nonce.size() != kChaChaNonceSize) {
     throw util::CryptoError("chacha20: nonce must be 12 bytes");
   }
-  util::Bytes out(data.begin(), data.end());
   std::size_t offset = 0;
-  while (offset < out.size()) {
+  while (offset < data.size()) {
     const auto block = chacha20Block(key, nonce, counter++);
-    const std::size_t take = std::min<std::size_t>(64, out.size() - offset);
-    for (std::size_t i = 0; i < take; ++i) out[offset + i] ^= block[i];
+    const std::size_t take = std::min<std::size_t>(64, data.size() - offset);
+    for (std::size_t i = 0; i < take; ++i) data[offset + i] ^= block[i];
     offset += take;
   }
-  return out;
 }
 
 }  // namespace dosn::crypto

@@ -18,6 +18,10 @@ inline constexpr std::size_t kChaChaNonceSize = 12;
 util::Bytes chacha20Xor(util::BytesView key, util::BytesView nonce,
                         std::uint32_t counter, util::BytesView data);
 
+/// chacha20Xor over `data` in place.
+void chacha20XorInPlace(util::BytesView key, util::BytesView nonce,
+                        std::uint32_t counter, std::span<std::uint8_t> data);
+
 /// Produces one 64-byte keystream block (used to derive Poly1305 keys).
 std::array<std::uint8_t, 64> chacha20Block(util::BytesView key,
                                            util::BytesView nonce,

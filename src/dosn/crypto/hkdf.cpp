@@ -16,13 +16,14 @@ util::Bytes hkdfExpand(util::BytesView prk, util::BytesView info,
   }
   util::Bytes okm;
   okm.reserve(length);
-  util::Bytes previous;
-  std::uint8_t counter = 1;
-  while (okm.size() < length) {
-    util::Bytes input = previous;
-    input.insert(input.end(), info.begin(), info.end());
-    input.push_back(counter++);
-    previous = hmacSha256Bytes(prk, input);
+  // T(i) = HMAC(prk, T(i-1) || info || i), each from a copy of one keyed
+  // HMAC; T(0) is empty.
+  const HmacSha256 keyed(prk);
+  Digest previous{};
+  for (std::uint8_t counter = 1; okm.size() < length; ++counter) {
+    HmacSha256 mac = keyed;
+    if (counter > 1) mac.update(util::BytesView(previous));
+    previous = mac.update(info).update({&counter, 1}).finish();
     const std::size_t take = std::min(previous.size(), length - okm.size());
     okm.insert(okm.end(), previous.begin(),
                previous.begin() + static_cast<std::ptrdiff_t>(take));
@@ -32,11 +33,12 @@ util::Bytes hkdfExpand(util::BytesView prk, util::BytesView info,
 
 util::Bytes hkdf(util::BytesView ikm, util::BytesView salt,
                  util::BytesView info, std::size_t length) {
-  return hkdfExpand(hkdfExtract(salt, ikm), info, length);
+  const Digest prk = hmacSha256(salt, ikm);
+  return hkdfExpand(util::BytesView(prk), info, length);
 }
 
 util::Bytes deriveKey(util::BytesView secret, std::string_view label) {
-  return hkdf(secret, {}, util::toBytes(label), 32);
+  return hkdf(secret, {}, util::asBytes(label), 32);
 }
 
 }  // namespace dosn::crypto

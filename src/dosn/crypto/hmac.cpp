@@ -4,8 +4,8 @@
 
 namespace dosn::crypto {
 
-Digest hmacSha256(util::BytesView key, util::BytesView message) {
-  std::array<std::uint8_t, 64> block{};
+HmacSha256::HmacSha256(util::BytesView key) {
+  std::array<std::uint8_t, kSha256BlockSize> block{};
   if (key.size() > block.size()) {
     const Digest kd = sha256(key);
     std::copy(kd.begin(), kd.end(), block.begin());
@@ -13,19 +13,29 @@ Digest hmacSha256(util::BytesView key, util::BytesView message) {
     std::copy(key.begin(), key.end(), block.begin());
   }
 
-  std::array<std::uint8_t, 64> ipad{};
-  std::array<std::uint8_t, 64> opad{};
-  for (std::size_t i = 0; i < 64; ++i) {
+  std::array<std::uint8_t, kSha256BlockSize> ipad{};
+  for (std::size_t i = 0; i < block.size(); ++i) {
     ipad[i] = block[i] ^ 0x36;
-    opad[i] = block[i] ^ 0x5c;
+    opad_[i] = block[i] ^ 0x5c;
   }
+  inner_.update(util::BytesView(ipad));
+}
 
-  const Digest inner =
-      Sha256{}.update(util::BytesView(ipad)).update(message).finish();
+HmacSha256& HmacSha256::update(util::BytesView data) {
+  inner_.update(data);
+  return *this;
+}
+
+Digest HmacSha256::finish() {
+  const Digest inner = inner_.finish();
   return Sha256{}
-      .update(util::BytesView(opad))
+      .update(util::BytesView(opad_))
       .update(util::BytesView(inner))
       .finish();
+}
+
+Digest hmacSha256(util::BytesView key, util::BytesView message) {
+  return HmacSha256(key).update(message).finish();
 }
 
 util::Bytes hmacSha256Bytes(util::BytesView key, util::BytesView message) {

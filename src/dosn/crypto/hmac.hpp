@@ -3,10 +3,28 @@
 // hash function" to a message part — prf() here is that PRF family f_s(x).
 #pragma once
 
+#include <array>
+
 #include "dosn/crypto/sha256.hpp"
 #include "dosn/util/bytes.hpp"
 
 namespace dosn::crypto {
+
+/// Streaming HMAC-SHA256: update() absorbs the message in pieces. A keyed
+/// instance may be copied before any update to MAC several messages under
+/// one key without redoing the key schedule.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(util::BytesView key);
+
+  HmacSha256& update(util::BytesView data);
+  /// HMAC of everything absorbed. Call once.
+  Digest finish();
+
+ private:
+  Sha256 inner_;  // keyed with ipad, then the message
+  std::array<std::uint8_t, kSha256BlockSize> opad_;
+};
 
 /// HMAC-SHA256 over the message with the given key (any key length).
 Digest hmacSha256(util::BytesView key, util::BytesView message);

@@ -185,6 +185,8 @@ Sha256::Sha256() {
 
 Sha256& Sha256::update(util::BytesView data) {
   if (finished_) throw util::CryptoError("Sha256: update after finish");
+  // An empty view may carry a null pointer, which memcpy must not get.
+  if (data.empty()) return *this;
   const detail::Sha256Compress compress = activeCompress();
   totalLen_ += data.size();
   std::size_t offset = 0;

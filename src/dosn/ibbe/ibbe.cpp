@@ -12,9 +12,11 @@ namespace {
 
 util::Bytes wrapKey(const DlogGroup& group, const BigUint& shared,
                     const std::string& identity) {
-  util::Bytes material = shared.toBytesPadded(group.elementBytes());
-  const util::Bytes id = util::toBytes(identity);
-  material.insert(material.end(), id.begin(), id.end());
+  // padded(shared) || identity
+  const std::size_t width = group.elementBytes();
+  util::Bytes material(width + identity.size());
+  shared.toBytesInto(std::span<std::uint8_t>(material.data(), width));
+  std::copy(identity.begin(), identity.end(), material.begin() + width);
   return crypto::deriveKey(material, "ibbe-wrap");
 }
 
@@ -36,7 +38,7 @@ std::optional<IbbeCiphertext> IbbeCiphertext::deserialize(util::BytesView data) 
   try {
     util::Reader r(data);
     IbbeCiphertext ct;
-    ct.c1 = BigUint::fromBytes(r.bytes());
+    ct.c1 = BigUint::fromBytes(r.bytesView());
     const std::uint32_t count = r.count(8);  // a wrap: two u32 lengths
     ct.wraps.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {

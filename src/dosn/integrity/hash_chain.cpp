@@ -7,8 +7,16 @@
 
 namespace dosn::integrity {
 
+namespace {
+
+// seq || prev || payload, the fixed part of signedBytes() before payload.
+constexpr std::size_t kSignedHeaderBytes = 8 + crypto::kSha256DigestSize + 4;
+
+}  // namespace
+
 util::Bytes ChainEntry::signedBytes() const {
   util::Writer w;
+  w.reserve(kSignedHeaderBytes + payload.size());
   w.u64(seq);
   w.raw(util::BytesView(prev));
   w.bytes(payload);
@@ -16,18 +24,24 @@ util::Bytes ChainEntry::signedBytes() const {
 }
 
 crypto::Digest ChainEntry::entryHash() const {
-  util::Writer w;
-  w.raw(signedBytes());
-  w.raw(signature.serialize());
-  return crypto::sha256(w.buffer());
+  // signedBytes() || signature.serialize(), streamed field by field.
+  crypto::Sha256 h;
+  h.update(util::encodeU64(seq));
+  h.update(util::BytesView(prev));
+  h.update(util::encodeU32(static_cast<std::uint32_t>(payload.size())));
+  h.update(payload);
+  signature.hashInto(h);
+  return h.finish();
 }
 
 util::Bytes ChainEntry::serialize() const {
+  const util::Bytes sig = signature.serialize();
   util::Writer w;
+  w.reserve(kSignedHeaderBytes + payload.size() + 4 + sig.size());
   w.u64(seq);
   w.raw(util::BytesView(prev));
   w.bytes(payload);
-  w.bytes(signature.serialize());
+  w.bytes(sig);
   return w.take();
 }
 
@@ -36,10 +50,9 @@ std::optional<ChainEntry> ChainEntry::deserialize(util::BytesView data) {
     util::Reader r(data);
     ChainEntry entry;
     entry.seq = r.u64();
-    const util::Bytes prev = r.raw(crypto::kSha256DigestSize);
-    std::copy(prev.begin(), prev.end(), entry.prev.begin());
+    r.rawInto(entry.prev);
     entry.payload = r.bytes();
-    const auto sig = pkcrypto::SchnorrSignature::deserialize(r.bytes());
+    const auto sig = pkcrypto::SchnorrSignature::deserialize(r.bytesView());
     if (!sig) return std::nullopt;
     entry.signature = *sig;
     r.expectEnd();
@@ -110,9 +123,13 @@ bool verifyChain(const pkcrypto::SchnorrVerifyingKey& publisherKey,
 
 bool provablyPrecedes(const std::vector<ChainEntry>& entries, std::size_t i,
                       std::size_t j) {
-  if (i >= entries.size() || j >= entries.size()) return false;
-  // Walk the prev-links back from j; the chain structure proves i < j.
-  return i < j;
+  if (i >= entries.size() || j >= entries.size() || i >= j) return false;
+  // Walk the prev links back from j to i: each entry must name the hash of
+  // the one before it, so j's hash commits to i.
+  for (std::size_t m = j; m > i; --m) {
+    if (entries[m].prev != entries[m - 1].entryHash()) return false;
+  }
+  return true;
 }
 
 }  // namespace dosn::integrity

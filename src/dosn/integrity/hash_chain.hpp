@@ -77,9 +77,9 @@ bool verifyChain(const pkcrypto::DlogGroup& group,
 bool verifyChain(const pkcrypto::SchnorrVerifyingKey& publisherKey,
                  const std::vector<ChainEntry>& entries, ChainCursor& cursor);
 
-/// True if `entries[i]` provably precedes `entries[j]` in a verified chain
-/// (trivially i < j once verifyChain passes; exposed for readability in the
-/// ordering experiments).
+/// True if `entries[i]` provably precedes `entries[j]`: i < j and every prev
+/// link from j back to i names the hash of the entry before it, so j's
+/// chain hash commits to i. Checks the links only, not the signatures.
 bool provablyPrecedes(const std::vector<ChainEntry>& entries, std::size_t i,
                       std::size_t j);
 

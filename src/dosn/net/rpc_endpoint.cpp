@@ -113,6 +113,7 @@ RpcId RpcEndpoint::call(sim::NodeAddr to, sim::MessageType type,
   const RpcId id =
       (static_cast<RpcId>(addr_) << 32) | static_cast<RpcId>(nextCallId_++);
   util::Writer w;
+  w.reserve(sizeof(RpcId) + body.size());
   w.u64(id);
   w.raw(body);
 
@@ -127,18 +128,18 @@ RpcId RpcEndpoint::call(sim::NodeAddr to, sim::MessageType type,
   if (options.adaptiveTimeout) {
     retry.attempts = peers_.state(to).retry.attempts(options.retry.attempts);
   }
-  transmit(to, type, w.take(), id, 1, options.timeout, retry,
-           options.adaptiveTimeout);
+  transmit(to, type, std::make_shared<const util::Bytes>(w.take()), id, 1,
+           options.timeout, retry, options.adaptiveTimeout);
   return id;
 }
 
 void RpcEndpoint::transmit(sim::NodeAddr to, sim::MessageType type,
-                           const util::Bytes& frame, RpcId id,
+                           std::shared_ptr<const util::Bytes> frame, RpcId id,
                            std::size_t attempt, sim::SimTime timeout,
                            const RetryPolicy& retry, bool adaptive) {
   bump(type, &TypeMetricNames::sent);
   try {
-    network_.send(addr_, to, sim::Message{type, frame});
+    network_.send(addr_, to, sim::Message{type, *frame});
   } catch (const util::NetError&) {
     // Unroutable address (e.g. a contact learned from a corrupted reply):
     // treat like a black hole and let the timeout/retry path run its course.
@@ -150,10 +151,11 @@ void RpcEndpoint::transmit(sim::NodeAddr to, sim::MessageType type,
   // fallback.
   const sim::SimTime wait =
       adaptive ? peers_.state(to).rtt.timeout(timeout) : timeout;
+  // The timeout closure and every retransmission share the call's one frame.
   std::weak_ptr<State> weak = state_;
   network_.simulator().schedule(
-      wait, [this, weak, to, type, frame, id, attempt, timeout, retry,
-             adaptive] {
+      wait, [this, weak, to, type, frame = std::move(frame), id, attempt,
+             timeout, retry, adaptive]() mutable {
         const auto state = weak.lock();
         if (!state) return;  // endpoint destroyed
         PendingCall* call = state->pending.find(id);
@@ -170,13 +172,13 @@ void RpcEndpoint::transmit(sim::NodeAddr to, sim::MessageType type,
           bump(type, &TypeMetricNames::retries);
           network_.simulator().schedule(
               retry.backoff(attempt, network_.rng()),
-              [this, weak, to, type, frame, id, attempt, timeout, retry,
-               adaptive] {
+              [this, weak, to, type, frame = std::move(frame), id, attempt,
+               timeout, retry, adaptive]() mutable {
                 const auto s = weak.lock();
                 if (!s) return;
                 if (!s->pending.contains(id)) return;  // answered during backoff
-                transmit(to, type, frame, id, attempt + 1, timeout, retry,
-                         adaptive);
+                transmit(to, type, std::move(frame), id, attempt + 1, timeout,
+                         retry, adaptive);
               });
           return;
         }
@@ -269,6 +271,7 @@ void RpcEndpoint::recordRttSample(sim::NodeAddr peer, sim::MessageType type,
 void RpcEndpoint::reply(sim::NodeAddr to, sim::MessageType replyType,
                         RpcId rpcId, util::BytesView body) {
   util::Writer w;
+  w.reserve(sizeof(RpcId) + body.size());
   w.u64(rpcId);
   w.raw(body);
   network_.send(addr_, to, sim::Message{replyType, w.take()});

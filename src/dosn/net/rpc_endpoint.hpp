@@ -177,8 +177,11 @@ class RpcEndpoint {
 
   void handleMessage(sim::NodeAddr from, const sim::Message& msg);
   void handleReply(sim::NodeAddr from, const sim::Message& msg);
-  void transmit(sim::NodeAddr to, sim::MessageType type, const util::Bytes& frame,
-                RpcId id, std::size_t attempt, sim::SimTime timeout,
+  /// Sends one attempt of a call and schedules its timeout. `frame` is the
+  /// call's one wire frame, shared by every attempt and pending timeout.
+  void transmit(sim::NodeAddr to, sim::MessageType type,
+                std::shared_ptr<const util::Bytes> frame, RpcId id,
+                std::size_t attempt, sim::SimTime timeout,
                 const RetryPolicy& retry, bool adaptive);
   void finish(RpcId id, bool ok, util::BytesView payload);
   TypeMetricNames& metricNames(sim::MessageType type);

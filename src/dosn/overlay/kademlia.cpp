@@ -29,11 +29,13 @@ void writeId(util::Writer& w, const OverlayId& id) {
 }
 
 OverlayId readId(util::Reader& r) {
-  const util::Bytes raw = r.raw(kIdBytes);
   OverlayId id;
-  std::copy(raw.begin(), raw.end(), id.bytes.begin());
+  r.rawInto(id.bytes);
   return id;
 }
+
+// An encoded contact: id + u64 address.
+constexpr std::size_t kContactBytes = kIdBytes + 8;
 
 constexpr std::uint8_t kReplyContacts = 0;
 constexpr std::uint8_t kReplyValue = 1;
@@ -61,28 +63,63 @@ void RoutingTable::observe(const Contact& contact) {
     // Evict the least-recently-seen contact. (Real Kademlia pings it first;
     // in the simulator stale contacts are simply replaced.)
     bucket.erase(bucket.begin());
+  } else {
+    ++size_;
   }
   bucket.push_back(contact);
 }
 
 std::vector<Contact> RoutingTable::closest(const OverlayId& target,
                                            std::size_t count) const {
-  std::vector<Contact> all;
-  for (const auto& bucket : buckets_) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
+  // Bucket i holds the ids whose highest bit differing from self_ is bit i,
+  // so with b the target's bucket the distances from the target fall in
+  // ranges: bucket b below 2^b, buckets 0..b-1 together in [2^b, 2^(b+1)),
+  // then each bucket i > b in [2^i, 2^(i+1)). Walking the ranges in that
+  // order and ordering each one as it is reached selects the `count`
+  // closest without ordering the rest. XOR distance orders distinct ids
+  // strictly, so the result equals a sort of the whole table cut to count.
+  std::vector<Contact> out;
+  if (count == 0) return out;
+  out.reserve(size_);
+  const auto closer = [&target](const Contact& a, const Contact& c) {
+    return closerTo(target, a.id, c.id);
+  };
+  // Orders the range out[begin, end), cut at `count`; true once out is full.
+  const auto orderRange = [&](std::size_t begin) {
+    if (out.size() > count) {
+      std::partial_sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
+                        out.begin() + static_cast<std::ptrdiff_t>(count),
+                        out.end(), closer);
+      out.resize(count);
+    } else {
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end(),
+                closer);
+    }
+    return out.size() == count;
+  };
+  const auto append = [&](std::size_t index) {
+    out.insert(out.end(), buckets_[index].begin(), buckets_[index].end());
+  };
+  const int targetBucket = bucketIndex(self_, target);  // -1 for self_
+  if (targetBucket >= 0) {
+    const auto b = static_cast<std::size_t>(targetBucket);
+    append(b);
+    if (orderRange(0)) return out;
+    const std::size_t begin = out.size();
+    for (std::size_t i = 0; i < b; ++i) append(i);
+    if (orderRange(begin)) return out;
   }
-  std::sort(all.begin(), all.end(), [&](const Contact& a, const Contact& b) {
-    return closerTo(target, a.id, b.id);
-  });
-  if (all.size() > count) all.resize(count);
-  return all;
+  for (std::size_t i = static_cast<std::size_t>(targetBucket + 1); i < kIdBits;
+       ++i) {
+    if (buckets_[i].empty()) continue;
+    const std::size_t begin = out.size();
+    append(i);
+    if (orderRange(begin)) return out;
+  }
+  return out;
 }
 
-std::size_t RoutingTable::size() const {
-  std::size_t total = 0;
-  for (const auto& bucket : buckets_) total += bucket.size();
-  return total;
-}
+std::size_t RoutingTable::size() const { return size_; }
 
 struct KademliaNode::Lookup {
   struct Entry {
@@ -90,11 +127,24 @@ struct KademliaNode::Lookup {
     bool queried = false;
   };
 
+  /// Merges a contact into the shortlist at its distance rank, unless its
+  /// id is listed already (the first address heard for an id stays). XOR
+  /// distance orders distinct ids strictly, so the list stays exactly what
+  /// a sort after every reply would make it.
+  void merge(const Contact& contact) {
+    const auto pos = std::lower_bound(
+        shortlist.begin(), shortlist.end(), contact.id,
+        [this](const Entry& entry, const OverlayId& id) {
+          return closerTo(target, entry.contact.id, id);
+        });
+    if (pos != shortlist.end() && pos->contact.id == contact.id) return;
+    shortlist.insert(pos, Entry{contact, false});
+  }
+
   OverlayId target;
   bool wantValue = false;
   std::function<void(LookupResult)> done;
-  std::vector<Entry> shortlist;  // sorted by closeness to target
-  std::set<OverlayId> known;
+  std::vector<Entry> shortlist;  // sorted by closeness to target, ids unique
   std::size_t inflight = 0;
   bool finished = false;
   LookupResult result;
@@ -153,7 +203,7 @@ void KademliaNode::setupRpcHandlers() {
         serve(from, body, id, [this](util::Reader& r, util::Writer& reply) {
           const OverlayId target = readId(r);
           reply.u8(kReplyContacts);
-          reply.raw(encodeContacts(table_.closest(target, config_.k)));
+          encodeContacts(reply, table_.closest(target, config_.k));
         });
       });
   endpoint_.onRequest(
@@ -167,7 +217,7 @@ void KademliaNode::setupRpcHandlers() {
             reply.bytes(*value);
           } else {
             reply.u8(kReplyContacts);
-            reply.raw(encodeContacts(table_.closest(key, config_.k)));
+            encodeContacts(reply, table_.closest(key, config_.k));
           }
         });
       });
@@ -208,37 +258,32 @@ void KademliaNode::bootstrap(const Contact& seed, std::function<void()> done) {
 
 void KademliaNode::rejoin(const Contact& seed) { bootstrap(seed, {}); }
 
-void KademliaNode::sendRpc(
-    const Contact& to, const std::string& type, util::Bytes payload,
-    std::function<void(bool ok, util::BytesView reply)> onReply) {
+void KademliaNode::sendRpc(const Contact& to, sim::MessageType type,
+                           util::BytesView payload,
+                           net::RpcEndpoint::ReplyCallback onReply) {
   util::Writer body;
+  body.reserve(kIdBytes + payload.size());
   writeId(body, id_);
   body.raw(payload);
   net::CallOptions options;
   options.timeout = config_.rpcTimeout;
   options.retry = config_.retry;
   options.adaptiveTimeout = config_.adaptiveTimeout;
-  endpoint_.call(to.addr, type, body.buffer(), options,
-                 [onReply = std::move(onReply)](bool ok, util::BytesView reply) {
-                   if (!onReply) return;
-                   // Strip the sender id the observer already consumed; the
-                   // caller sees `kind | data`.
-                   onReply(ok, ok ? reply.subspan(kIdBytes) : reply);
-                 });
+  endpoint_.call(to.addr, type, body.buffer(), options, std::move(onReply));
 }
 
-util::Bytes KademliaNode::encodeContacts(const std::vector<Contact>& contacts) {
-  util::Writer w;
+void KademliaNode::encodeContacts(util::Writer& w,
+                                  const std::vector<Contact>& contacts) {
+  w.reserve(w.buffer().size() + 4 + contacts.size() * kContactBytes);
   w.u32(static_cast<std::uint32_t>(contacts.size()));
   for (const auto& c : contacts) {
     writeId(w, c.id);
     w.u64(c.addr);
   }
-  return w.take();
 }
 
 std::vector<Contact> KademliaNode::decodeContacts(util::Reader& r) {
-  const std::uint32_t count = r.count(kIdBytes + 8);  // id + u64 address
+  const std::uint32_t count = r.count(kContactBytes);
   std::vector<Contact> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -273,6 +318,7 @@ void KademliaNode::storeImpl(const OverlayId& key, util::Bytes value,
       return;
     }
     util::Writer body;
+    body.reserve(kIdBytes + 4 + value.size());
     body.raw(util::BytesView(key.bytes));
     body.bytes(value);
     const util::Bytes encoded = body.take();
@@ -342,9 +388,9 @@ void KademliaNode::startLookup(const OverlayId& target, bool wantValue,
   lookup->target = target;
   lookup->wantValue = wantValue;
   lookup->done = std::move(done);
+  // closest() lists distinct ids nearest first: already a shortlist.
   for (const Contact& c : table_.closest(target, config_.k)) {
     lookup->shortlist.push_back(Lookup::Entry{c, false});
-    lookup->known.insert(c.id);
   }
   lookupStep(lookup);
 }
@@ -367,16 +413,15 @@ void KademliaNode::lookupStep(const std::shared_ptr<Lookup>& lookup) {
     ++lookup->result.messagesSent;
     issuedAny = true;
 
-    util::Writer body;
-    body.raw(util::BytesView(lookup->target.bytes));
     const sim::MessageType type = lookup->wantValue ? kMsgFindValue : kMsgFindNode;
-    sendRpc(entry.contact, type, body.take(),
+    sendRpc(entry.contact, type, util::BytesView(lookup->target.bytes),
             [this, lookup](bool ok, util::BytesView reply) {
               --lookup->inflight;
               if (lookup->finished) return;
               if (ok) {
                 try {
                   util::Reader r(reply);
+                  readId(r);  // the sender id, which the observer consumed
                   const std::uint8_t kind = r.u8();
                   if (kind == kReplyValue && lookup->wantValue) {
                     lookup->result.value = r.bytes();
@@ -384,16 +429,10 @@ void KademliaNode::lookupStep(const std::shared_ptr<Lookup>& lookup) {
                     return;
                   }
                   if (kind == kReplyContacts) {
+                    // Decoded whole first: a malformed list merges nothing.
                     for (const Contact& c : decodeContacts(r)) {
-                      if (lookup->known.insert(c.id).second) {
-                        lookup->shortlist.push_back(Lookup::Entry{c, false});
-                      }
+                      lookup->merge(c);
                     }
-                    std::sort(lookup->shortlist.begin(), lookup->shortlist.end(),
-                              [&](const Lookup::Entry& a, const Lookup::Entry& b) {
-                                return closerTo(lookup->target, a.contact.id,
-                                                b.contact.id);
-                              });
                   }
                 } catch (const util::CodecError&) {
                   // Malformed reply: treat as no new information.

@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "dosn/net/rpc_endpoint.hpp"
@@ -74,7 +73,8 @@ class RoutingTable {
   /// bucket evicts its least-recently-seen entry).
   void observe(const Contact& contact);
 
-  /// Up to `count` contacts closest to `target`.
+  /// Up to `count` contacts closest to `target`, nearest first. Orders only
+  /// the distance ranges it takes contacts from.
   std::vector<Contact> closest(const OverlayId& target, std::size_t count) const;
 
   std::size_t size() const;
@@ -83,6 +83,7 @@ class RoutingTable {
   OverlayId self_;
   std::size_t k_;
   std::array<std::vector<Contact>, kIdBits> buckets_;
+  std::size_t size_ = 0;  // contacts over all buckets
 };
 
 struct LookupResult {
@@ -142,14 +143,17 @@ class KademliaNode {
   void storeImpl(const OverlayId& key, util::Bytes value,
                  std::optional<social::UserId> owner,
                  std::function<void(bool ok)> done);
-  void sendRpc(const Contact& to, const std::string& type, util::Bytes payload,
-               std::function<void(bool ok, util::BytesView reply)> onReply);
+  /// Calls `to` with `senderId | payload`; the reply body handed to onReply
+  /// still starts with the responder's id, which the reply observer read.
+  void sendRpc(const Contact& to, sim::MessageType type,
+               util::BytesView payload, net::RpcEndpoint::ReplyCallback onReply);
   void startLookup(const OverlayId& target, bool wantValue,
                    std::function<void(LookupResult)> done);
   void lookupStep(const std::shared_ptr<Lookup>& lookup);
   void finishLookup(const std::shared_ptr<Lookup>& lookup);
 
-  static util::Bytes encodeContacts(const std::vector<Contact>& contacts);
+  static void encodeContacts(util::Writer& w,
+                             const std::vector<Contact>& contacts);
   static std::vector<Contact> decodeContacts(util::Reader& r);
 
   // Store-layer failures stay local (see KademliaConfig::makeStore).

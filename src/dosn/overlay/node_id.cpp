@@ -11,14 +11,20 @@ OverlayId OverlayId::random(util::Rng& rng) {
 }
 
 OverlayId OverlayId::hash(util::BytesView data) {
-  const crypto::Digest digest = crypto::sha256(data);
-  OverlayId id;
-  std::copy(digest.begin(), digest.begin() + kIdBytes, id.bytes.begin());
-  return id;
+  crypto::Sha256 h;
+  h.update(data);
+  return hash(h);
 }
 
 OverlayId OverlayId::hash(std::string_view text) {
-  return hash(util::toBytes(text));
+  return hash(util::asBytes(text));
+}
+
+OverlayId OverlayId::hash(crypto::Sha256& absorbed) {
+  const crypto::Digest digest = absorbed.finish();
+  OverlayId id;
+  std::copy(digest.begin(), digest.begin() + kIdBytes, id.bytes.begin());
+  return id;
 }
 
 std::string OverlayId::toHex() const {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <string>
 
+#include "dosn/crypto/sha256.hpp"
 #include "dosn/util/bytes.hpp"
 #include "dosn/util/rng.hpp"
 
@@ -24,6 +25,9 @@ struct OverlayId {
   /// SHA-256-derived id for arbitrary content (keys, usernames).
   static OverlayId hash(util::BytesView data);
   static OverlayId hash(std::string_view text);
+  /// The id of the input streamed into `absorbed` (which it finishes): the
+  /// same id as hash() of that input in one piece.
+  static OverlayId hash(crypto::Sha256& absorbed);
 
   std::string toHex() const;
 };

@@ -136,15 +136,21 @@ BigUint DlogGroup::hashToGroup(util::BytesView input) const {
 }
 
 BigUint DlogGroup::hashToScalar(util::BytesView input) const {
+  crypto::Sha256 absorbed;
+  absorbed.update(input);
+  return hashToScalar(absorbed);
+}
+
+BigUint DlogGroup::hashToScalar(const crypto::Sha256& absorbed) const {
   // Expand to enough bytes that the reduction bias is negligible for
-  // simulation purposes.
-  util::Bytes material;
-  util::Bytes counterInput(input.begin(), input.end());
-  counterInput.push_back(0);
+  // simulation purposes: H(input || 1) || H(input || 2) || ..., each block
+  // hashed from a copy of the absorbed input.
   const std::size_t need = elementBytes() + 16;
-  while (material.size() < need) {
-    counterInput.back()++;
-    const auto d = crypto::sha256(counterInput);
+  util::Bytes material;
+  material.reserve(need + crypto::kSha256DigestSize);
+  for (std::uint8_t counter = 1; material.size() < need; ++counter) {
+    crypto::Sha256 block = absorbed;
+    const crypto::Digest d = block.update({&counter, 1}).finish();
     material.insert(material.end(), d.begin(), d.end());
   }
   material.resize(need);

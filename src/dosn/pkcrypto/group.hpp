@@ -13,6 +13,7 @@
 #include "dosn/bignum/biguint.hpp"
 #include "dosn/bignum/modmath.hpp"
 #include "dosn/bignum/montgomery.hpp"
+#include "dosn/crypto/sha256.hpp"
 #include "dosn/util/rng.hpp"
 
 namespace dosn::pkcrypto {
@@ -57,6 +58,9 @@ class DlogGroup {
   BigUint hashToGroup(util::BytesView input) const;
   /// Hash arbitrary bytes to a scalar mod q.
   BigUint hashToScalar(util::BytesView input) const;
+  /// hashToScalar of the input already streamed into `absorbed` (which is
+  /// left as it was), for callers that hash a structure field by field.
+  BigUint hashToScalar(const crypto::Sha256& absorbed) const;
   /// True if x is in [1, p-1] and x^q == 1 (i.e., in the prime-order
   /// subgroup).
   bool isElement(const BigUint& x) const;

@@ -1,7 +1,9 @@
 #include "dosn/pkcrypto/schnorr.hpp"
 
+#include <array>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "dosn/bignum/modmath.hpp"
 #include "dosn/crypto/sha256.hpp"
@@ -27,22 +29,49 @@ SchnorrPrivateKey schnorrGenerate(const DlogGroup& group, util::Rng& rng) {
 
 namespace {
 
+// Streams a length-prefixed field (Writer::bytes) into h.
+void hashField(crypto::Sha256& h, util::BytesView field) {
+  h.update(util::encodeU32(static_cast<std::uint32_t>(field.size())));
+  h.update(field);
+}
+
+// Streams Writer::bytes(x.toBytes()) into h; values of up to 2048 bits go
+// through a stack buffer.
+void hashScalar(crypto::Sha256& h, const BigUint& x) {
+  std::array<std::uint8_t, 256> buffer{};
+  const std::size_t size = x.byteLength();
+  if (size > buffer.size()) {
+    hashField(h, x.toBytes());
+    return;
+  }
+  const std::span<std::uint8_t> bytes(buffer.data(), size);
+  x.toBytesInto(bytes);
+  hashField(h, bytes);
+}
+
+// H(bytes(r) || bytes(y) || bytes(message)), streamed field by field.
 BigUint challengeHash(const DlogGroup& group, const BigUint& r,
                       const BigUint& y, util::BytesView message) {
-  util::Writer w;
-  w.bytes(r.toBytes());
-  w.bytes(y.toBytes());
-  w.bytes(message);
-  return group.hashToScalar(w.buffer());
+  crypto::Sha256 h;
+  hashScalar(h, r);
+  hashScalar(h, y);
+  hashField(h, message);
+  return group.hashToScalar(h);
 }
 
 }  // namespace
 
 util::Bytes SchnorrSignature::serialize() const {
   util::Writer w;
+  w.reserve(8 + e.byteLength() + s.byteLength());
   w.bytes(e.toBytes());
   w.bytes(s.toBytes());
   return w.take();
+}
+
+void SchnorrSignature::hashInto(crypto::Sha256& h) const {
+  hashScalar(h, e);
+  hashScalar(h, s);
 }
 
 std::optional<SchnorrSignature> SchnorrSignature::deserialize(
@@ -50,8 +79,8 @@ std::optional<SchnorrSignature> SchnorrSignature::deserialize(
   try {
     util::Reader r(data);
     SchnorrSignature sig;
-    sig.e = BigUint::fromBytes(r.bytes());
-    sig.s = BigUint::fromBytes(r.bytes());
+    sig.e = BigUint::fromBytes(r.bytesView());
+    sig.s = BigUint::fromBytes(r.bytesView());
     r.expectEnd();
     return sig;
   } catch (const util::CodecError&) {

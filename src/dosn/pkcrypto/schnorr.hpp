@@ -30,6 +30,8 @@ struct SchnorrSignature {
   BigUint s;  // response  = k + x*e mod q
 
   util::Bytes serialize() const;
+  /// Streams serialize()'s bytes into `h` without building them.
+  void hashInto(crypto::Sha256& h) const;
   static std::optional<SchnorrSignature> deserialize(util::BytesView data);
 };
 

@@ -42,38 +42,24 @@ RevocationReport HybridAcl::removeMember(const GroupId& id,
   }
   // Forward security for retained data: fresh data keys + re-wrap. The
   // asymmetric work is bounded by the 32-byte key, not the payload — the
-  // hybrid advantage the paper describes. Every retained payload is opened
-  // before the CP-ABE epoch moves on: its wrap opens only under the epoch
-  // it was made for.
-  std::vector<util::Bytes> plains;
-  for (const Envelope& env : g.history) {
-    util::Reader r(env.blob);
-    const util::Bytes wrapped = r.bytes();
-    const util::Bytes payloadBox = r.bytes();
-    // The group owner (who runs revocation) can always unwrap its own data.
-    std::optional<util::Bytes> dataKey;
-    for (const UserId& member : g.members) {
-      dataKey = unwrapKey(member, id, wrapped);
-      if (dataKey) break;
-    }
-    if (!dataKey && !g.members.empty()) {
-      throw util::DosnError("HybridAcl: cannot unwrap own history");
-    }
-    if (!dataKey) break;  // no members left; history stays sealed
-    auto plain = crypto::openWithNonce(*dataKey, payloadBox);
-    if (!plain) throw util::DosnError("HybridAcl: corrupt history");
-    plains.push_back(std::move(*plain));
-  }
+  // hybrid advantage the paper describes. The owner reopens each retained
+  // payload with the data key it kept, so no member's key is needed; the
+  // CP-ABE epoch moves on before the new wraps are made for it.
   if (wrap_ == WrapScheme::kCpAbe) ++g.epoch;  // attribute re-keying
-  for (std::size_t i = 0; i < plains.size(); ++i) {
+  if (g.members.empty()) return report;  // nobody to wrap for; stays sealed
+  std::vector<DataKey>& keys = dataKeys_[id];
+  for (std::size_t i = 0; i < g.history.size(); ++i) {
     Envelope& env = g.history[i];
     util::Reader r(env.blob);
-    forgetUnwraps(r.bytes());
+    forgetUnwraps(r.bytesView());
+    const auto plain = crypto::openWithNonce(keys[i], r.bytesView());
+    if (!plain) throw util::DosnError("HybridAcl: corrupt history");
     const util::Bytes newKey = rng_.bytes(32);
     util::Writer w;
     w.bytes(wrapKey(id, g, newKey, rng_));
-    w.bytes(crypto::sealWithNonce(newKey, plains[i], rng_));
+    w.bytes(crypto::sealWithNonce(newKey, *plain, rng_));
     env.blob = w.take();
+    std::copy(newKey.begin(), newKey.end(), keys[i].begin());
     ++report.reencryptedEnvelopes;
     report.rewrittenBytes += env.blob.size();
   }
@@ -134,14 +120,14 @@ std::optional<util::Bytes> HybridAcl::unwrapUncached(const UserId& reader,
   try {
     util::Reader r(wrapped);
     if (wrap_ == WrapScheme::kCpAbe) {
-      const auto ct = abe::CpAbeCiphertext::deserialize(r.bytes());
+      const auto ct = abe::CpAbeCiphertext::deserialize(r.bytesView());
       if (!ct) return std::nullopt;
       const Group& g = group(id);
       if (!g.members.count(reader)) return std::nullopt;
       const auto key = abeAuthority_.keyGen({epochAttribute(id, g)});
       return abe::cpabeDecrypt(dlog_, key, *ct);
     }
-    const auto ct = ibbe::IbbeCiphertext::deserialize(r.bytes());
+    const auto ct = ibbe::IbbeCiphertext::deserialize(r.bytesView());
     if (!ct) return std::nullopt;
     return ibbe::ibbeDecrypt(dlog_, pkg_.extract(reader), *ct);
   } catch (const util::CodecError&) {
@@ -156,7 +142,10 @@ Envelope HybridAcl::encrypt(const GroupId& id, util::BytesView plaintext,
   util::Writer w;
   w.bytes(wrapKey(id, g, dataKey, rng));
   w.bytes(crypto::sealWithNonce(dataKey, plaintext, rng));
-  return retain(id, g, w.take());
+  Envelope env = retain(id, g, w.take());
+  DataKey& kept = dataKeys_[id].emplace_back();
+  std::copy(dataKey.begin(), dataKey.end(), kept.begin());
+  return env;
 }
 
 std::optional<util::Bytes> HybridAcl::decrypt(const UserId& reader,
@@ -169,8 +158,8 @@ std::optional<util::Bytes> HybridAcl::decrypt(const UserId& reader,
   if (blob == nullptr) blob = &envelope.blob;
   try {
     util::Reader r(*blob);
-    const util::Bytes wrapped = r.bytes();
-    const util::Bytes payloadBox = r.bytes();
+    const util::BytesView wrapped = r.bytesView();
+    const util::BytesView payloadBox = r.bytesView();
     const auto dataKey = unwrapKey(reader, envelope.group, wrapped);
     if (!dataKey) return std::nullopt;
     return crypto::openWithNonce(*dataKey, payloadBox);

@@ -6,7 +6,9 @@
 // (Frientegrity/Hummingbird style), CP-ABE (Persona/Cachet), or IBBE.
 #pragma once
 
+#include <array>
 #include <map>
+#include <vector>
 
 #include "dosn/abe/cpabe.hpp"
 #include "dosn/crypto/sha256.hpp"
@@ -57,6 +59,8 @@ class HybridAcl final : public GroupAccessController {
   /// Drops every memoized unwrap of `wrapped` (it is being rewritten).
   void forgetUnwraps(util::BytesView wrapped);
 
+  using DataKey = std::array<std::uint8_t, 32>;
+
   const pkcrypto::DlogGroup& dlog_;
   util::Rng& rng_;
   WrapScheme wrap_;
@@ -70,6 +74,10 @@ class HybridAcl final : public GroupAccessController {
   // memoized. removeMember forgets every wrap it rewrites.
   std::map<std::pair<crypto::Digest, UserId>, std::optional<util::Bytes>>
       unwrapMemo_;
+  // Each group's data keys, parallel to its retained history: the owner's own
+  // key to every retained payload, so a revocation reopens its history
+  // whoever the remaining members are. encrypt appends; a rewrap replaces.
+  std::map<GroupId, std::vector<DataKey>> dataKeys_;
 };
 
 }  // namespace dosn::privacy

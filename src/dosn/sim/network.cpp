@@ -166,7 +166,12 @@ void Network::send(NodeAddr from, NodeAddr to, Message msg) {
     if (d.copies > 1) count("net.duplicated");
     for (std::size_t i = 0; i < d.copies; ++i) {
       const SimTime delay = latency_.sample(rng_) + d.extraDelay;
-      deliver(from, to, delay, msg);
+      // Every copy but the last is a copy; the last takes the message.
+      if (i + 1 < d.copies) {
+        deliver(from, to, delay, msg);
+      } else {
+        deliver(from, to, delay, std::move(msg));
+      }
     }
     return;
   }

@@ -20,6 +20,11 @@ using BytesView = std::span<const std::uint8_t>;
 /// Copies a string's characters into a byte buffer (no encoding change).
 Bytes toBytes(std::string_view text);
 
+/// A string's characters as bytes, without a copy (no encoding change).
+inline BytesView asBytes(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
 /// Interprets a byte buffer as text (no validation; callers own semantics).
 std::string toString(BytesView data);
 

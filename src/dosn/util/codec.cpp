@@ -1,21 +1,8 @@
 #include "dosn/util/codec.hpp"
 
+#include <algorithm>
+
 namespace dosn::util {
-
-void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
 
 void Writer::boolean(bool v) { u8(v ? 1 : 0); }
 
@@ -74,6 +61,14 @@ Bytes Reader::bytes() {
   return raw(n);
 }
 
+BytesView Reader::bytesView() {
+  const std::uint32_t n = u32();
+  need(n);
+  const BytesView out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 std::string Reader::str() {
   const std::uint32_t n = u32();
   need(n);
@@ -88,6 +83,13 @@ Bytes Reader::raw(std::size_t n) {
             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return out;
+}
+
+void Reader::rawInto(std::span<std::uint8_t> out) {
+  need(out.size());
+  std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), out.size(),
+              out.begin());
+  pos_ += out.size();
 }
 
 std::uint32_t Reader::count(std::size_t minItemBytes) {

@@ -236,6 +236,44 @@ TEST_F(MicroblogTest, RecordSerializationRoundTrips) {
   EXPECT_FALSE(TimelineRecord::deserialize(util::toBytes("junk")).has_value());
 }
 
+// Both records parse their nested fields through views of the input: they
+// round-trip, and every proper prefix of a valid encoding is rejected.
+TEST_F(MicroblogTest, RecordsRejectEveryTruncation) {
+  const auto key = pkcrypto::schnorrGenerate(group_, rng_);
+  HeadRecord head;
+  head.length = 3;
+  head.headHash = crypto::sha256(util::toBytes("h"));
+  head.signature = pkcrypto::schnorrSign(group_, key, head.signedBytes(), rng_);
+  TimelineRecord record;
+  record.entry.seq = 2;
+  record.entry.prev = crypto::sha256(util::toBytes("p"));
+  record.entry.payload = util::toBytes("payload");
+  record.entry.signature = pkcrypto::schnorrSign(
+      group_, key, record.entry.signedBytes(), rng_);
+  record.envelope.scheme = "hybrid+ibbe";
+  record.envelope.group = "alice/friends";
+  record.envelope.serial = 9;
+  record.envelope.blob = util::toBytes("sealed");
+
+  const util::Bytes headBytes = head.serialize();
+  const util::Bytes recordBytes = record.serialize();
+  ASSERT_TRUE(HeadRecord::deserialize(headBytes).has_value());
+  EXPECT_EQ(HeadRecord::deserialize(headBytes)->serialize(), headBytes);
+  ASSERT_TRUE(TimelineRecord::deserialize(recordBytes).has_value());
+  EXPECT_EQ(TimelineRecord::deserialize(recordBytes)->serialize(), recordBytes);
+  for (std::size_t cut = 0; cut < headBytes.size(); ++cut) {
+    EXPECT_FALSE(HeadRecord::deserialize(util::BytesView(headBytes).first(cut))
+                     .has_value())
+        << "cut=" << cut;
+  }
+  for (std::size_t cut = 0; cut < recordBytes.size(); ++cut) {
+    EXPECT_FALSE(
+        TimelineRecord::deserialize(util::BytesView(recordBytes).first(cut))
+            .has_value())
+        << "cut=" << cut;
+  }
+}
+
 // --- The user-client matrix, over every ACL scheme ---
 
 class MicroblogAclTest

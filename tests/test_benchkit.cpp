@@ -13,6 +13,7 @@
 
 #include "dosn/benchkit/benchkit.hpp"
 #include "dosn/benchkit/json.hpp"
+#include "dosn/bignum/montgomery.hpp"
 #include "dosn/crypto/sha256.hpp"
 
 using dosn::benchkit::CliResult;
@@ -266,6 +267,10 @@ TEST(RunScenarios, PlumbsSeedAndEmitsDocument) {
   const std::string kernel = doc.find("sha256_kernel")->asString();
   EXPECT_TRUE(kernel == "sha-ni" || kernel == "portable") << kernel;
   EXPECT_EQ(kernel, dosn::crypto::sha256Kernel());
+  ASSERT_NE(doc.find("montmul_kernel"), nullptr);
+  const std::string montMul = doc.find("montmul_kernel")->asString();
+  EXPECT_TRUE(montMul == "adx" || montMul == "portable") << montMul;
+  EXPECT_EQ(montMul, dosn::bignum::montMulKernel());
   const Json* scenarios = doc.find("scenarios");
   ASSERT_NE(scenarios, nullptr);
   ASSERT_EQ(scenarios->size(), 1u);

@@ -293,6 +293,32 @@ TEST_F(IntegrityTest, ChainEntrySerializationRoundTrip) {
   const auto back = ChainEntry::deserialize(entry.serialize());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->entryHash(), entry.entryHash());
+  EXPECT_EQ(back->serialize(), entry.serialize());
+}
+
+// The entry hash streams signedBytes() || signature.serialize() into one
+// SHA-256; it is the digest of those bytes assembled.
+TEST_F(IntegrityTest, EntryHashIsDigestOfSignedBytesAndSignature) {
+  Timeline timeline(testGroup(), bob_);
+  timeline.append(toBytes("first"), rng_);
+  const ChainEntry& entry = timeline.append(toBytes("second"), rng_);
+  util::Bytes assembled = entry.signedBytes();
+  const util::Bytes sig = entry.signature.serialize();
+  assembled.insert(assembled.end(), sig.begin(), sig.end());
+  EXPECT_EQ(entry.entryHash(), crypto::sha256(assembled));
+}
+
+// Parsing reads the signature through a view of the input: every proper
+// prefix of a valid encoding is rejected.
+TEST_F(IntegrityTest, ChainEntryRejectsEveryTruncation) {
+  Timeline timeline(testGroup(), bob_);
+  const util::Bytes encoded =
+      timeline.append(toBytes("data"), rng_).serialize();
+  for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
+    EXPECT_FALSE(
+        ChainEntry::deserialize(util::BytesView(encoded).first(cut)).has_value())
+        << "cut=" << cut;
+  }
 }
 
 // --- Expired-invitation freshness via the chain (the scenario's "is this
@@ -307,6 +333,30 @@ TEST_F(IntegrityTest, FreshnessProvableViaChainPosition) {
   // The cancellation provably follows the first invitation.
   EXPECT_TRUE(provablyPrecedes(timeline.entries(), 0, 1));
   EXPECT_FALSE(provablyPrecedes(timeline.entries(), 1, 0));
+  EXPECT_TRUE(provablyPrecedes(timeline.entries(), 0, 2));
+  EXPECT_FALSE(provablyPrecedes(timeline.entries(), 1, 1));
+  EXPECT_FALSE(provablyPrecedes(timeline.entries(), 0, 3));
+}
+
+// provablyPrecedes walks the prev links from j back to i: a tampered entry
+// between them breaks the proof, one outside the range does not.
+TEST_F(IntegrityTest, ProvablyPrecedesChecksEveryLinkBetween) {
+  Timeline timeline(testGroup(), bob_);
+  for (int i = 0; i < 5; ++i) {
+    timeline.append(toBytes("post " + std::to_string(i)), rng_);
+  }
+  std::vector<ChainEntry> entries = timeline.entries();
+  ASSERT_TRUE(provablyPrecedes(entries, 1, 3));
+  entries[2].payload = toBytes("rewritten");
+  EXPECT_FALSE(provablyPrecedes(entries, 1, 3));
+  EXPECT_FALSE(provablyPrecedes(entries, 0, 4));
+  EXPECT_TRUE(provablyPrecedes(entries, 0, 2));  // links 1->0 and 2->1 hold
+  EXPECT_TRUE(provablyPrecedes(entries, 3, 4));
+  // A swapped pair breaks the links on both sides.
+  entries = timeline.entries();
+  std::swap(entries[1], entries[2]);
+  EXPECT_FALSE(provablyPrecedes(entries, 0, 1));
+  EXPECT_FALSE(provablyPrecedes(entries, 1, 2));
 }
 
 // --- Cross-timeline entanglement (§IV-B) ---

@@ -1,11 +1,13 @@
 // Differential tests for the Montgomery/CIOS fast path (bignum/montgomery):
 // powMod vs the retained powModSimple reference across widths and edge
-// moduli, CRT-RSA vs the plain private-key path, fixed-base tables vs
+// moduli, the MULX/ADX kernel vs the portable 4-limb CIOS, CRT-RSA vs the plain private-key path, fixed-base tables vs
 // generic exponentiation, and KATs pinning the private-key wire format
 // (including the pre-CRT legacy layout).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iostream>
 #include <utility>
 #include <vector>
 
@@ -255,6 +257,100 @@ TEST(MontgomeryKernel, RuntimeWidthMatchesDivision) {
     ASSERT_EQ(MontgomeryContext(split.n).words(), limbs);
     ASSERT_TRUE(takesFinalSubtraction(split.n1, split.n2, split.n, limbs));
     checkKernel(split.n, {{split.n1, split.n2}}, rng);
+  }
+}
+
+// --- The MULX/ADX kernel against the portable CIOS ---
+//
+// On a CPU with BMI2 and ADX, montMulInto runs the ADX kernel at 4 limbs;
+// everywhere else it runs cios<4>. The ADX arm is compared limb for limb with
+// cios<4> (detail::montMul4Portable), and the context that dispatches to it
+// with powModSimple, on the cached 256-bit p (top bit set) and on a 4-limb
+// modulus with its top bit clear.
+
+// -n0^{-1} mod 2^64, as MontgomeryContext computes it.
+std::uint64_t negInverseWord(std::uint64_t n0) {
+  std::uint64_t x = n0;
+  for (int i = 0; i < 6; ++i) x *= 2 - n0 * x;
+  return ~x + 1;
+}
+
+TEST(MontgomeryKernel, AdxMatchesPortableAndPowModSimple) {
+  using dosn::bignum::detail::MontMul4;
+  const MontMul4 adx = dosn::bignum::detail::montMul4Adx();
+  std::cout << "[ kernels  ] portable ran; adx "
+            << (adx != nullptr ? "ran" : "skipped (no BMI2/ADX)")
+            << "; montMulInto dispatches to "
+            << dosn::bignum::montMulKernel() << "\n";
+  EXPECT_STREQ(dosn::bignum::montMulKernel(),
+               adx != nullptr ? "adx" : "portable");
+
+  Rng rng(59);
+  BigUint topClear = oddModulus(255, rng);
+  ASSERT_EQ(topClear.bitLength(), 255u);
+  for (const BigUint& n :
+       {dosn::pkcrypto::DlogGroup::cached(256).p(), topClear}) {
+    const MontgomeryContext ctx(n);
+    ASSERT_EQ(ctx.words(), 4u);
+    const MontgomeryContext::Limbs nLimbs = paddedLimbs(n, 4);
+    const std::uint64_t nInv = negInverseWord(nLimbs[0]);
+    const BigUint rModN = (BigUint(1) << 256) % n;
+
+    std::vector<BigUint> edges = {BigUint(0), BigUint(1), n - BigUint(1),
+                                  rModN};
+    OperandPairs pairs;
+    for (const BigUint& a : edges) {
+      for (const BigUint& b : edges) pairs.emplace_back(a, b);
+    }
+    // Edge pairs are checked against the division path as well.
+    for (const auto& [a, b] : pairs) {
+      std::vector<std::uint64_t> t(6);
+      dosn::bignum::detail::montMul4Portable(paddedLimbs(a, 4).data(),
+                                             paddedLimbs(b, 4).data(),
+                                             nLimbs.data(), nInv, t.data());
+      t.resize(4);
+      EXPECT_EQ(BigUint(t), montProductByDivision(a, b, n, 4))
+          << "n=" << n.toHex() << " a=" << a.toHex() << " b=" << b.toHex();
+    }
+    if (adx != nullptr) {
+      for (int i = 0; i < 100000; ++i) {
+        pairs.emplace_back(randomBits(256, rng) % n, randomBits(256, rng) % n);
+      }
+      std::size_t mismatches = 0;
+      for (const auto& [a, b] : pairs) {
+        const MontgomeryContext::Limbs al = paddedLimbs(a, 4);
+        const MontgomeryContext::Limbs bl = paddedLimbs(b, 4);
+        std::vector<std::uint64_t> portable(6);
+        std::vector<std::uint64_t> fast(6);
+        dosn::bignum::detail::montMul4Portable(al.data(), bl.data(),
+                                               nLimbs.data(), nInv,
+                                               portable.data());
+        adx(al.data(), bl.data(), nLimbs.data(), nInv, fast.data());
+        if (!std::equal(fast.begin(), fast.begin() + 4, portable.begin())) {
+          ++mismatches;
+          ADD_FAILURE() << "n=" << n.toHex() << " a=" << a.toHex()
+                        << " b=" << b.toHex();
+          if (mismatches > 5) break;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+
+    // Through the dispatching context: exponentiation on the edges and on
+    // random bases and exponents.
+    std::vector<BigUint> exponents = {BigUint(0), BigUint(1), BigUint(2),
+                                      n - BigUint(1),
+                                      (BigUint(1) << 256) - BigUint(1)};
+    for (int i = 0; i < 4; ++i) exponents.push_back(randomBits(256, rng));
+    std::vector<BigUint> bases = edges;
+    for (int i = 0; i < 4; ++i) bases.push_back(randomBits(256, rng) % n);
+    for (const BigUint& base : bases) {
+      for (const BigUint& e : exponents) {
+        EXPECT_EQ(ctx.powMod(base, e), powModSimple(base, e, n))
+            << "n=" << n.toHex() << " base=" << base.toHex()
+            << " e=" << e.toHex();
+      }
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 // super-peers, hybrid lookup, federation, replication.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 
 #include "dosn/overlay/federation.hpp"
@@ -120,6 +122,57 @@ TEST(RoutingTable, BucketEvictsOldest) {
   const auto closest = table.closest(id1, 3);
   // id1 (oldest) was evicted.
   for (const Contact& c : closest) EXPECT_NE(c.id, id1);
+}
+
+// closest() walks the buckets' distance ranges and orders only the ones it
+// takes contacts from; a sort of every contact cut to `count` is its oracle.
+// Ids are drawn so no bucket overflows, so the table holds every contact
+// observed. Table sizes straddle k; targets include self, a held contact's
+// id, self's complement and random ids.
+TEST(RoutingTable, ClosestMatchesFullSort) {
+  constexpr std::size_t k = 8;
+  util::Rng rng(29);
+  for (const std::size_t tableSize : {0u, 1u, 5u, 8u, 9u, 13u, 40u}) {
+    const OverlayId self = OverlayId::random(rng);
+    RoutingTable table(self, k);
+    std::vector<Contact> held;
+    std::map<int, std::size_t> perBucket;
+    while (held.size() < tableSize) {
+      const Contact c{OverlayId::random(rng),
+                      static_cast<sim::NodeAddr>(held.size() + 1)};
+      std::size_t& inBucket = perBucket[bucketIndex(self, c.id)];
+      if (inBucket == k) continue;
+      ++inBucket;
+      held.push_back(c);
+      table.observe(c);
+    }
+    ASSERT_EQ(table.size(), tableSize);
+
+    std::vector<OverlayId> targets = {self};
+    OverlayId complement;
+    for (std::size_t i = 0; i < kIdBytes; ++i) {
+      complement.bytes[i] = static_cast<std::uint8_t>(~self.bytes[i]);
+    }
+    targets.push_back(complement);
+    if (!held.empty()) targets.push_back(held[held.size() / 2].id);
+    for (int i = 0; i < 6; ++i) targets.push_back(OverlayId::random(rng));
+
+    for (const OverlayId& target : targets) {
+      std::vector<Contact> sorted = held;
+      std::sort(sorted.begin(), sorted.end(),
+                [&](const Contact& a, const Contact& b) {
+                  return closerTo(target, a.id, b.id);
+                });
+      for (const std::size_t count : {std::size_t{0}, std::size_t{1}, k - 1,
+                                      k, k + 1, tableSize + 3}) {
+        std::vector<Contact> expected = sorted;
+        if (expected.size() > count) expected.resize(count);
+        EXPECT_EQ(table.closest(target, count), expected)
+            << "table=" << tableSize << " count=" << count
+            << " target=" << target.toHex();
+      }
+    }
+  }
 }
 
 // --- Kademlia over the simulator ---

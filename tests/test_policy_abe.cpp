@@ -414,10 +414,19 @@ TEST_F(IbbeTest, RemovalNeedsNoRekey) {
 
 TEST_F(IbbeTest, SerializationRoundTrip) {
   const auto ct = encryptTo({"a", "b", "c"}, "m");
-  const auto back = ibbe::IbbeCiphertext::deserialize(ct.serialize());
+  const util::Bytes encoded = ct.serialize();
+  const auto back = ibbe::IbbeCiphertext::deserialize(encoded);
   ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->serialize(), encoded);
   EXPECT_EQ(ibbe::ibbeDecrypt(group_, pkg_.extract("b"), *back).value(),
             toBytes("m"));
+  // c1 is read through a view of the input; every proper prefix fails.
+  for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
+    EXPECT_FALSE(
+        ibbe::IbbeCiphertext::deserialize(util::BytesView(encoded).first(cut))
+            .has_value())
+        << "cut=" << cut;
+  }
 }
 
 // Pinned wire bytes of one broadcast at a fixed seed: the RNG draws, their

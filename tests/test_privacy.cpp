@@ -394,6 +394,41 @@ TEST_P(HybridAclTest, RevocationRewrapsHistory) {
   EXPECT_FALSE(acl.decrypt("bob", before).has_value());
 }
 
+// The owner re-keys its history with the data keys it kept, whoever the
+// remaining members are: here the only recipient of the post is the member
+// revoked, so no remaining member's key opens it.
+TEST_P(HybridAclTest, RevocationRekeysPostsNoRemainingMemberCouldOpen) {
+  util::Rng rng(11);
+  HybridAcl acl(testGroup(), rng, GetParam());
+  acl.createGroup("g");
+  acl.addMember("g", "alice");
+  acl.encrypt("g", toBytes("p1"), rng);
+  acl.addMember("g", "bob");
+  const RevocationReport report = acl.removeMember("g", "alice");
+  EXPECT_EQ(report.reencryptedEnvelopes, 1u);
+  EXPECT_EQ(acl.decrypt("bob", acl.history("g")[0]).value(), toBytes("p1"));
+  EXPECT_FALSE(acl.decrypt("alice", acl.history("g")[0]).has_value());
+}
+
+// A group that empties rewraps nothing; refilled, its next revocation
+// re-keys the history for whoever remains.
+TEST_P(HybridAclTest, EmptiedAndRefilledGroupRekeysHistory) {
+  util::Rng rng(12);
+  HybridAcl acl(testGroup(), rng, GetParam());
+  acl.createGroup("g");
+  acl.addMember("g", "alice");
+  acl.encrypt("g", toBytes("p1"), rng);
+  const util::Bytes sealed = acl.history("g")[0].blob;
+  EXPECT_EQ(acl.removeMember("g", "alice").reencryptedEnvelopes, 0u);
+  EXPECT_EQ(acl.history("g")[0].blob, sealed);
+  acl.addMember("g", "bob");
+  acl.addMember("g", "carol");
+  const RevocationReport report = acl.removeMember("g", "bob");
+  EXPECT_EQ(report.reencryptedEnvelopes, 1u);
+  EXPECT_EQ(acl.decrypt("carol", acl.history("g")[0]).value(), toBytes("p1"));
+  EXPECT_FALSE(acl.decrypt("bob", acl.history("g")[0]).has_value());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Wraps, HybridAclTest,
     ::testing::Values(WrapScheme::kPublicKey, WrapScheme::kCpAbe,

@@ -196,6 +196,50 @@ TEST_F(RpcEndpointTest, RetryRacingLateFirstReplyCompletesOnceViaLateReply) {
   EXPECT_EQ(metrics_.counter("rpc.resp.orphans"), 1u);  // attempt 2's reply
 }
 
+// A call keeps one frame for all its attempts: with the first attempt
+// dropped by the fault plan, the retransmission that arrives is the frame
+// the call built, `rpcId | body`, byte for byte, and both attempts put the
+// same number of bytes on the wire.
+TEST_F(RpcEndpointTest, RetransmissionResendsTheFirstFrame) {
+  RpcEndpoint client(net_);
+  client.addReplyChannel("resp");
+  const NodeAddr server = net_.addNode();
+  std::vector<util::Bytes> received;
+  net_.setHandler(server, [&](NodeAddr from, const Message& msg) {
+    received.emplace_back(msg.payload.begin(), msg.payload.end());
+    util::Writer w;
+    w.u64(util::Reader(msg.payload).u64());
+    net_.send(server, from, Message{"resp", w.take()});
+  });
+  FaultPlan plan;
+  plan.between(0, kMillisecond, FaultRule::link(client.addr(), server).drop(1.0));
+  net_.setFaultPlan(&plan);
+
+  const util::Bytes body = util::toBytes("the request body");
+  CallOptions options;
+  options.timeout = 200 * kMillisecond;
+  options.retry.attempts = 3;
+  options.retry.backoffBase = 10 * kMillisecond;
+  bool completed = false;
+  const net::RpcId id = client.call(server, "req", body, options,
+                                    [&](bool ok, util::BytesView) {
+                                      completed = ok;
+                                    });
+  sim_.run();
+
+  ASSERT_TRUE(completed);
+  EXPECT_EQ(client.retries(), 1u);
+  EXPECT_EQ(metrics_.counter("net.dropped.fault"), 1u);
+  util::Writer frame;
+  frame.u64(id);
+  frame.raw(body);
+  ASSERT_EQ(received.size(), 1u);  // the retransmission only
+  EXPECT_EQ(received[0], frame.buffer());
+  EXPECT_EQ(net_.sentOfType("req"), 2u);
+  const std::uint64_t repliesBytes = 8;  // one reply: its rpcId
+  EXPECT_EQ(net_.bytesSent(), 2 * frame.buffer().size() + repliesBytes);
+}
+
 TEST_F(RpcEndpointTest, EveryCounterIsPerMessageType) {
   RpcEndpoint client(net_);
   client.addReplyChannel("resp");

@@ -1,6 +1,8 @@
 // Unit tests for dosn/util: bytes, rng, codec, strings.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "dosn/util/bytes.hpp"
 #include "dosn/util/codec.hpp"
 #include "dosn/util/error.hpp"
@@ -236,6 +238,73 @@ TEST(Codec, TrailingBytesDetected) {
   Reader r(w.buffer());
   r.u8();
   EXPECT_THROW(r.expectEnd(), CodecError);
+}
+
+// The non-copying reads: bytesView() returns a view into the input and
+// rawInto() fills a fixed-size array, each reading what bytes() and raw()
+// read and throwing CodecError wherever they throw.
+TEST(Codec, NonCopyingReadsRoundTripWithWriter) {
+  const Bytes payload = toBytes("a length-prefixed field");
+  std::array<std::uint8_t, 20> id{};
+  for (std::size_t i = 0; i < id.size(); ++i) {
+    id[i] = static_cast<std::uint8_t>(3 * i + 1);
+  }
+  Writer w;
+  w.bytes(payload);
+  w.raw(BytesView(id));
+  w.bytes({});
+  const Bytes encoded = w.take();
+
+  Reader r(encoded);
+  const BytesView field = r.bytesView();
+  EXPECT_EQ(Bytes(field.begin(), field.end()), payload);
+  EXPECT_EQ(field.data(), encoded.data() + 4);  // a view, not a copy
+  std::array<std::uint8_t, 20> back{};
+  r.rawInto(back);
+  EXPECT_EQ(back, id);
+  EXPECT_TRUE(r.bytesView().empty());
+  EXPECT_NO_THROW(r.expectEnd());
+
+  // The copying reads agree on the same input.
+  Reader copying(encoded);
+  EXPECT_EQ(copying.bytes(), payload);
+  EXPECT_EQ(copying.raw(id.size()), Bytes(id.begin(), id.end()));
+}
+
+TEST(Codec, NonCopyingReadsThrowAtEveryTruncation) {
+  Writer w;
+  w.bytes(toBytes("field"));
+  const std::array<std::uint8_t, 8> id = {1, 2, 3, 4, 5, 6, 7, 8};
+  w.raw(BytesView(id));
+  const Bytes encoded = w.take();
+  const auto readAll = [](BytesView input) {
+    Reader r(input);
+    r.bytesView();
+    std::array<std::uint8_t, 8> out{};
+    r.rawInto(out);
+  };
+  EXPECT_NO_THROW(readAll(encoded));
+  for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
+    EXPECT_THROW(readAll(BytesView(encoded).first(cut)), CodecError)
+        << "cut=" << cut;
+  }
+  // A length prefix claiming more than the input holds.
+  Writer liar;
+  liar.u32(100);
+  liar.raw(toBytes("short"));
+  Reader r(liar.buffer());
+  EXPECT_THROW(r.bytesView(), CodecError);
+}
+
+TEST(Codec, IntegerEncodersMatchWriter) {
+  Writer w;
+  w.u32(0xdeadbeef);
+  w.u64(0x0123456789abcdefull);
+  const auto u32 = encodeU32(0xdeadbeef);
+  const auto u64 = encodeU64(0x0123456789abcdefull);
+  Bytes expected(u32.begin(), u32.end());
+  expected.insert(expected.end(), u64.begin(), u64.end());
+  EXPECT_EQ(w.buffer(), expected);
 }
 
 // --- strings ---
