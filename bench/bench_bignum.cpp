@@ -12,6 +12,8 @@
 //   batch inversion  per-element invMod        vs batchInvMod, sweep 1/4/16/64
 //   Schnorr page     per-item schnorrVerify    vs a prepared SchnorrVerifyingKey,
 //                                                 same sweep (+ key preparation)
+//   fixed-base batch the loop of pow           vs FixedBasePowerTable::powMany,
+//                                                 1/2/9/16 jobs at 256 bits
 //
 // Runs on benchkit (BENCHMARKS.md): `--smoke` shrinks every kernel to a few
 // iterations at CI-friendly sizes and asserts equality only — fast enough
@@ -302,6 +304,58 @@ void benchSchnorrPage(ScenarioContext& ctx, std::size_t bits,
   ctx.counter("rounds", rounds);
 }
 
+// Fixed-base batch sweep at E19's width: n powers over one 256-bit modulus,
+// each job its own table (the generator's, then identity keys) and
+// exponent, computed by the loop of pow and by powMany (IFMA lanes where
+// the CPU has them: powmany_kernel in the JSON header). Both must agree.
+void benchFixedBaseBatch(ScenarioContext& ctx, std::size_t rounds) {
+  const auto& group = pkcrypto::DlogGroup::cached(256);
+  util::Rng rng(ctx.seed() + 966);
+  std::vector<bignum::FixedBasePowerTable> identities;
+  for (int i = 0; i < 15; ++i) {
+    identities.emplace_back(group.exp(group.randomScalar(rng)), group.p(),
+                            group.q().bitLength());
+  }
+  std::vector<BigUint> exponents;
+  for (int i = 0; i < 16; ++i) exponents.push_back(group.randomScalar(rng));
+  if (ctx.printing()) printHeader();
+  for (const std::size_t n : {1u, 2u, 9u, 16u}) {
+    std::vector<bignum::FixedBasePowerTable::Job> jobs;
+    for (std::size_t i = 0; i < n; ++i) {
+      jobs.push_back({i == 0 ? &group.generatorTable() : &identities[i - 1],
+                      &exponents[i]});
+    }
+    std::vector<BigUint> oldOut(n), newOut(n);
+    benchkit::Timer timer;
+    for (std::size_t r = 0; r < rounds; ++r) {
+      for (std::size_t i = 0; i < n; ++i) {
+        oldOut[i] = jobs[i].table->pow(*jobs[i].exponent);
+      }
+    }
+    const double oldMs = timer.ms();
+    timer.reset();
+    for (std::size_t r = 0; r < rounds; ++r) {
+      bignum::FixedBasePowerTable::powMany(jobs, newOut);
+    }
+    const double newMs = timer.ms();
+    for (std::size_t i = 0; i < n; ++i) {
+      check(ctx, oldOut[i], newOut[i], "fixed-base batch");
+    }
+    const std::string tag = std::to_string(n);
+    const double items = static_cast<double>(n * rounds);
+    ctx.param("old_ms_per_item." + tag, oldMs / items);
+    ctx.param("new_ms_per_item." + tag, newMs / items);
+    ctx.param("speedup." + tag, oldMs / newMs);
+    if (ctx.printing()) {
+      std::printf("  %-22s %10.4f %10.4f %8.2fx   (%zu rounds)\n",
+                  ("g^x batch n=" + tag).c_str(), oldMs / items,
+                  newMs / items, oldMs / newMs, rounds);
+    }
+  }
+  ctx.param("bits", 256.0);
+  ctx.counter("rounds", rounds);
+}
+
 }  // namespace
 
 // Smoke runs every kernel once at CI-friendly sizes (correctness-only, also
@@ -378,6 +432,14 @@ BENCH_SCENARIO(b1_schnorr_page, {.hot = true}) {
     benchSchnorrPage(ctx, 256, 1);
   } else {
     benchSchnorrPage(ctx, 256, 8);
+  }
+}
+
+BENCH_SCENARIO(b1_fixed_base_batch, {.hot = true}) {
+  if (ctx.smoke()) {
+    benchFixedBaseBatch(ctx, 1);
+  } else {
+    benchFixedBaseBatch(ctx, 200);
   }
 }
 

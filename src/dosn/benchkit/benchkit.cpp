@@ -234,10 +234,11 @@ Json runScenarios(const Registry& registry, const RunConfig& config,
   doc.set("schema", kSchema);
   doc.set("bench", benchName);
   doc.set("git_describe", DOSN_GIT_DESCRIBE);
-  // Wall times depend on the host's SHA-256 block function and 4-limb
-  // Montgomery kernel.
+  // Wall times depend on the host's SHA-256 block function, 4-limb
+  // Montgomery kernel and fixed-base batch kernel.
   doc.set("sha256_kernel", crypto::sha256Kernel());
   doc.set("montmul_kernel", bignum::montMulKernel());
+  doc.set("powmany_kernel", bignum::powManyKernel());
   doc.set("timestamp", isoTimestampUtc());
   doc.set("smoke", config.smoke);
   doc.set("seed", config.seed);

@@ -130,6 +130,36 @@ MontMul4 montMul4Adx();
 
 }  // namespace detail
 
+class FixedBasePowerTable;
+
+/// One power for FixedBasePowerTable::powMany: table->base() ^ *exponent mod
+/// table->modulus(). Both pointers must outlive the call.
+struct FixedBaseJob {
+  const FixedBasePowerTable* table;
+  const BigUint* exponent;
+};
+
+/// The kernel FixedBasePowerTable::powMany runs in this process: "ifma"
+/// (AVX-512 IFMA lanes) or "portable" (the loop of pow).
+const char* powManyKernel();
+
+namespace detail {
+
+/// A powMany implementation: out[i] = jobs[i].table->pow(*jobs[i].exponent).
+using PowMany = void (*)(std::span<const FixedBaseJob> jobs,
+                         std::span<BigUint> out);
+
+/// The loop of pow: the fallback and the oracle.
+void powManyPortable(std::span<const FixedBaseJob> jobs,
+                     std::span<BigUint> out);
+
+/// The AVX-512 IFMA lane kernel, or nullptr if CPUID lacks AVX512F or
+/// AVX512IFMA, the OS does not save ZMM state, or the build does not target
+/// x86-64. A batch the lanes do not fit runs the loop.
+PowMany powManyIfma();
+
+}  // namespace detail
+
 /// Precomputed window table for a fixed base g and odd modulus p: pow(e)
 /// computes g^e mod p with ~bits/4 Montgomery multiplies and *no squarings*,
 /// by storing g^(j * 16^i) for every 4-bit window i and digit j. Repeated
@@ -142,8 +172,17 @@ MontMul4 montMul4Adx();
 /// about three variable-base exponentiations; the entries sit in one
 /// contiguous limb vector, 15 * windows * words() limbs (30 KiB at 256
 /// bits).
+///
+/// powMany computes many such powers over one modulus at once. Each pow is a
+/// chain of about bits/4 dependent multiplies; at 4 limbs an x86-64 CPU whose
+/// CPUID reports AVX512F and AVX512IFMA runs up to 16 of those chains side by
+/// side, one per 64-bit lane of two interleaved groups of zmm registers
+/// (DESIGN.md §3b). The choice is made once per process, as montMulKernel's
+/// is; pow's loop stays the fallback and the oracle.
 class FixedBasePowerTable {
  public:
+  using Job = FixedBaseJob;
+
   /// Covers exponents up to maxExponentBits bits; wider exponents fall back
   /// to the generic Montgomery powMod.
   FixedBasePowerTable(const BigUint& base, const BigUint& modulus,
@@ -156,13 +195,28 @@ class FixedBasePowerTable {
   /// base^exponent mod modulus.
   BigUint pow(const BigUint& exponent) const;
 
+  /// out[i] = jobs[i].table->pow(*jobs[i].exponent) for every i, equal limb
+  /// for limb. Throws DosnError unless out has one slot per job. The lanes
+  /// take a batch of two or more jobs whose tables share one 4-limb modulus
+  /// and one window count, with every exponent within its table; any other
+  /// batch runs the loop of pow.
+  static void powMany(std::span<const Job> jobs, std::span<BigUint> out);
+
  private:
+  friend detail::PowMany detail::powManyIfma();
+
+  /// The lane kernel behind powManyIfma.
+  static void powManyLanes(std::span<const Job> jobs, std::span<BigUint> out);
+
   MontgomeryContext ctx_;
   BigUint base_;
   std::size_t windows_;
   // Entry e = i * 15 + (j - 1) is Mont(base^(j * 16^i)), j in [1, 15], and
   // occupies limbs [e * words(), (e + 1) * words()).
   MontgomeryContext::Limbs table_;
+  // 2^(4 * windows_) mod modulus, for 4-limb moduli only: the factor that
+  // takes a product of windows_ entries out of the lanes' Montgomery domain.
+  MontgomeryContext::Limbs laneCorrection_;
 };
 
 }  // namespace dosn::bignum

@@ -33,7 +33,11 @@ util::Bytes hkdfExpand(util::BytesView prk, util::BytesView info,
 
 util::Bytes hkdf(util::BytesView ikm, util::BytesView salt,
                  util::BytesView info, std::size_t length) {
-  const Digest prk = hmacSha256(salt, ikm);
+  // deriveKey extracts with an empty salt on every call: key that HMAC once
+  // and copy it, as hkdfExpand copies its keyed HMAC per block.
+  static const HmacSha256 emptySalt{util::BytesView{}};
+  HmacSha256 extract = salt.empty() ? emptySalt : HmacSha256(salt);
+  const Digest prk = extract.update(ikm).finish();
   return hkdfExpand(util::BytesView(prk), info, length);
 }
 

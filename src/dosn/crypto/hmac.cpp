@@ -14,11 +14,13 @@ HmacSha256::HmacSha256(util::BytesView key) {
   }
 
   std::array<std::uint8_t, kSha256BlockSize> ipad{};
+  std::array<std::uint8_t, kSha256BlockSize> opad{};
   for (std::size_t i = 0; i < block.size(); ++i) {
     ipad[i] = block[i] ^ 0x36;
-    opad_[i] = block[i] ^ 0x5c;
+    opad[i] = block[i] ^ 0x5c;
   }
   inner_.update(util::BytesView(ipad));
+  outer_.update(util::BytesView(opad));
 }
 
 HmacSha256& HmacSha256::update(util::BytesView data) {
@@ -28,10 +30,7 @@ HmacSha256& HmacSha256::update(util::BytesView data) {
 
 Digest HmacSha256::finish() {
   const Digest inner = inner_.finish();
-  return Sha256{}
-      .update(util::BytesView(opad_))
-      .update(util::BytesView(inner))
-      .finish();
+  return outer_.update(util::BytesView(inner)).finish();
 }
 
 Digest hmacSha256(util::BytesView key, util::BytesView message) {

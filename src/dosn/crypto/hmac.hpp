@@ -3,8 +3,6 @@
 // hash function" to a message part — prf() here is that PRF family f_s(x).
 #pragma once
 
-#include <array>
-
 #include "dosn/crypto/sha256.hpp"
 #include "dosn/util/bytes.hpp"
 
@@ -12,7 +10,8 @@ namespace dosn::crypto {
 
 /// Streaming HMAC-SHA256: update() absorbs the message in pieces. A keyed
 /// instance may be copied before any update to MAC several messages under
-/// one key without redoing the key schedule.
+/// one key without redoing the key schedule: both padded-key blocks are
+/// absorbed at construction.
 class HmacSha256 {
  public:
   explicit HmacSha256(util::BytesView key);
@@ -23,7 +22,7 @@ class HmacSha256 {
 
  private:
   Sha256 inner_;  // keyed with ipad, then the message
-  std::array<std::uint8_t, kSha256BlockSize> opad_;
+  Sha256 outer_;  // keyed with opad
 };
 
 /// HMAC-SHA256 over the message with the given key (any key length).

@@ -98,13 +98,22 @@ IbbeCiphertext ibbeEncrypt(const DlogGroup& group, Directory& directory,
   }
   IbbeCiphertext ct;
   const BigUint k = group.randomScalar(rng);
-  ct.c1 = group.exp(k);
+  // g^k and every Y_id^k share k: one batch of fixed-base powers. Powers
+  // draw nothing from rng, so the draws keep their order.
+  std::vector<bignum::FixedBasePowerTable::Job> jobs;
+  jobs.reserve(recipients.size() + 1);
+  jobs.push_back({&group.generatorTable(), &k});
+  for (const auto& id : recipients) jobs.push_back({&directory.lookup(id), &k});
+  std::vector<BigUint> powers(jobs.size());
+  bignum::FixedBasePowerTable::powMany(jobs, powers);
+  ct.c1 = std::move(powers[0]);
   const util::Bytes sessionKey = rng.bytes(32);
   ct.wraps.reserve(recipients.size());
-  for (const auto& id : recipients) {
-    const BigUint shared = directory.lookup(id).pow(k);
+  for (std::size_t i = 0; i < recipients.size(); ++i) {
+    const std::string& id = recipients[i];
     ct.wraps.emplace_back(
-        id, crypto::sealWithNonce(wrapKey(group, shared, id), sessionKey, rng));
+        id, crypto::sealWithNonce(wrapKey(group, powers[i + 1], id),
+                                  sessionKey, rng));
   }
   ct.payloadBox = crypto::sealWithNonce(
       crypto::deriveKey(sessionKey, "ibbe-payload"), plaintext, rng);

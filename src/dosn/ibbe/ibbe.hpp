@@ -92,7 +92,8 @@ class Directory {
 };
 
 /// Encrypts to a recipient list; each recipient's wrap key comes from its
-/// directory table, one fixed-base exponentiation per recipient.
+/// directory table, one fixed-base exponentiation per recipient, computed
+/// with g^k in one FixedBasePowerTable::powMany batch.
 IbbeCiphertext ibbeEncrypt(const DlogGroup& group, Directory& directory,
                            const std::vector<std::string>& recipients,
                            util::BytesView plaintext, util::Rng& rng);

@@ -108,13 +108,18 @@ bool verifyChain(const pkcrypto::SchnorrVerifyingKey& publisherKey,
       trusted = i + 1;
     }
   }
-  // Then every signature past that prefix, through the prepared key: its
-  // subgroup check and power table were paid once for the publisher.
+  // Then every signature past that prefix, as one page through the prepared
+  // key: its subgroup check and power table were paid once for the
+  // publisher, and the page's powers are computed in one batch.
+  std::vector<util::Bytes> messages;
+  messages.reserve(entries.size() - trusted);
+  std::vector<pkcrypto::SignedMessage> page;
+  page.reserve(entries.size() - trusted);
   for (std::size_t i = trusted; i < entries.size(); ++i) {
-    if (!publisherKey.verify(entries[i].signedBytes(), entries[i].signature)) {
-      return false;
-    }
+    messages.push_back(entries[i].signedBytes());
+    page.push_back({messages.back(), &entries[i].signature});
   }
+  if (!publisherKey.verifyAll(page)) return false;
   if (!sameKey || entries.size() >= cursor.length) {
     cursor = ChainCursor{key, entries.size(), expectedPrev};
   }

@@ -69,11 +69,11 @@ bool verifyChain(const pkcrypto::DlogGroup& group,
 
 /// Same verdict as the three-argument form under the prepared key, resuming
 /// from `cursor`. The structural pass still covers every entry; signatures
-/// are checked, one by one through the key, only past the prefix whose
-/// entry cursor.length-1 hashes to cursor.head under the same key (its prev
-/// links pin every earlier entry, signatures included). On success the
-/// cursor moves to `entries` unless that chain is shorter than the one it
-/// vouches for under this key; on failure it is left as it was.
+/// are checked, as one SchnorrVerifyingKey::verifyAll page, only past the
+/// prefix whose entry cursor.length-1 hashes to cursor.head under the same
+/// key (its prev links pin every earlier entry, signatures included). On
+/// success the cursor moves to `entries` unless that chain is shorter than
+/// the one it vouches for under this key; on failure it is left as it was.
 bool verifyChain(const pkcrypto::SchnorrVerifyingKey& publisherKey,
                  const std::vector<ChainEntry>& entries, ChainCursor& cursor);
 

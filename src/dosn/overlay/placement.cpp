@@ -41,13 +41,29 @@ const social::UserId* SocialPolicy::userOf(sim::NodeAddr addr) const {
   return users_.find(addr);
 }
 
+const SocialPolicy::OwnerTiers& SocialPolicy::tiersOf(
+    const social::UserId& owner) const {
+  const social::SocialGraph& graph = *config_.graph;
+  const auto [it, inserted] = tiers_.try_emplace(owner);
+  OwnerTiers& tiers = it->second;
+  if (inserted || tiers.version != graph.version()) {
+    const std::vector<social::UserId> friends = graph.friendsOf(owner);
+    const std::set<social::UserId> fof = graph.friendsOfFriends(owner);
+    tiers.version = graph.version();
+    tiers.friends = {friends.begin(), friends.end()};
+    tiers.friendsOfFriends = {fof.begin(), fof.end()};
+  }
+  return tiers;
+}
+
 int SocialPolicy::tierOf(const social::UserId& owner,
                          sim::NodeAddr addr) const {
   const social::UserId* user = users_.find(addr);
   if (!user || !config_.graph) return 2;
-  if (*user == owner || config_.graph->areFriends(owner, *user)) return 0;
-  const std::set<social::UserId> fof = config_.graph->friendsOfFriends(owner);
-  return fof.count(*user) ? 1 : 2;
+  if (*user == owner) return 0;
+  const OwnerTiers& tiers = tiersOf(owner);
+  if (tiers.friends.count(*user)) return 0;
+  return tiers.friendsOfFriends.count(*user) ? 1 : 2;
 }
 
 std::vector<sim::NodeAddr> SocialPolicy::select(
@@ -60,16 +76,12 @@ std::vector<sim::NodeAddr> SocialPolicy::select(
   std::sort(pool.begin(), pool.end());
   pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
 
-  // Precompute the owner's friend / friend-of-friend sets once per decision
-  // (friendsOfFriends walks the adjacency; per-candidate calls would be
-  // quadratic in degree).
-  std::set<social::UserId> friends;
-  std::set<social::UserId> fof;
+  // The owner's friend / friend-of-friend sets, kept across decisions
+  // (friendsOfFriends walks the adjacency). An owner the graph does not
+  // know has empty sets.
   const social::UserId* owner = ctx.owner ? &*ctx.owner : nullptr;
-  if (owner && config_.graph && config_.graph->hasUser(*owner)) {
-    for (auto& f : config_.graph->friendsOf(*owner)) friends.insert(f);
-    fof = config_.graph->friendsOfFriends(*owner);
-  }
+  const OwnerTiers* tiers =
+      owner && config_.graph ? &tiersOf(*owner) : nullptr;
 
   struct Ranked {
     bool offline;
@@ -95,9 +107,9 @@ std::vector<sim::NodeAddr> SocialPolicy::select(
     r.offline = !network_.isOnline(addr);
     const social::UserId* user = users_.find(addr);
     if (owner && user) {
-      if (*user == *owner || friends.count(*user)) {
+      if (*user == *owner || (tiers && tiers->friends.count(*user))) {
         r.tier = 0;
-      } else if (fof.count(*user)) {
+      } else if (tiers && tiers->friendsOfFriends.count(*user)) {
         r.tier = 1;
       } else {
         r.tier = 2;

@@ -21,8 +21,11 @@
 // by pointer to ReplicationManager and KademliaConfig::placement.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "dosn/overlay/node_id.hpp"
@@ -92,6 +95,9 @@ struct SocialPolicyConfig {
 /// final NodeAddr key makes the whole ordering a strict total order, so
 /// placement is deterministic regardless of candidate order — the tie-break
 /// the placement tests pin.
+///
+/// Each owner's friend and friend-of-friend sets are built once and kept;
+/// they are rebuilt when the graph's version() has moved since.
 class SocialPolicy final : public PlacementPolicy {
  public:
   SocialPolicy(sim::Network& network, SocialPolicyConfig config);
@@ -117,10 +123,23 @@ class SocialPolicy final : public PlacementPolicy {
   std::string name() const override { return "social"; }
 
  private:
+  // One owner's tiers 0 (besides the owner) and 1, as of graph version
+  // `version`.
+  struct OwnerTiers {
+    std::uint64_t version = 0;
+    std::unordered_set<social::UserId> friends;
+    std::unordered_set<social::UserId> friendsOfFriends;
+  };
+
+  /// The owner's tiers, rebuilt if the graph moved since they were built.
+  /// Requires config_.graph.
+  const OwnerTiers& tiersOf(const social::UserId& owner) const;
+
   sim::Network& network_;
   SocialPolicyConfig config_;
   sim::AddrMap<social::UserId> users_;
   sim::AddrMap<OverlayId> ids_;
+  mutable std::unordered_map<social::UserId, OwnerTiers> tiers_;
 };
 
 }  // namespace dosn::overlay

@@ -39,6 +39,11 @@ class DlogGroup {
 
   /// g^e mod p, through the generator's fixed-base table: no squarings.
   BigUint exp(const BigUint& e) const;
+  /// The generator's table (p-bit exponents), for callers that batch g^e
+  /// with other fixed-base powers through FixedBasePowerTable::powMany.
+  const bignum::FixedBasePowerTable& generatorTable() const {
+    return *gTable_;
+  }
   /// b^e mod p.
   BigUint exp(const BigUint& b, const BigUint& e) const;
   /// a*b mod p.

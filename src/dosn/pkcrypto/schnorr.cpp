@@ -122,12 +122,39 @@ SchnorrVerifyingKey::SchnorrVerifyingKey(const DlogGroup& group,
 
 bool SchnorrVerifyingKey::verify(util::BytesView message,
                                  const SchnorrSignature& sig) const {
-  if (sig.s >= group_.q() || sig.e >= group_.q()) return false;
+  const SignedMessage item{message, &sig};
+  return verifyAll(std::span<const SignedMessage>(&item, 1));
+}
+
+bool SchnorrVerifyingKey::verifyAll(
+    std::span<const SignedMessage> page) const {
+  if (page.empty()) return true;
+  const BigUint& q = group_.q();
+  for (const SignedMessage& item : page) {
+    if (item.signature->s >= q || item.signature->e >= q) return false;
+  }
   if (!yTable_) return false;
-  // schnorrVerify's r' = g^s * y^{q-e}, with both powers read from tables.
-  const BigUint r =
-      group_.mul(group_.exp(sig.s), yTable_->pow(group_.q() - sig.e));
-  return challengeHash(group_, r, key_.y, message) == sig.e;
+  // schnorrVerify's r' = g^s * y^{q-e} per item, with both powers read from
+  // tables, all in one batch.
+  std::vector<BigUint> negE;
+  negE.reserve(page.size());
+  std::vector<bignum::FixedBasePowerTable::Job> jobs;
+  jobs.reserve(2 * page.size());
+  for (const SignedMessage& item : page) {
+    negE.push_back(q - item.signature->e);
+    jobs.push_back({&group_.generatorTable(), &item.signature->s});
+    jobs.push_back({&*yTable_, &negE.back()});
+  }
+  std::vector<BigUint> powers(jobs.size());
+  bignum::FixedBasePowerTable::powMany(jobs, powers);
+  for (std::size_t i = 0; i < page.size(); ++i) {
+    const BigUint r = group_.mul(powers[2 * i], powers[2 * i + 1]);
+    if (challengeHash(group_, r, key_.y, page[i].message) !=
+        page[i].signature->e) {
+      return false;
+    }
+  }
+  return true;
 }
 
 SchnorrProver::SchnorrProver(const DlogGroup& group,

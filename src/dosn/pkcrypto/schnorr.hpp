@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dosn/pkcrypto/group.hpp"
@@ -45,6 +46,13 @@ SchnorrSignature schnorrSign(const DlogGroup& group,
 bool schnorrVerify(const DlogGroup& group, const SchnorrPublicKey& key,
                    util::BytesView message, const SchnorrSignature& sig);
 
+/// One message and its signature, for SchnorrVerifyingKey::verifyAll. Both
+/// must outlive the call.
+struct SignedMessage {
+  util::BytesView message;
+  const SchnorrSignature* signature;
+};
+
 /// A Schnorr public key prepared once for repeated verification (DESIGN.md
 /// §3g): the shape of a registered author whose every post, chain entry and
 /// head record is checked against the same key. Construction decides whether
@@ -53,7 +61,9 @@ bool schnorrVerify(const DlogGroup& group, const SchnorrPublicKey& key,
 /// one-shot verifications' work). verify() then costs two table
 /// exponentiations, one multiply and the challenge hash, against
 /// schnorrVerify's Jacobi symbol plus a variable-base exponentiation per
-/// call, and accepts exactly the same set.
+/// call, and accepts exactly the same set. verifyAll() checks a page of
+/// signatures with every exponentiation of the page in one
+/// FixedBasePowerTable::powMany batch.
 ///
 /// The group is held by value: copies share its Montgomery contexts and
 /// generator table, so a key never refers back to the caller's group. p must
@@ -67,6 +77,10 @@ class SchnorrVerifyingKey {
 
   /// Same verdict as schnorrVerify(group(), publicKey(), message, sig).
   bool verify(util::BytesView message, const SchnorrSignature& sig) const;
+  /// True iff verify() accepts every item (so an empty page is accepted).
+  /// Range-checks every (e, s), computes g^s and y^(q-e) of every item in
+  /// one powMany batch, then checks the challenges in order.
+  bool verifyAll(std::span<const SignedMessage> page) const;
 
  private:
   DlogGroup group_;

@@ -1,5 +1,6 @@
 #include "dosn/privacy/access_controller.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "dosn/util/error.hpp"
@@ -33,10 +34,17 @@ std::vector<Envelope> GroupAccessController::history(const GroupId& id) const {
 
 const util::Bytes* GroupAccessController::Group::retained(
     std::uint64_t serial) const {
-  for (const Envelope& stored : history) {
-    if (stored.serial == serial) return &stored.blob;
-  }
-  return nullptr;
+  const auto index = retainedIndex(serial);
+  return index ? &history[*index].blob : nullptr;
+}
+
+std::optional<std::size_t> GroupAccessController::Group::retainedIndex(
+    std::uint64_t serial) const {
+  const auto it = std::lower_bound(
+      history.begin(), history.end(), serial,
+      [](const Envelope& e, std::uint64_t s) { return e.serial < s; });
+  if (it == history.end() || it->serial != serial) return std::nullopt;
+  return static_cast<std::size_t>(it - history.begin());
 }
 
 GroupAccessController::Group& GroupAccessController::group(const GroupId& id) {

@@ -99,6 +99,9 @@ class GroupAccessController : public AccessController {
     /// The retained blob for `serial` (revocation may have rewritten it
     /// since it was issued); nullptr if this group retains no such serial.
     const util::Bytes* retained(std::uint64_t serial) const;
+    /// Its index in `history`, or nullopt. History is in issue order, so
+    /// serials increase along it.
+    std::optional<std::size_t> retainedIndex(std::uint64_t serial) const;
   };
 
   /// Throws for an unknown group.

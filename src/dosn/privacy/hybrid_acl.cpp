@@ -47,19 +47,17 @@ RevocationReport HybridAcl::removeMember(const GroupId& id,
   // CP-ABE epoch moves on before the new wraps are made for it.
   if (wrap_ == WrapScheme::kCpAbe) ++g.epoch;  // attribute re-keying
   if (g.members.empty()) return report;  // nobody to wrap for; stays sealed
-  std::vector<DataKey>& keys = dataKeys_[id];
+  std::vector<Kept>& kept = kept_[id];
   for (std::size_t i = 0; i < g.history.size(); ++i) {
     Envelope& env = g.history[i];
     util::Reader r(env.blob);
-    forgetUnwraps(r.bytesView());
-    const auto plain = crypto::openWithNonce(keys[i], r.bytesView());
+    (void)r.bytesView();  // the old wrap: its unwraps are forgotten below
+    const auto plain = crypto::openWithNonce(kept[i].dataKey, r.bytesView());
     if (!plain) throw util::DosnError("HybridAcl: corrupt history");
-    const util::Bytes newKey = rng_.bytes(32);
-    util::Writer w;
-    w.bytes(wrapKey(id, g, newKey, rng_));
-    w.bytes(crypto::sealWithNonce(newKey, *plain, rng_));
-    env.blob = w.take();
-    std::copy(newKey.begin(), newKey.end(), keys[i].begin());
+    unwrapMemo_.erase(kept[i].wrapDigest);
+    Sealed sealed = seal(id, g, *plain, rng_);
+    env.blob = std::move(sealed.blob);
+    kept[i] = sealed.kept;
     ++report.reencryptedEnvelopes;
     report.rewrittenBytes += env.blob.size();
   }
@@ -91,24 +89,33 @@ util::Bytes HybridAcl::wrapKey(const GroupId& id, const Group& g,
   return w.take();
 }
 
-std::optional<util::Bytes> HybridAcl::unwrapKey(const UserId& reader,
-                                                const GroupId& id,
-                                                util::BytesView wrapped) {
-  if (wrap_ == WrapScheme::kCpAbe) return unwrapUncached(reader, id, wrapped);
-  auto key = std::make_pair(crypto::sha256(wrapped), reader);
-  const auto it = unwrapMemo_.find(key);
-  if (it != unwrapMemo_.end()) return it->second;
-  auto dataKey = unwrapUncached(reader, id, wrapped);
-  unwrapMemo_.emplace(std::move(key), dataKey);
-  return dataKey;
+HybridAcl::Sealed HybridAcl::seal(const GroupId& id, const Group& g,
+                                  util::BytesView plaintext, util::Rng& rng) {
+  const util::Bytes dataKey = rng.bytes(32);
+  const util::Bytes wrapped = wrapKey(id, g, dataKey, rng);
+  util::Writer w;
+  w.bytes(wrapped);
+  w.bytes(crypto::sealWithNonce(dataKey, plaintext, rng));
+  Sealed sealed{w.take(), Kept{}};
+  std::copy(dataKey.begin(), dataKey.end(), sealed.kept.dataKey.begin());
+  if (wrap_ != WrapScheme::kCpAbe) {
+    sealed.kept.wrapDigest = crypto::sha256(wrapped);
+  }
+  return sealed;
 }
 
-void HybridAcl::forgetUnwraps(util::BytesView wrapped) {
-  const crypto::Digest digest = crypto::sha256(wrapped);
-  auto it = unwrapMemo_.lower_bound({digest, UserId{}});
-  while (it != unwrapMemo_.end() && it->first.first == digest) {
-    it = unwrapMemo_.erase(it);
+std::optional<util::Bytes> HybridAcl::unwrapKey(
+    const UserId& reader, const GroupId& id, util::BytesView wrapped,
+    const crypto::Digest* keptDigest) {
+  if (wrap_ == WrapScheme::kCpAbe) return unwrapUncached(reader, id, wrapped);
+  Unwraps& unwraps =
+      unwrapMemo_[keptDigest ? *keptDigest : crypto::sha256(wrapped)];
+  for (const auto& [who, result] : unwraps) {
+    if (who == reader) return result;
   }
+  auto dataKey = unwrapUncached(reader, id, wrapped);
+  unwraps.emplace_back(reader, dataKey);
+  return dataKey;
 }
 
 std::optional<util::Bytes> HybridAcl::unwrapUncached(const UserId& reader,
@@ -138,13 +145,9 @@ std::optional<util::Bytes> HybridAcl::unwrapUncached(const UserId& reader,
 Envelope HybridAcl::encrypt(const GroupId& id, util::BytesView plaintext,
                             util::Rng& rng) {
   Group& g = group(id);
-  const util::Bytes dataKey = rng.bytes(32);
-  util::Writer w;
-  w.bytes(wrapKey(id, g, dataKey, rng));
-  w.bytes(crypto::sealWithNonce(dataKey, plaintext, rng));
-  Envelope env = retain(id, g, w.take());
-  DataKey& kept = dataKeys_[id].emplace_back();
-  std::copy(dataKey.begin(), dataKey.end(), kept.begin());
+  Sealed sealed = seal(id, g, plaintext, rng);
+  Envelope env = retain(id, g, std::move(sealed.blob));
+  kept_[id].push_back(sealed.kept);
   return env;
 }
 
@@ -153,14 +156,17 @@ std::optional<util::Bytes> HybridAcl::decrypt(const UserId& reader,
   const Group* g = findGroup(envelope.group);
   if (g == nullptr) return std::nullopt;
   // Fetch the current ciphertext for the serial (revocation may have
-  // rewritten it).
-  const util::Bytes* blob = g->retained(envelope.serial);
-  if (blob == nullptr) blob = &envelope.blob;
+  // rewritten it); its wrap digest was kept beside it. A foreign envelope's
+  // wrap is hashed.
+  const auto index = g->retainedIndex(envelope.serial);
+  const util::Bytes& blob = index ? g->history[*index].blob : envelope.blob;
+  const crypto::Digest* keptDigest =
+      index ? &kept_.at(envelope.group)[*index].wrapDigest : nullptr;
   try {
-    util::Reader r(*blob);
+    util::Reader r(blob);
     const util::BytesView wrapped = r.bytesView();
     const util::BytesView payloadBox = r.bytesView();
-    const auto dataKey = unwrapKey(reader, envelope.group, wrapped);
+    const auto dataKey = unwrapKey(reader, envelope.group, wrapped, keptDigest);
     if (!dataKey) return std::nullopt;
     return crypto::openWithNonce(*dataKey, payloadBox);
   } catch (const util::CodecError&) {

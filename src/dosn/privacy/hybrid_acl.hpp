@@ -7,7 +7,10 @@
 #pragma once
 
 #include <array>
+#include <cstring>
 #include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dosn/abe/cpabe.hpp"
@@ -45,21 +48,47 @@ class HybridAcl final : public GroupAccessController {
                                      const Envelope& envelope) override;
 
  private:
+  using DataKey = std::array<std::uint8_t, 32>;
+
+  // What the owner keeps beside each retained envelope, in history order.
+  struct Kept {
+    DataKey dataKey;  // its own key to the payload
+    // SHA-256 of the wrapped key: the unwrap memo's key (pk and IBBE wraps;
+    // zero for CP-ABE, which is not memoized).
+    crypto::Digest wrapDigest;
+  };
+
+  // A payload sealed under a fresh data key wrapped for the group.
+  struct Sealed {
+    util::Bytes blob;  // bytes(wrapped key) || bytes(sealed payload)
+    Kept kept;
+  };
+
+  struct DigestHash {
+    std::size_t operator()(const crypto::Digest& d) const {
+      std::size_t h;
+      std::memcpy(&h, d.data(), sizeof h);  // a digest is already uniform
+      return h;
+    }
+  };
+  using Unwraps = std::vector<std::pair<UserId, std::optional<util::Bytes>>>;
+
   /// Wraps the data key for the group's current membership.
   util::Bytes wrapKey(const GroupId& id, const Group& g,
                       util::BytesView dataKey, util::Rng& rng);
+  /// Draws a data key, wraps it for the group and seals `plaintext` under it.
+  Sealed seal(const GroupId& id, const Group& g, util::BytesView plaintext,
+              util::Rng& rng);
   /// Unwraps as `reader`; std::nullopt if not addressed. Memoized for the
-  /// pk and IBBE wraps (see unwrapMemo_).
+  /// pk and IBBE wraps (see unwrapMemo_) under the SHA-256 of `wrapped`:
+  /// `keptDigest` when the caller kept it, else hashed here.
   std::optional<util::Bytes> unwrapKey(const UserId& reader,
                                        const GroupId& id,
-                                       util::BytesView wrapped);
+                                       util::BytesView wrapped,
+                                       const crypto::Digest* keptDigest);
   std::optional<util::Bytes> unwrapUncached(const UserId& reader,
                                             const GroupId& id,
                                             util::BytesView wrapped);
-  /// Drops every memoized unwrap of `wrapped` (it is being rewritten).
-  void forgetUnwraps(util::BytesView wrapped);
-
-  using DataKey = std::array<std::uint8_t, 32>;
 
   const pkcrypto::DlogGroup& dlog_;
   util::Rng& rng_;
@@ -68,16 +97,17 @@ class HybridAcl final : public GroupAccessController {
   ibbe::Pkg pkg_;
   ibbe::Directory directory_;  // IBBE wraps; built from pkg_
   MemberKeys memberKeys_;      // pk wraps
-  // (SHA-256 of the wrapped key, reader) -> unwrapKey's result. A pk or IBBE
+  // SHA-256 of a wrapped key -> each reader's unwrapKey result. A pk or IBBE
   // unwrap depends only on those bytes and the reader's fixed key material;
   // a CP-ABE unwrap also depends on membership and the epoch, so it is never
-  // memoized. removeMember forgets every wrap it rewrites.
-  std::map<std::pair<crypto::Digest, UserId>, std::optional<util::Bytes>>
-      unwrapMemo_;
-  // Each group's data keys, parallel to its retained history: the owner's own
-  // key to every retained payload, so a revocation reopens its history
-  // whoever the remaining members are. encrypt appends; a rewrap replaces.
-  std::map<GroupId, std::vector<DataKey>> dataKeys_;
+  // memoized. removeMember forgets every wrap it rewrites, one erase each.
+  std::unordered_map<crypto::Digest, Unwraps, DigestHash> unwrapMemo_;
+  // Each group's kept keys and wrap digests, parallel to its retained
+  // history: the owner's own key to every retained payload, so a revocation
+  // reopens its history whoever the remaining members are, and the digest a
+  // decrypt of a retained serial looks its unwrap up by without hashing.
+  // encrypt appends; a rewrap replaces.
+  std::map<GroupId, std::vector<Kept>> kept_;
 };
 
 }  // namespace dosn::privacy

@@ -5,7 +5,10 @@
 
 namespace dosn::social {
 
-void SocialGraph::addUser(const UserId& user) { adjacency_[user]; }
+void SocialGraph::addUser(const UserId& user) {
+  adjacency_[user];
+  ++version_;
+}
 
 bool SocialGraph::hasUser(const UserId& user) const {
   return adjacency_.count(user) > 0;
@@ -25,6 +28,7 @@ void SocialGraph::addFriendship(const UserId& a, const UserId& b, double trust) 
   }
   adjacency_[a][b] = trust;
   adjacency_[b][a] = trust;
+  ++version_;
 }
 
 void SocialGraph::removeFriendship(const UserId& a, const UserId& b) {
@@ -32,6 +36,7 @@ void SocialGraph::removeFriendship(const UserId& a, const UserId& b) {
   if (ai != adjacency_.end()) ai->second.erase(b);
   const auto bi = adjacency_.find(b);
   if (bi != adjacency_.end()) bi->second.erase(a);
+  ++version_;
 }
 
 bool SocialGraph::areFriends(const UserId& a, const UserId& b) const {
@@ -54,6 +59,7 @@ void SocialGraph::setTrust(const UserId& a, const UserId& b, double trust) {
   }
   adjacency_[a][b] = trust;
   adjacency_[b][a] = trust;
+  ++version_;
 }
 
 std::vector<UserId> SocialGraph::friendsOf(const UserId& user) const {

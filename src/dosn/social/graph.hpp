@@ -3,6 +3,7 @@
 // connections ... source of important information".
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -41,8 +42,13 @@ class SocialGraph {
 
   std::size_t edgeCount() const;
 
+  /// Moves on every addUser, addFriendship, removeFriendship and setTrust,
+  /// so a reader can tell whether something it derived is still current.
+  std::uint64_t version() const { return version_; }
+
  private:
   std::map<UserId, std::map<UserId, double>> adjacency_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace dosn::social

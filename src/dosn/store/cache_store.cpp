@@ -46,7 +46,7 @@ void LruCache::evictToFit() {
   }
 }
 
-std::optional<util::Bytes> LruCache::get(const BlockId& id) {
+std::optional<util::BytesView> LruCache::get(const BlockId& id) {
   const auto it = entries_.find(id);
   if (it == entries_.end()) {
     ++misses_;
@@ -54,7 +54,7 @@ std::optional<util::Bytes> LruCache::get(const BlockId& id) {
   }
   ++hits_;
   touch(it->second, id);
-  return it->second.data;
+  return util::BytesView(it->second.data);
 }
 
 void LruCache::erase(const BlockId& id) {
@@ -86,10 +86,10 @@ void CacheStore::put(const BlockId& id, util::BytesView data) {
 
 std::optional<util::Bytes> CacheStore::get(const BlockId& id) {
   ++counters_.gets;
-  if (auto cached = lru_.get(id)) {
+  if (const auto cached = lru_.get(id)) {
     ++counters_.hits;
     counters_.getBytes += cached->size();
-    return cached;
+    return util::Bytes(cached->begin(), cached->end());  // the caller owns it
   }
   auto value = inner_->get(id);
   // A miss answered below still counts as a miss for the hit-ratio metric;

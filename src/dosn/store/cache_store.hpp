@@ -36,8 +36,9 @@ class LruCache {
   /// the byte budget is not cached (caching it would evict everything for a
   /// single entry), and any smaller value cached for its id is dropped.
   void put(const BlockId& id, util::BytesView data);
-  /// The cached bytes, promoted to most-recent; nullopt on a miss.
-  std::optional<util::Bytes> get(const BlockId& id);
+  /// The cached bytes, promoted to most-recent; nullopt on a miss. The view
+  /// stays valid until the cache's next put or erase.
+  std::optional<util::BytesView> get(const BlockId& id);
   /// Drops the block if cached.
   void erase(const BlockId& id);
   bool contains(const BlockId& id) const { return entries_.count(id) != 0; }

@@ -271,6 +271,18 @@ TEST(RunScenarios, PlumbsSeedAndEmitsDocument) {
   const std::string montMul = doc.find("montmul_kernel")->asString();
   EXPECT_TRUE(montMul == "adx" || montMul == "portable") << montMul;
   EXPECT_EQ(montMul, dosn::bignum::montMulKernel());
+  ASSERT_NE(doc.find("powmany_kernel"), nullptr);
+  const std::string powMany = doc.find("powmany_kernel")->asString();
+  EXPECT_TRUE(powMany == "ifma" || powMany == "portable") << powMany;
+  EXPECT_EQ(powMany, dosn::bignum::powManyKernel());
+  // The kernels sit together in the header, in this order.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.items()) keys.push_back(key);
+  const auto at = [&](const char* key) {
+    return std::find(keys.begin(), keys.end(), key) - keys.begin();
+  };
+  EXPECT_EQ(at("montmul_kernel"), at("sha256_kernel") + 1);
+  EXPECT_EQ(at("powmany_kernel"), at("montmul_kernel") + 1);
   const Json* scenarios = doc.find("scenarios");
   ASSERT_NE(scenarios, nullptr);
   ASSERT_EQ(scenarios->size(), 1u);

@@ -263,6 +263,20 @@ TEST(Hkdf, Rfc5869Case3NoSaltNoInfo) {
             "9d201395faa4b61a96c8");
 }
 
+// RFC 5869 §2.2: a salt not provided is HashLen zero bytes. The empty salt
+// runs through one HMAC keyed once per process and copied per call; it must
+// agree with an explicit zero salt, call after call.
+TEST(Hkdf, EmptySaltEqualsHashLenZeros) {
+  const Bytes ikm = toBytes("input keying material");
+  const Bytes zeros(32, 0);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(hkdf(ikm, {}, toBytes("info"), 42),
+              hkdf(ikm, zeros, toBytes("info"), 42));
+    EXPECT_EQ(deriveKey(ikm, "label"),
+              hkdf(ikm, zeros, toBytes("label"), 32));
+  }
+}
+
 TEST(Hkdf, LengthLimit) {
   EXPECT_THROW(hkdfExpand(Bytes(32, 1), {}, 255 * 32 + 1), util::CryptoError);
   EXPECT_EQ(hkdfExpand(Bytes(32, 1), {}, 255 * 32).size(), 255u * 32u);

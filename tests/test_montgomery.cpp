@@ -1,13 +1,15 @@
 // Differential tests for the Montgomery/CIOS fast path (bignum/montgomery):
 // powMod vs the retained powModSimple reference across widths and edge
-// moduli, the MULX/ADX kernel vs the portable 4-limb CIOS, CRT-RSA vs the plain private-key path, fixed-base tables vs
-// generic exponentiation, and KATs pinning the private-key wire format
-// (including the pre-CRT legacy layout).
+// moduli, the MULX/ADX kernel vs the portable 4-limb CIOS, CRT-RSA vs the
+// plain private-key path, fixed-base tables vs generic exponentiation,
+// powMany's IFMA lanes vs the loop of pow, and KATs pinning the private-key
+// wire format (including the pre-CRT legacy layout).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -417,6 +419,107 @@ TEST(FixedBase, CachedTableIsStableAndShared) {
     const BigUint expected = powModSimple(group.g(), e, group.p());
     EXPECT_EQ(group.exp(e), expected) << "i=" << i;
     EXPECT_EQ(copy.exp(e), expected) << "i=" << i;
+  }
+}
+
+// --- Fixed-base powers in lanes ---
+//
+// powMany against the loop of pow, limb for limb: through the loop itself
+// (detail::powManyPortable), through the IFMA lanes where CPUID reports them
+// (detail::powManyIfma), and through the process's dispatch. Batches of 1
+// to 33 jobs cover one group, two groups and a second and third pass, over
+// the generator's table, random identity-key tables and a prepared key's y
+// table, with exponents shared by every job (as an IBBE wrap's k is) and
+// per job, at the edges 0, 1, q - 1 and 2^(4W) - 1.
+TEST(FixedBase, PowManyMatchesPow) {
+  using dosn::bignum::FixedBaseJob;
+  namespace detail = dosn::bignum::detail;
+  const detail::PowMany ifma = detail::powManyIfma();
+  std::cout << "[ powMany  ] portable ran; ifma "
+            << (ifma != nullptr ? "ran" : "skipped (no AVX512F/IFMA)")
+            << "; powMany dispatches to " << dosn::bignum::powManyKernel()
+            << "\n";
+  EXPECT_STREQ(dosn::bignum::powManyKernel(),
+               ifma != nullptr ? "ifma" : "portable");
+  std::vector<std::pair<const char*, detail::PowMany>> arms = {
+      {"portable", &detail::powManyPortable},
+      {"dispatch", &FixedBasePowerTable::powMany}};
+  if (ifma != nullptr) arms.emplace_back("ifma", ifma);
+
+  // A batch's results against pow, for every arm.
+  const auto checkBatch = [&](const std::vector<FixedBaseJob>& jobs,
+                              const std::string& what) {
+    for (const auto& [name, arm] : arms) {
+      std::vector<BigUint> out(jobs.size());
+      arm(jobs, out);
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(out[i].limbs(),
+                  jobs[i].table->pow(*jobs[i].exponent).limbs())
+            << name << " " << what << " job " << i << " of " << jobs.size()
+            << " e=" << jobs[i].exponent->toHex();
+      }
+    }
+  };
+
+  const auto& group = dosn::pkcrypto::DlogGroup::cached(256);
+  Rng rng(47);
+  std::vector<FixedBasePowerTable> owned;
+  for (int i = 0; i < 20; ++i) {  // identity keys Y_id = g^k_id
+    owned.emplace_back(group.exp(group.randomScalar(rng)), group.p(),
+                       group.q().bitLength());
+  }
+  // A prepared key's table: y over q's width, as SchnorrVerifyingKey builds.
+  owned.emplace_back(group.exp(group.randomScalar(rng)), group.p(),
+                     group.q().bitLength());
+  std::vector<const FixedBasePowerTable*> tables = {&group.generatorTable()};
+  for (const FixedBasePowerTable& t : owned) tables.push_back(&t);
+  const std::size_t covered = group.generatorTable().maxExponentBits();
+  for (const FixedBasePowerTable* t : tables) {
+    ASSERT_EQ(t->maxExponentBits(), covered);
+  }
+
+  std::vector<BigUint> exponents = {BigUint(0), BigUint(1),
+                                    group.q() - BigUint(1),
+                                    (BigUint(1) << covered) - BigUint(1)};
+  for (int i = 0; i < 12; ++i) exponents.push_back(group.randomScalar(rng));
+  for (int i = 0; i < 4; ++i) exponents.push_back(randomBits(covered, rng));
+
+  for (std::size_t count = 1; count <= 33; ++count) {
+    for (const bool shared : {true, false}) {
+      std::vector<FixedBaseJob> jobs;
+      for (std::size_t i = 0; i < count; ++i) {
+        const FixedBasePowerTable* table =
+            tables[(count * 5 + i * 3) % tables.size()];
+        const BigUint* e = shared ? &exponents[count % exponents.size()]
+                                  : &exponents[(count + i) % exponents.size()];
+        jobs.push_back({table, e});
+      }
+      checkBatch(jobs, std::string(shared ? "shared" : "per-job") +
+                           " count=" + std::to_string(count));
+    }
+  }
+
+  // Batches the lanes do not fit run the loop: 512-bit tables, a table of
+  // another window count, and an exponent wider than its table.
+  const auto& wide = dosn::pkcrypto::DlogGroup::cached(512);
+  const FixedBasePowerTable wideY(wide.exp(wide.randomScalar(rng)), wide.p(),
+                                  wide.q().bitLength());
+  const BigUint wideE = wide.randomScalar(rng);
+  checkBatch({{&wide.generatorTable(), &wideE}, {&wideY, &wideE},
+              {&wideY, &exponents[2]}},
+             "512-bit");
+  const FixedBasePowerTable narrow(group.g(), group.p(), 128);
+  const BigUint narrowE = randomBits(128, rng);
+  checkBatch({{&narrow, &narrowE}, {tables[1], &narrowE}}, "mixed windows");
+  const BigUint tooWide = BigUint(1) << covered;
+  checkBatch({{tables[2], &exponents[5]}, {tables[3], &tooWide}},
+             "wide exponent");
+
+  const std::vector<FixedBaseJob> two = {{tables[0], &exponents[0]},
+                                         {tables[1], &exponents[1]}};
+  std::vector<BigUint> oneSlot(1);
+  for (const auto& [name, arm] : arms) {
+    EXPECT_THROW(arm(two, oneSlot), dosn::util::DosnError) << name;
   }
 }
 

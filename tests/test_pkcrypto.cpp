@@ -4,6 +4,7 @@
 // the prepared-key differential also runs at 512 bits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -493,6 +494,87 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return std::to_string(info.param);
     });
+
+// verifyAll against verify on every item. Pages of 0 to kMaxPage valid
+// signatures, then each with one forgery at every position: e or s changed
+// within range, s >= q, e >= q. Then keys outside the subgroup, including
+// signatures whose equation holds under them. The 256-bit group runs the
+// lanes where the CPU has them; the 512-bit group runs the loop.
+void checkVerifyAllMatchesVerify(const DlogGroup& g, std::size_t maxPage,
+                                 util::Rng& rng) {
+  const auto key = schnorrGenerate(g, rng);
+  const SchnorrVerifyingKey prepared(g, key.pub);
+  std::vector<util::Bytes> messages;
+  std::vector<SchnorrSignature> sigs;
+  std::vector<bool> valid;  // verify's verdict on each unforged item
+  for (std::size_t i = 0; i < maxPage; ++i) {
+    messages.push_back(toBytes("chain entry " + std::to_string(i)));
+    sigs.push_back(schnorrSign(g, key, messages.back(), rng));
+    valid.push_back(prepared.verify(messages.back(), sigs.back()));
+    ASSERT_TRUE(valid.back()) << i;
+  }
+  // verifyAll on the first n items of `page`, which differs from `sigs` at
+  // most at `forged`; its verdict must be that of verify on every item.
+  const auto verifyAll = [&](const SchnorrVerifyingKey& k,
+                             const std::vector<SchnorrSignature>& page,
+                             std::size_t n, std::size_t forged) {
+    std::vector<SignedMessage> items;
+    bool every = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      items.push_back({messages[i], &page[i]});
+      const bool known = &k == &prepared && i != forged;
+      every = every && (known ? valid[i] : k.verify(messages[i], page[i]));
+    }
+    const bool all = k.verifyAll(items);
+    EXPECT_EQ(all, every) << "n=" << n << " forged=" << forged;
+    return all;
+  };
+
+  const BigUint& q = g.q();
+  for (std::size_t n = 0; n <= maxPage; ++n) {
+    EXPECT_TRUE(verifyAll(prepared, sigs, n, n)) << "valid page of " << n;
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      for (int kind = 0; kind < 4; ++kind) {
+        std::vector<SchnorrSignature> page(sigs.begin(), sigs.begin() + n);
+        SchnorrSignature& f = page[pos];
+        switch (kind) {
+          case 0: f.e = bignum::addMod(f.e, BigUint(1), q); break;
+          case 1: f.s = bignum::addMod(f.s, BigUint(1), q); break;
+          case 2: f.s = f.s + q; break;
+          default: f.e = f.e + q; break;
+        }
+        EXPECT_FALSE(verifyAll(prepared, page, n, pos))
+            << "n=" << n << " pos=" << pos << " kind=" << kind;
+      }
+    }
+  }
+
+  // Outside the subgroup every non-empty page rejects, whether the
+  // signatures are the member key's or satisfy the equation under y.
+  const BigUint& p = g.p();
+  const std::vector<std::pair<BigUint, BigUint>> claims = {
+      {BigUint(0), BigUint(1)},
+      {p - BigUint(1), BigUint(0)},
+      {p - key.pub.y, key.x},
+      {key.pub.y + p, key.x}};
+  for (const auto& [y, x] : claims) {
+    const SchnorrVerifyingKey outside(g, SchnorrPublicKey{y});
+    std::vector<SchnorrSignature> underY;
+    for (std::size_t i = 0; i < std::min<std::size_t>(maxPage, 3); ++i) {
+      underY.push_back(signUnder(g, y, x, messages[i], rng));
+    }
+    for (std::size_t n = 0; n <= underY.size(); ++n) {
+      EXPECT_EQ(verifyAll(outside, sigs, n, n), n == 0) << y.toHex();
+      EXPECT_EQ(verifyAll(outside, underY, n, n), n == 0) << y.toHex();
+    }
+  }
+}
+
+TEST(SchnorrVerifyingKey, VerifyAllMatchesVerify) {
+  util::Rng rng(181);
+  checkVerifyAllMatchesVerify(DlogGroup::cached(256), 40, rng);
+  checkVerifyAllMatchesVerify(DlogGroup::cached(512), 6, rng);
+}
 
 // --- Interactive Schnorr identification (the §V-B ZKP) ---
 

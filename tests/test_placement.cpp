@@ -270,6 +270,29 @@ TEST_F(SocialPolicyTest, UnknownOwnerAndUnboundCandidatesDegradeGracefully) {
             (std::vector<NodeAddr>{nodes_[2], nodes_[4], nodes_[8]}));
 }
 
+// The policy keeps each owner's tiers across decisions; a graph mutation
+// after a decision must reach the next one.
+TEST_F(SocialPolicyTest, KeptTiersFollowGraphMutations) {
+  graph_.addFriendship(user(0), user(1));
+  const PlacementContext ctx{OverlayId::hash("wall"), user(0)};
+  const std::vector<NodeAddr> candidates = {nodes_[1], nodes_[6]};
+  EXPECT_EQ(policy_.select(ctx, 1, candidates),
+            (std::vector<NodeAddr>{nodes_[1]}));
+  EXPECT_EQ(policy_.tierOf(user(0), nodes_[6]), 2);
+
+  graph_.removeFriendship(user(0), user(1));
+  graph_.addFriendship(user(0), user(6));  // the stranger becomes a friend
+  EXPECT_EQ(policy_.select(ctx, 1, candidates),
+            (std::vector<NodeAddr>{nodes_[6]}));
+  EXPECT_EQ(policy_.tierOf(user(0), nodes_[6]), 0);
+  EXPECT_EQ(policy_.tierOf(user(0), nodes_[1]), 2);
+
+  graph_.addFriendship(user(6), user(1));  // u1 is now a friend-of-friend
+  EXPECT_EQ(policy_.tierOf(user(0), nodes_[1]), 1);
+  EXPECT_EQ(policy_.select(ctx, 2, {nodes_[7], nodes_[1], nodes_[6]}),
+            (std::vector<NodeAddr>{nodes_[6], nodes_[1]}));
+}
+
 TEST_F(SocialPolicyTest, DuplicateCandidatesNeverRepeatAnAddress) {
   const PlacementContext ctx{OverlayId::hash("wall"), user(0)};
   const auto chosen = policy_.select(

@@ -429,6 +429,37 @@ TEST_P(HybridAclTest, EmptiedAndRefilledGroupRekeysHistory) {
   EXPECT_FALSE(acl.decrypt("bob", acl.history("g")[0]).has_value());
 }
 
+// A decrypt of a retained serial reads the wrap digest kept beside the
+// envelope; an envelope no group retains has its wrap hashed. Both give the
+// same answers, first from the wrap and then from the unwrap memo, before
+// and after a revocation rewraps the retained copy.
+TEST_P(HybridAclTest, ForeignCopyDecryptsLikeTheRetainedEnvelope) {
+  util::Rng rng(13);
+  HybridAcl acl(testGroup(), rng, GetParam());
+  acl.createGroup("g");
+  acl.addMember("g", "alice");
+  acl.addMember("g", "bob");
+  const Envelope retained = acl.encrypt("g", toBytes("p1"), rng);
+  Envelope foreign = retained;
+  foreign.serial += 1000;  // retained by no group
+  for (int round = 0; round < 2; ++round) {
+    for (const Envelope& env : {retained, foreign}) {
+      EXPECT_EQ(acl.decrypt("alice", env).value(), toBytes("p1"));
+      EXPECT_EQ(acl.decrypt("bob", env).value(), toBytes("p1"));
+      EXPECT_FALSE(acl.decrypt("carol", env).has_value());
+    }
+  }
+  acl.removeMember("g", "bob");
+  Envelope rewrapped = acl.history("g")[0];
+  rewrapped.serial += 1000;
+  for (int round = 0; round < 2; ++round) {
+    for (const Envelope& env : {retained, rewrapped}) {
+      EXPECT_EQ(acl.decrypt("alice", env).value(), toBytes("p1"));
+      EXPECT_FALSE(acl.decrypt("bob", env).has_value());
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Wraps, HybridAclTest,
     ::testing::Values(WrapScheme::kPublicKey, WrapScheme::kCpAbe,
