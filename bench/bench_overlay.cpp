@@ -16,6 +16,14 @@
 // collects the endpoint's uniform rpc.<type>.* observability surface over its
 // lookup phase (same format as bench_faults F1b), printed after each row and
 // merged into the scenario's JSON counters.
+//
+// e6_kad_rpc is the RPC layer's own yardstick: E19's Kademlia wiring (68
+// nodes, k 8, alpha 3, store width 4, adaptive timeouts, RetryPolicy{2,
+// 150 ms, 2.0}) runs a seeded mix of find_node lookups, find_value lookups
+// and stores with no cryptography or application work on top, so its wall
+// time per completed RPC moves with the simulated RPC round trip alone
+// (routing, framing, completion, timeouts, metrics). Its counters are exact.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -330,7 +338,143 @@ Result runHybrid(const Workload& w, sim::Metrics* rpcMetrics) {
   return r;
 }
 
+struct KadRpcRun {
+  std::uint64_t rpcSent = 0;
+  std::uint64_t rpcCompleted = 0;
+  std::uint64_t simEvents = 0;
+  std::uint64_t hops = 0;
+  std::uint64_t valuesFound = 0;
+  double opsWallMs = 0;  // the mix alone, without set-up
+
+  bool sameCounts(const KadRpcRun& o) const {
+    return rpcSent == o.rpcSent && rpcCompleted == o.rpcCompleted &&
+           simEvents == o.simEvents && hops == o.hops &&
+           valuesFound == o.valuesFound;
+  }
+};
+
+KadRpcRun runKadRpc(std::uint64_t seed, std::size_t ops) {
+  constexpr std::size_t kNodes = 68;
+  constexpr std::size_t kKeys = 64;
+  util::Rng rng(seed);
+  sim::Simulator simulator;
+  // E19's links, plus 2% loss so the timeout and retry paths run too.
+  sim::Network net(simulator,
+                   sim::LatencyModel{20 * kMillisecond, 10 * kMillisecond, 0.02},
+                   rng);
+  sim::Metrics metrics;
+  net.setMetrics(&metrics);
+  KademliaConfig config;
+  config.k = 8;
+  config.alpha = 3;
+  config.storeWidth = 4;
+  config.rpcTimeout = 300 * kMillisecond;
+  config.adaptiveTimeout = true;
+  config.retry = RetryPolicy{2, 150 * kMillisecond, 2.0};
+  std::vector<std::unique_ptr<KademliaNode>> nodes;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    nodes.push_back(
+        std::make_unique<KademliaNode>(net, OverlayId::random(rng), config));
+  }
+  const Contact seedContact{nodes[0]->id(), nodes[0]->addr()};
+  for (std::size_t i = 1; i < kNodes; ++i) {
+    nodes[i]->bootstrap(seedContact);
+    simulator.run();
+  }
+  std::vector<OverlayId> keys;
+  for (std::size_t i = 0; i < kKeys; ++i) keys.push_back(OverlayId::random(rng));
+
+  const auto rpcCount = [&metrics](const char* event) {
+    std::uint64_t total = 0;
+    for (const char* type : {"find_node", "find_value", "store"}) {
+      total += metrics.counter(std::string("rpc.kad.") + type + event);
+    }
+    return total;
+  };
+  const std::uint64_t sentBefore = rpcCount(".sent");
+  const std::uint64_t completedBefore = rpcCount(".completed");
+
+  // The whole mix is drawn and scheduled before it runs, one operation
+  // every 4 ms of sim time: 40% find_node, 30% find_value, 30% store.
+  KadRpcRun run;
+  const auto onLookup = [&run](const LookupResult& result) {
+    run.hops += result.hops;
+    if (result.value) ++run.valuesFound;
+  };
+  for (std::size_t i = 0; i < ops; ++i) {
+    KademliaNode* node = nodes[rng.uniform(kNodes)].get();
+    const std::uint64_t kind = rng.uniform(10);
+    const OverlayId key = keys[rng.uniform(kKeys)];
+    const sim::SimTime at = simulator.now() + i * 4 * kMillisecond;
+    if (kind < 4) {
+      const OverlayId target = OverlayId::random(rng);
+      simulator.scheduleAt(at, [node, target, &onLookup] {
+        node->findNode(target, onLookup);
+      });
+    } else if (kind < 7) {
+      simulator.scheduleAt(at, [node, key, &onLookup] {
+        node->findValue(key, onLookup);
+      });
+    } else {
+      util::Bytes value(64 + rng.uniform(1024), static_cast<std::uint8_t>(i));
+      simulator.scheduleAt(at, [node, key, value = std::move(value)]() mutable {
+        node->store(key, std::move(value));
+      });
+    }
+  }
+  benchkit::Timer timer;
+  run.simEvents = simulator.run();
+  run.opsWallMs = timer.ms();
+  run.rpcSent = rpcCount(".sent") - sentBefore;
+  run.rpcCompleted = rpcCount(".completed") - completedBefore;
+  return run;
+}
+
 }  // namespace
+
+BENCH_SCENARIO(e6_kad_rpc, {.hot = true}) {
+  // Rounds replay the same seeded mix on a fresh network: each must
+  // reproduce the first one's counts, and the reported time per RPC is
+  // their median.
+  const std::size_t ops = ctx.smoke() ? 300 : 3000;
+  const std::size_t rounds = ctx.smoke() ? 3 : 7;
+  std::vector<double> nsPerRpc;
+  KadRpcRun first;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const KadRpcRun run = runKadRpc(ctx.seed(), ops);
+    if (r == 0) first = run;
+    ctx.require(run.sameCounts(first), "every round reproduces round 0");
+    ctx.require(run.rpcCompleted > 0, "the mix completes RPCs");
+    nsPerRpc.push_back(run.opsWallMs * 1e6 /
+                       static_cast<double>(std::max<std::uint64_t>(
+                           run.rpcCompleted, 1)));
+  }
+  std::sort(nsPerRpc.begin(), nsPerRpc.end());
+  const double median = nsPerRpc[nsPerRpc.size() / 2];
+  if (ctx.printing()) {
+    std::printf(
+        "E6b: Kademlia RPC round trip (68 nodes, k 8, alpha 3, store width 4,\n"
+        "adaptive timeouts, 2 attempts, 2%% loss; %zu seeded operations: 40%%\n"
+        "find_node, 30%% find_value, 30%% store; median of %zu rounds)\n\n"
+        "  %12s %12s %12s %12s %10s %12s\n"
+        "  %12.0f %12llu %12llu %12llu %10llu %12llu\n\n",
+        ops, rounds, "ns/rpc", "rpcs-sent", "completed", "sim-events",
+        "hops", "values-found", median,
+        static_cast<unsigned long long>(first.rpcSent),
+        static_cast<unsigned long long>(first.rpcCompleted),
+        static_cast<unsigned long long>(first.simEvents),
+        static_cast<unsigned long long>(first.hops),
+        static_cast<unsigned long long>(first.valuesFound));
+  }
+  ctx.param("ops", static_cast<double>(ops));
+  ctx.param("rounds", static_cast<double>(rounds));
+  ctx.param("ns_per_rpc", median);
+  ctx.counter("rpcs_sent", first.rpcSent);
+  ctx.counter("rpcs_completed", first.rpcCompleted);
+  ctx.counter("sim_events", first.simEvents);
+  ctx.counter("hops", first.hops);
+  ctx.counter("values_found", first.valuesFound);
+}
 
 BENCH_SCENARIO(e6_dht, {.hot = true}) {
   const Workload w = makeWorkload(ctx);

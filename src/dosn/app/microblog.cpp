@@ -134,15 +134,16 @@ MicroblogNode::MicroblogNode(sim::Network& network, overlay::OverlayId dhtId,
           util::Reader r(body);
           overlay::OverlayId key;
           r.rawInto(key.bytes);
-          util::Writer w;
           const auto value = friendCache_->get(key);
+          util::Writer w =
+              net::RpcEndpoint::frame(value ? 1 + 4 + value->size() : 1);
           if (value) {
             w.boolean(true);
             w.bytes(*value);
           } else {
             w.boolean(false);
           }
-          dht_.endpoint().reply(from, kMsgCacheValue, reqId, w.buffer());
+          dht_.endpoint().reply(from, kMsgCacheValue, reqId, std::move(w));
         });
   }
 }
@@ -340,13 +341,13 @@ void MicroblogNode::tryRemoteCache(
     dhtFetch(state, seq, key);
     return;
   }
-  util::Writer body;
-  body.raw(util::BytesView(key.bytes));
+  util::Writer frame = net::RpcEndpoint::frame(overlay::kIdBytes);
+  frame.raw(util::BytesView(key.bytes));
   net::CallOptions options;
   options.timeout = kCacheProbeTimeout;
   const sim::NodeAddr peer = (*peers)[index];
   dht_.endpoint().call(
-      peer, kMsgCacheGet, body.buffer(), options,
+      peer, kMsgCacheGet, std::move(frame), options,
       [this, state, seq, key, peers = std::move(peers), index](
           bool ok, util::BytesView reply) mutable {
         if (ok) {

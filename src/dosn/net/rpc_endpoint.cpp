@@ -1,6 +1,7 @@
 #include "dosn/net/rpc_endpoint.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "dosn/sim/metrics.hpp"
@@ -18,6 +19,35 @@ auto* findByType(Table& table, sim::MessageTypeId id) {
   }
   using Handler = std::remove_reference_t<decltype(table.front().second)>;
   return static_cast<Handler*>(nullptr);
+}
+
+// A metric name is `<family><type><event>`.
+struct MetricName {
+  const char* family;
+  const char* event;
+};
+// Indexed by RpcEndpoint::Counter and RpcEndpoint::Gauge.
+constexpr MetricName kCounterNames[] = {
+    {"rpc.", ".sent"},      {"rpc.", ".retries"}, {"rpc.", ".timeouts"},
+    {"rpc.", ".completed"}, {"rpc.", ".failed"},  {"rpc.", ".orphans"},
+    {"rpc.rtt.", ".samples"}};
+constexpr MetricName kGaugeNames[] = {
+    {"rpc.rtt.", ".srtt"}, {"rpc.rtt.", ".rttvar"}, {"rpc.rtt.", ".timeout"}};
+constexpr MetricName kRttHistogramName = {"rpc.", ".rtt_ms"};
+
+std::string metricName(const MetricName& name, sim::MessageType type) {
+  return name.family + type.name() + name.event;
+}
+
+/// The frame's bytes with `id` written over the eight frame() reserved.
+util::Bytes stamp(util::Writer& frame, RpcId id) {
+  util::Bytes bytes = frame.take();
+  if (bytes.size() < sizeof(RpcId)) {
+    throw util::DosnError("RpcEndpoint: frame not begun with frame()");
+  }
+  const auto le = util::encodeU64(id);
+  std::copy(le.begin(), le.end(), bytes.begin());
+  return bytes;
 }
 
 }  // namespace
@@ -78,116 +108,133 @@ void RpcEndpoint::setReplyObserver(sim::MessageType type,
   replyObservers_.emplace_back(type.id(), std::move(observer));
 }
 
-RpcEndpoint::TypeMetricNames& RpcEndpoint::metricNames(sim::MessageType type) {
-  const std::size_t id = type.id();
-  if (id >= typeMetricNames_.size()) typeMetricNames_.resize(id + 1);
-  auto& slot = typeMetricNames_[id];
-  if (!slot) {
-    slot = std::make_unique<TypeMetricNames>();
-    const std::string& t = type.name();
-    slot->sent = "rpc." + t + ".sent";
-    slot->retries = "rpc." + t + ".retries";
-    slot->timeouts = "rpc." + t + ".timeouts";
-    slot->completed = "rpc." + t + ".completed";
-    slot->failed = "rpc." + t + ".failed";
-    slot->orphans = "rpc." + t + ".orphans";
-    slot->rttMs = "rpc." + t + ".rtt_ms";
-    slot->rttSamples = "rpc.rtt." + t + ".samples";
-    slot->rttSrtt = "rpc.rtt." + t + ".srtt";
-    slot->rttRttvar = "rpc.rtt." + t + ".rttvar";
-    slot->rttTimeout = "rpc.rtt." + t + ".timeout";
+RpcEndpoint::MetricSlots* RpcEndpoint::metricSlots(sim::MessageType type) {
+  if (!network_.metrics()) return nullptr;
+  if (metricsGeneration_ != network_.metricsGeneration()) {
+    metricSlots_.clear();  // another Metrics: resolve every name again
+    metricsGeneration_ = network_.metricsGeneration();
   }
-  return *slot;
+  if (type.id() >= metricSlots_.size()) metricSlots_.resize(type.id() + 1);
+  return &metricSlots_[type.id()];
 }
 
-void RpcEndpoint::bump(sim::MessageType type,
-                       std::string TypeMetricNames::* event) {
-  if (auto* m = network_.metrics()) {
-    m->increment(metricNames(type).*event);
+void RpcEndpoint::bump(sim::MessageType type, Counter counter) {
+  MetricSlots* slots = metricSlots(type);
+  if (!slots) return;
+  std::uint64_t*& slot = slots->counters[counter];
+  if (!slot) {
+    slot = &network_.metrics()->counterSlot(
+        metricName(kCounterNames[counter], type));
   }
+  ++*slot;
+}
+
+void RpcEndpoint::setGauge(sim::MessageType type, Gauge gauge, double value) {
+  MetricSlots* slots = metricSlots(type);
+  if (!slots) return;
+  double*& slot = slots->gauges[gauge];
+  if (!slot) {
+    slot = &network_.metrics()->gaugeSlot(metricName(kGaugeNames[gauge], type));
+  }
+  *slot = value;
+}
+
+util::Writer RpcEndpoint::frame(std::size_t bodyBytes) {
+  static constexpr std::array<std::uint8_t, sizeof(RpcId)> kUnset{};
+  util::Writer w(sizeof(RpcId) + bodyBytes);
+  w.raw(kUnset);  // call() or reply() writes the rpcId here
+  return w;
 }
 
 RpcId RpcEndpoint::call(sim::NodeAddr to, sim::MessageType type,
-                        util::BytesView body, const CallOptions& options,
+                        util::Writer frame, const CallOptions& options,
                         ReplyCallback onReply) {
   const RpcId id =
       (static_cast<RpcId>(addr_) << 32) | static_cast<RpcId>(nextCallId_++);
-  util::Writer w;
-  w.reserve(sizeof(RpcId) + body.size());
-  w.u64(id);
-  w.raw(body);
+  util::Bytes bytes = stamp(frame, id);
 
   PendingCall& pending = state_->pending[id];
   pending.type = type;
   pending.onReply = std::move(onReply);
   pending.startedAt = network_.simulator().now();
+  pending.frame = std::move(bytes);
   pending.peer = to;
+  pending.timeout = options.timeout;
+  pending.retry = options.retry;
   pending.adaptive = options.adaptiveTimeout;
-
-  RetryPolicy retry = options.retry;
+  sim::SimTime wait = options.timeout;
   if (options.adaptiveTimeout) {
-    retry.attempts = peers_.state(to).retry.attempts(options.retry.attempts);
+    // One lookup of the destination's state serves the budget and the
+    // first attempt's timeout.
+    PeerStateTable::PeerState& peer = peers_.state(to);
+    pending.retry.attempts = peer.retry.attempts(options.retry.attempts);
+    wait = peer.rtt.timeout(options.timeout);
   }
-  transmit(to, type, std::make_shared<const util::Bytes>(w.take()), id, 1,
-           options.timeout, retry, options.adaptiveTimeout);
+  transmit(id, pending, wait);
   return id;
 }
 
-void RpcEndpoint::transmit(sim::NodeAddr to, sim::MessageType type,
-                           std::shared_ptr<const util::Bytes> frame, RpcId id,
-                           std::size_t attempt, sim::SimTime timeout,
-                           const RetryPolicy& retry, bool adaptive) {
-  bump(type, &TypeMetricNames::sent);
+sim::SimTime RpcEndpoint::attemptTimeout(const PendingCall& call) {
+  // Adaptive calls take each attempt's timeout from the destination's
+  // estimator at send time, so a backoff applied after an earlier timeout —
+  // possibly by a concurrent call to the same peer — is already reflected.
+  // `call.timeout` stays the caller's fixed value and doubles as the
+  // pre-sample fallback.
+  return call.adaptive ? peers_.state(call.peer).rtt.timeout(call.timeout)
+                       : call.timeout;
+}
+
+void RpcEndpoint::transmit(RpcId id, PendingCall& call, sim::SimTime wait) {
+  bump(call.type, kSent);
   try {
-    network_.send(addr_, to, sim::Message{type, *frame});
+    network_.send(addr_, call.peer,
+                  sim::Message{call.type, util::BytesView(call.frame)});
   } catch (const util::NetError&) {
     // Unroutable address (e.g. a contact learned from a corrupted reply):
     // treat like a black hole and let the timeout/retry path run its course.
   }
-  // Adaptive calls take each attempt's timeout from the destination's
-  // estimator at send time, so a backoff applied after an earlier timeout —
-  // possibly by a concurrent call to the same peer — is already reflected.
-  // `timeout` stays the caller's fixed value and doubles as the pre-sample
-  // fallback.
-  const sim::SimTime wait =
-      adaptive ? peers_.state(to).rtt.timeout(timeout) : timeout;
-  // The timeout closure and every retransmission share the call's one frame.
-  std::weak_ptr<State> weak = state_;
+  armTimeout(id, wait);
+}
+
+void RpcEndpoint::armTimeout(RpcId id, sim::SimTime wait) {
   network_.simulator().schedule(
-      wait, [this, weak, to, type, frame = std::move(frame), id, attempt,
-             timeout, retry, adaptive]() mutable {
-        const auto state = weak.lock();
-        if (!state) return;  // endpoint destroyed
-        PendingCall* call = state->pending.find(id);
-        if (!call) return;  // answered in time
-        bump(type, &TypeMetricNames::timeouts);
-        if (adaptive) {
-          PeerStateTable::PeerState& ps = peers_.state(to);
-          ps.rtt.onTimeout();
-          ps.retry.observeAttempt(true);
-        }
-        if (attempt < retry.attempts) {
-          call->retransmitted = true;
-          ++state->retries;
-          bump(type, &TypeMetricNames::retries);
-          network_.simulator().schedule(
-              retry.backoff(attempt, network_.rng()),
-              [this, weak, to, type, frame = std::move(frame), id, attempt,
-               timeout, retry, adaptive]() mutable {
-                const auto s = weak.lock();
-                if (!s) return;
-                if (!s->pending.contains(id)) return;  // answered during backoff
-                transmit(to, type, std::move(frame), id, attempt + 1, timeout,
-                         retry, adaptive);
-              });
-          return;
-        }
-        ++state->failures;
-        bump(type, &TypeMetricNames::failed);
-        auto callback = std::move(call->onReply);
-        state->pending.erase(id);
-        if (callback) callback(false, {});
+      wait, [this, weak = std::weak_ptr<State>(state_), id] {
+        // The lock keeps the state alive while a callback runs, even one
+        // that destroys this endpoint.
+        if (const auto state = weak.lock()) onTimeout(id);
       });
+}
+
+void RpcEndpoint::onTimeout(RpcId id) {
+  PendingCall* call = state_->pending.find(id);
+  if (!call) return;  // answered in time
+  bump(call->type, kTimeouts);
+  if (call->adaptive) {
+    PeerStateTable::PeerState& ps = peers_.state(call->peer);
+    ps.rtt.onTimeout();
+    ps.retry.observeAttempt(true);
+  }
+  if (call->attempt < call->retry.attempts) {
+    call->retransmitted = true;
+    ++state_->retries;
+    bump(call->type, kRetries);
+    network_.simulator().schedule(
+        call->retry.backoff(call->attempt, network_.rng()),
+        [this, weak = std::weak_ptr<State>(state_), id] {
+          const auto state = weak.lock();
+          if (!state) return;  // endpoint destroyed
+          PendingCall* again = state->pending.find(id);
+          if (!again) return;  // answered during backoff
+          ++again->attempt;
+          transmit(id, *again, attemptTimeout(*again));
+        });
+    return;
+  }
+  ++state_->failures;
+  bump(call->type, kFailed);
+  auto callback = std::move(call->onReply);
+  state_->pending.erase(id);
+  if (callback) callback(false, {});
 }
 
 RpcId RpcEndpoint::openCall(sim::MessageType opType, sim::SimTime timeout,
@@ -199,21 +246,9 @@ RpcId RpcEndpoint::openCall(sim::MessageType opType, sim::SimTime timeout,
   pending.onReply = std::move(onReply);
   pending.startedAt = network_.simulator().now();
   pending.tag = std::move(tag);
-  bump(opType, &TypeMetricNames::sent);
-
-  std::weak_ptr<State> weak = state_;
-  network_.simulator().schedule(timeout, [this, weak, opType, id] {
-    const auto state = weak.lock();
-    if (!state) return;
-    PendingCall* call = state->pending.find(id);
-    if (!call) return;  // completed in time
-    bump(opType, &TypeMetricNames::timeouts);
-    ++state->failures;
-    bump(opType, &TypeMetricNames::failed);
-    auto callback = std::move(call->onReply);
-    state->pending.erase(id);
-    if (callback) callback(false, {});
-  });
+  bump(opType, kSent);
+  // One attempt and no adaptivity: the deadline fails the slot.
+  armTimeout(id, timeout);
   return id;
 }
 
@@ -233,20 +268,22 @@ void RpcEndpoint::finish(RpcId id, bool ok, util::BytesView payload) {
   if (!call) return;
   const sim::MessageType type = call->type;
   if (ok) {
-    bump(type, &TypeMetricNames::completed);
-    const sim::SimTime rtt =
-        network_.simulator().now() - call->startedAt;
-    if (auto* m = network_.metrics()) {
-      const double rttMs =
-          static_cast<double>(rtt) / static_cast<double>(sim::kMillisecond);
-      m->histogram(metricNames(type).rttMs).record(rttMs);
+    bump(type, kCompleted);
+    const sim::SimTime rtt = network_.simulator().now() - call->startedAt;
+    if (MetricSlots* slots = metricSlots(type)) {
+      if (!slots->rttMs) {
+        slots->rttMs =
+            &network_.metrics()->histogram(metricName(kRttHistogramName, type));
+      }
+      slots->rttMs->record(static_cast<double>(rtt) /
+                           static_cast<double>(sim::kMillisecond));
     }
     if (call->adaptive) {
       PeerStateTable::PeerState& ps = peers_.state(call->peer);
       ps.retry.observeAttempt(false);
       // Karn's rule: only calls answered on their first attempt yield an
       // unambiguous sample.
-      if (!call->retransmitted) recordRttSample(call->peer, type, rtt);
+      if (!call->retransmitted) recordRttSample(ps, type, rtt);
     }
   }
   auto callback = std::move(call->onReply);
@@ -254,27 +291,20 @@ void RpcEndpoint::finish(RpcId id, bool ok, util::BytesView payload) {
   if (callback) callback(ok, payload);
 }
 
-void RpcEndpoint::recordRttSample(sim::NodeAddr peer, sim::MessageType type,
-                                  sim::SimTime rtt) {
-  RttEstimator& est = peers_.state(peer).rtt;
+void RpcEndpoint::recordRttSample(PeerStateTable::PeerState& peer,
+                                  sim::MessageType type, sim::SimTime rtt) {
+  RttEstimator& est = peer.rtt;
   est.addSample(rtt);
-  if (auto* m = network_.metrics()) {
-    constexpr double kMs = static_cast<double>(sim::kMillisecond);
-    const TypeMetricNames& names = metricNames(type);
-    m->increment(names.rttSamples);
-    m->gauge(names.rttSrtt, est.srtt() / kMs);
-    m->gauge(names.rttRttvar, est.rttvar() / kMs);
-    m->gauge(names.rttTimeout, static_cast<double>(est.timeout(0)) / kMs);
-  }
+  constexpr double kMs = static_cast<double>(sim::kMillisecond);
+  bump(type, kRttSamples);
+  setGauge(type, kSrtt, est.srtt() / kMs);
+  setGauge(type, kRttvar, est.rttvar() / kMs);
+  setGauge(type, kRttTimeout, static_cast<double>(est.timeout(0)) / kMs);
 }
 
 void RpcEndpoint::reply(sim::NodeAddr to, sim::MessageType replyType,
-                        RpcId rpcId, util::BytesView body) {
-  util::Writer w;
-  w.reserve(sizeof(RpcId) + body.size());
-  w.u64(rpcId);
-  w.raw(body);
-  network_.send(addr_, to, sim::Message{replyType, w.take()});
+                        RpcId rpcId, util::Writer frame) {
+  network_.send(addr_, to, sim::Message{replyType, stamp(frame, rpcId)});
 }
 
 void RpcEndpoint::send(sim::NodeAddr to, sim::MessageType type,
@@ -302,7 +332,7 @@ void RpcEndpoint::handleReply(sim::NodeAddr from, const sim::Message& msg) {
     }
   }
   if (!state_->pending.contains(id)) {
-    bump(msg.type, &TypeMetricNames::orphans);
+    bump(msg.type, kOrphans);
     return;  // timed out already, or a fault-duplicated reply
   }
   finish(id, true, body);

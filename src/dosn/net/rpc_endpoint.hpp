@@ -17,7 +17,9 @@
 //    for calls (keyed by the request or open-call type),
 //      rpc.<replyType>.orphans
 //    for replies that find no pending call (late or duplicated), plus a
-//    per-type round-trip latency histogram rpc.<type>.rtt_ms;
+//    per-type round-trip latency histogram rpc.<type>.rtt_ms. Each name is
+//    looked up once per attached Metrics, at its first bump, and bumped
+//    through a slot after that (no string-keyed lookup per RPC event);
 //  - opt-in per-destination adaptivity (CallOptions::adaptiveTimeout): a
 //    PeerStateTable keys an RFC 6298-style RttEstimator and an
 //    AdaptiveRetryPolicy by destination, so each peer earns its own timeout
@@ -34,17 +36,21 @@
 //    completes it (the responder need not be the node called — super-peer
 //    fan-outs answer from third parties). Timeouts retransmit per the
 //    RetryPolicy and finally fail the call exactly once.
+//    The caller writes the frame once, starting from frame(): the pending
+//    call keeps it for retransmissions, and a reply frame is moved into its
+//    message. Timeout closures hold the call's id; everything else they
+//    need stays in the pending call.
 //  - openCall(): a correlation slot for multi-hop operations (flood search,
 //    super-peer query->owner->fetch chains). The overlay sends its own probe
 //    messages and completes the slot explicitly via complete(); the endpoint
 //    owns the single fixed overall deadline.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "dosn/net/retry.hpp"
@@ -53,6 +59,11 @@
 #include "dosn/sim/message_type.hpp"
 #include "dosn/sim/network.hpp"
 #include "dosn/util/bytes.hpp"
+#include "dosn/util/codec.hpp"
+
+namespace dosn::sim {
+class Histogram;
+}  // namespace dosn::sim
 
 namespace dosn::net {
 
@@ -109,9 +120,13 @@ class RpcEndpoint {
   // implicitly (interning once), and hot paths dispatch on the dense id.
   void onRequest(sim::MessageType type, RequestHandler handler);
   void onMessage(sim::MessageType type, MessageHandler handler);
-  /// Frames and sends `body` as the reply to `rpcId`.
+  /// Starts a call or reply frame: eight bytes that call() or reply() fills
+  /// with the rpcId, and room for `bodyBytes` of body written after them.
+  static util::Writer frame(std::size_t bodyBytes = 0);
+  /// Sends `frame` (begun with frame()) as the reply to `rpcId`. Throws
+  /// util::DosnError if the frame is shorter than an rpcId.
   void reply(sim::NodeAddr to, sim::MessageType replyType, RpcId rpcId,
-             util::BytesView body);
+             util::Writer frame);
 
   // --- client side ---
   /// Marks `type` as a reply channel: incoming messages of this type are
@@ -119,8 +134,11 @@ class RpcEndpoint {
   void addReplyChannel(sim::MessageType type);
   void setReplyObserver(sim::MessageType type, ReplyObserver observer);
 
-  /// Starts a paired RPC to `to`. The wire frame is `u64 rpcId | body`.
-  RpcId call(sim::NodeAddr to, sim::MessageType type, util::BytesView body,
+  /// Starts a paired RPC to `to`. `frame` was begun with frame() and holds
+  /// the body after the rpcId this fills in: the wire frame is
+  /// `u64 rpcId | body`. Throws util::DosnError if the frame is shorter
+  /// than an rpcId.
+  RpcId call(sim::NodeAddr to, sim::MessageType type, util::Writer frame,
              const CallOptions& options, ReplyCallback onReply);
 
   /// Opens a correlation slot with a single overall deadline and no
@@ -152,8 +170,12 @@ class RpcEndpoint {
     sim::MessageType type;       // request type (metrics key)
     ReplyCallback onReply;
     sim::SimTime startedAt = 0;
+    util::Bytes frame;           // call(): `rpcId | body`, resent by retries
     util::Bytes tag;             // openCall context
-    sim::NodeAddr peer = sim::kNoAddr;  // estimator key for adaptive calls
+    sim::NodeAddr peer = sim::kNoAddr;  // call(): destination, estimator key
+    sim::SimTime timeout = 0;    // call(): fixed timeout, pre-sample fallback
+    RetryPolicy retry{};         // attempts: this call's whole budget
+    std::size_t attempt = 1;     // attempts sent so far
     bool adaptive = false;
     bool retransmitted = false;  // Karn's rule: ambiguous once retransmitted
   };
@@ -168,27 +190,49 @@ class RpcEndpoint {
     std::uint64_t failures = 0;
   };
 
-  /// The per-type metric names, built once per type on first use so the
-  /// hot path never concatenates strings ("rpc.<type>.sent" et al.).
-  struct TypeMetricNames {
-    std::string sent, retries, timeouts, completed, failed, orphans;
-    std::string rttMs, rttSamples, rttSrtt, rttRttvar, rttTimeout;
+  // The per-type metrics this endpoint writes (names in the header comment).
+  enum Counter : std::size_t {
+    kSent,
+    kRetries,
+    kTimeouts,
+    kCompleted,
+    kFailed,
+    kOrphans,
+    kRttSamples,
+    kCounterCount
+  };
+  enum Gauge : std::size_t { kSrtt, kRttvar, kRttTimeout, kGaugeCount };
+  /// One message type's metrics in the attached Metrics, each resolved at
+  /// its first bump, so a name exists exactly when something was recorded
+  /// under it.
+  struct MetricSlots {
+    std::array<std::uint64_t*, kCounterCount> counters{};
+    std::array<double*, kGaugeCount> gauges{};
+    sim::Histogram* rttMs = nullptr;
   };
 
   void handleMessage(sim::NodeAddr from, const sim::Message& msg);
   void handleReply(sim::NodeAddr from, const sim::Message& msg);
-  /// Sends one attempt of a call and schedules its timeout. `frame` is the
-  /// call's one wire frame, shared by every attempt and pending timeout.
-  void transmit(sim::NodeAddr to, sim::MessageType type,
-                std::shared_ptr<const util::Bytes> frame, RpcId id,
-                std::size_t attempt, sim::SimTime timeout,
-                const RetryPolicy& retry, bool adaptive);
+  /// The timeout of the call's next attempt, fixed or from the
+  /// destination's estimator.
+  sim::SimTime attemptTimeout(const PendingCall& call);
+  /// Sends the call's next attempt from its kept frame and arms its timeout
+  /// to fire after `wait`.
+  void transmit(RpcId id, PendingCall& call, sim::SimTime wait);
+  /// Schedules onTimeout(id) after `wait`.
+  void armTimeout(RpcId id, sim::SimTime wait);
+  /// An attempt's deadline passed: backs off and retransmits while the
+  /// call's budget lasts, else fails the call. No-op once it completed.
+  void onTimeout(RpcId id);
   void finish(RpcId id, bool ok, util::BytesView payload);
-  TypeMetricNames& metricNames(sim::MessageType type);
-  void bump(sim::MessageType type, std::string TypeMetricNames::* event);
-  /// Feeds a Karn-valid sample to `peer`'s estimator and exports the
-  /// rpc.rtt.<type>.{srtt,rttvar,timeout} gauges + sample counter.
-  void recordRttSample(sim::NodeAddr peer, sim::MessageType type,
+  /// `type`'s slots in the attached Metrics, or nullptr if none is attached.
+  /// Every slot is dropped when the network attaches another Metrics.
+  MetricSlots* metricSlots(sim::MessageType type);
+  void bump(sim::MessageType type, Counter counter);
+  void setGauge(sim::MessageType type, Gauge gauge, double value);
+  /// Feeds a Karn-valid sample to the destination's estimator and exports
+  /// the rpc.rtt.<type>.{srtt,rttvar,timeout} gauges + sample counter.
+  void recordRttSample(PeerStateTable::PeerState& peer, sim::MessageType type,
                        sim::SimTime rtt);
 
   sim::Network& network_;
@@ -204,7 +248,8 @@ class RpcEndpoint {
   std::deque<std::pair<sim::MessageTypeId, MessageHandler>> messageHandlers_;
   std::deque<std::pair<sim::MessageTypeId, ReplyObserver>> replyObservers_;
   std::vector<sim::MessageTypeId> replyChannels_;
-  std::vector<std::unique_ptr<TypeMetricNames>> typeMetricNames_;  // by id
+  std::vector<MetricSlots> metricSlots_;  // by MessageTypeId
+  std::uint64_t metricsGeneration_ = 0;   // the network's, when resolved
 };
 
 }  // namespace dosn::net

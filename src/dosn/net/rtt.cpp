@@ -37,15 +37,15 @@ sim::SimTime RttEstimator::timeout(sim::SimTime fallback) const {
 }
 
 PeerStateTable::PeerState& PeerStateTable::state(sim::NodeAddr peer) {
-  Entry* entry = peers_.find(peer);
-  if (!entry) entry = &peers_[peer];
+  Entry& entry = peers_[peer];  // one probe: finds or inserts
   // Touch before evicting so a just-created entry can never be its own
   // eviction victim (unique monotonic touches keep eviction deterministic
   // regardless of the table's iteration order).
-  entry->lastTouch = ++touchClock_;
+  entry.lastTouch = ++touchClock_;
+  if (peers_.size() <= kMaxPeers) return entry.state;
   evictIfNeeded();
   // Eviction's backward-shift deletion may relocate surviving entries, so
-  // the pre-eviction pointer cannot be returned.
+  // the pre-eviction reference cannot be returned.
   return peers_.find(peer)->state;
 }
 

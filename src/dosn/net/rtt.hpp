@@ -34,7 +34,7 @@
 // exceeded (eviction order is deterministic — a monotonic touch counter, no
 // clocks). Storage is an open-addressing AddrMap (DESIGN.md §3d): the
 // per-send state(peer) lookup is one hash and a short probe instead of a
-// red-black-tree walk.
+// red-black-tree walk, and a second probe only after an eviction.
 #pragma once
 
 #include <cstddef>

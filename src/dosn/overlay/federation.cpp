@@ -40,19 +40,19 @@ FederatedServer::FederatedServer(sim::Network& network,
         util::Reader r(body);
         const std::string user = r.str();
         const std::string key = r.str();
-        util::Writer w;
+        util::Writer w = net::RpcEndpoint::frame();
         const auto userIt = data_.find(user);
         if (userIt != data_.end()) {
           const auto keyIt = userIt->second.find(key);
           if (keyIt != userIt->second.end()) {
             w.boolean(true);
             w.bytes(keyIt->second);
-            endpoint_.reply(from, kMsgReply, rpcId, w.buffer());
+            endpoint_.reply(from, kMsgReply, rpcId, std::move(w));
             return;
           }
         }
         w.boolean(false);
-        endpoint_.reply(from, kMsgReply, rpcId, w.buffer());
+        endpoint_.reply(from, kMsgReply, rpcId, std::move(w));
       });
   // The observer validates the found-flag and value so a corrupted reply is
   // dropped (the query then resolves nullopt at its deadline) instead of
@@ -89,12 +89,12 @@ void FederatedServer::query(
     network_.simulator().schedule(0, [done = std::move(done), value] { done(value); });
     return;
   }
-  util::Writer w;
+  util::Writer w = net::RpcEndpoint::frame();
   w.str(user);
   w.str(key);
   net::CallOptions options;
   options.timeout = timeout;
-  endpoint_.call(*home, kMsgQuery, w.buffer(), options,
+  endpoint_.call(*home, kMsgQuery, std::move(w), options,
                  [done = std::move(done)](bool ok, util::BytesView reply) {
                    if (!ok) {
                      done(std::nullopt);

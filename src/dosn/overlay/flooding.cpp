@@ -105,9 +105,9 @@ void FloodingNode::onQuery(sim::NodeAddr from, util::BytesView payload) {
 
   const auto it = store_.find(key);
   if (it != store_.end()) {
-    util::Writer hit;
+    util::Writer hit = net::RpcEndpoint::frame(4 + it->second.size());
     hit.bytes(it->second);
-    endpoint_.reply(origin, kMsgHit, queryId, hit.buffer());
+    endpoint_.reply(origin, kMsgHit, queryId, std::move(hit));
     return;
   }
   if (ttl <= 1) return;

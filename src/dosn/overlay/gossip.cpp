@@ -84,11 +84,11 @@ GossipNode::GossipNode(sim::Network& network, GossipConfig config)
             toRequest.push_back(key);
           }
         }
-        util::Writer w;
+        util::Writer w = net::RpcEndpoint::frame();
         w.raw(encodeEntries(toSend));
         w.u32(static_cast<std::uint32_t>(toRequest.size()));
         for (const OverlayId& key : toRequest) writeId(w, key);
-        endpoint_.reply(from, kMsgSync, rpcId, w.buffer());
+        endpoint_.reply(from, kMsgSync, rpcId, std::move(w));
       });
   endpoint_.addReplyChannel(kMsgSync);
   endpoint_.setReplyObserver(kMsgSync,
@@ -155,7 +155,7 @@ void GossipNode::round() {
 
 void GossipNode::exchangeWith(sim::NodeAddr peer) {
   endpoint_.call(
-      peer, kMsgDigest, encodeDigest(), net::CallOptions{},
+      peer, kMsgDigest, digestFrame(), net::CallOptions{},
       // Note no running_ gate: a stopped node still applies incoming state
       // passively, exactly as the pre-endpoint message handler did.
       [this, peer](bool ok, util::BytesView reply) {
@@ -172,14 +172,15 @@ void GossipNode::exchangeWith(sim::NodeAddr peer) {
       });
 }
 
-util::Bytes GossipNode::encodeDigest() const {
-  util::Writer w;
+util::Writer GossipNode::digestFrame() const {
+  util::Writer w =
+      net::RpcEndpoint::frame(4 + store_.size() * (kIdBytes + 8));
   w.u32(static_cast<std::uint32_t>(store_.size()));
   for (const auto& [key, entry] : store_) {
     writeId(w, key);
     w.u64(entry.version);
   }
-  return w.take();
+  return w;
 }
 
 util::Bytes GossipNode::encodeEntries(const std::vector<OverlayId>& keys) const {

@@ -64,7 +64,8 @@ class GossipNode {
 
   void round();
   void exchangeWith(sim::NodeAddr peer);
-  util::Bytes encodeDigest() const;
+  /// A digest call frame: every held key with its version.
+  util::Writer digestFrame() const;
   util::Bytes encodeEntries(const std::vector<OverlayId>& keys) const;
   void applyEntries(util::Reader& r);
 

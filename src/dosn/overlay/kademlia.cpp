@@ -1,6 +1,7 @@
 #include "dosn/overlay/kademlia.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 
 #include "dosn/sim/metrics.hpp"
@@ -49,7 +50,8 @@ RoutingTable::RoutingTable(OverlayId self, std::size_t k)
 void RoutingTable::observe(const Contact& contact) {
   const int index = bucketIndex(self_, contact.id);
   if (index < 0) return;  // self
-  auto& bucket = buckets_[static_cast<std::size_t>(index)];
+  const auto i = static_cast<std::size_t>(index);
+  auto& bucket = buckets_[i];
   const auto it = std::find_if(bucket.begin(), bucket.end(), [&](const Contact& c) {
     return c.id == contact.id;
   });
@@ -67,10 +69,34 @@ void RoutingTable::observe(const Contact& contact) {
     ++size_;
   }
   bucket.push_back(contact);
+  occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
 }
 
-std::vector<Contact> RoutingTable::closest(const OverlayId& target,
-                                           std::size_t count) const {
+void RoutingTable::rank(std::size_t index, const OverlayId& target) const {
+  for (const Contact& c : buckets_[index]) {
+    ranked_.push_back(Ranked{distanceKey(c.id, target), &c});
+  }
+}
+
+bool RoutingTable::take(std::size_t count, std::vector<Contact>& out) const {
+  const auto nearer = [](const Ranked& a, const Ranked& b) {
+    return a.key < b.key;
+  };
+  auto end = ranked_.end();
+  const std::size_t room = count - out.size();
+  if (ranked_.size() > room) {
+    end = ranked_.begin() + static_cast<std::ptrdiff_t>(room);
+    std::partial_sort(ranked_.begin(), end, ranked_.end(), nearer);
+  } else {
+    std::sort(ranked_.begin(), ranked_.end(), nearer);
+  }
+  for (auto it = ranked_.begin(); it != end; ++it) out.push_back(*it->contact);
+  ranked_.clear();
+  return out.size() == count;
+}
+
+void RoutingTable::closest(const OverlayId& target, std::size_t count,
+                           std::vector<Contact>& out) const {
   // Bucket i holds the ids whose highest bit differing from self_ is bit i,
   // so with b the target's bucket the distances from the target fall in
   // ranges: bucket b below 2^b, buckets 0..b-1 together in [2^b, 2^(b+1)),
@@ -78,77 +104,57 @@ std::vector<Contact> RoutingTable::closest(const OverlayId& target,
   // order and ordering each one as it is reached selects the `count`
   // closest without ordering the rest. XOR distance orders distinct ids
   // strictly, so the result equals a sort of the whole table cut to count.
-  std::vector<Contact> out;
-  if (count == 0) return out;
-  out.reserve(size_);
-  const auto closer = [&target](const Contact& a, const Contact& c) {
-    return closerTo(target, a.id, c.id);
-  };
-  // Orders the range out[begin, end), cut at `count`; true once out is full.
-  const auto orderRange = [&](std::size_t begin) {
-    if (out.size() > count) {
-      std::partial_sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
-                        out.begin() + static_cast<std::ptrdiff_t>(count),
-                        out.end(), closer);
-      out.resize(count);
-    } else {
-      std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end(),
-                closer);
+  out.clear();
+  if (count == 0) return;
+  // Visits the occupied buckets in [from, to) in increasing order until
+  // `visit` returns true; empty buckets cost nothing.
+  const auto scan = [this](std::size_t from, std::size_t to, auto&& visit) {
+    for (std::size_t w = from / 64; w * 64 < to; ++w) {
+      std::uint64_t bits = occupied_[w];
+      if (w == from / 64) bits &= ~std::uint64_t{0} << (from % 64);
+      if (to < (w + 1) * 64) bits &= (std::uint64_t{1} << (to % 64)) - 1;
+      while (bits != 0) {
+        const std::size_t i =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        if (visit(i)) return;
+      }
     }
-    return out.size() == count;
-  };
-  const auto append = [&](std::size_t index) {
-    out.insert(out.end(), buckets_[index].begin(), buckets_[index].end());
   };
   const int targetBucket = bucketIndex(self_, target);  // -1 for self_
   if (targetBucket >= 0) {
     const auto b = static_cast<std::size_t>(targetBucket);
-    append(b);
-    if (orderRange(0)) return out;
-    const std::size_t begin = out.size();
-    for (std::size_t i = 0; i < b; ++i) append(i);
-    if (orderRange(begin)) return out;
+    rank(b, target);
+    if (take(count, out)) return;
+    scan(0, b, [&](std::size_t i) {
+      rank(i, target);
+      return false;
+    });
+    if (take(count, out)) return;
   }
-  for (std::size_t i = static_cast<std::size_t>(targetBucket + 1); i < kIdBits;
-       ++i) {
-    if (buckets_[i].empty()) continue;
-    const std::size_t begin = out.size();
-    append(i);
-    if (orderRange(begin)) return out;
-  }
-  return out;
+  scan(static_cast<std::size_t>(targetBucket + 1), kIdBits, [&](std::size_t i) {
+    rank(i, target);
+    return take(count, out);
+  });
 }
 
 std::size_t RoutingTable::size() const { return size_; }
 
-struct KademliaNode::Lookup {
-  struct Entry {
-    Contact contact;
-    bool queried = false;
-  };
-
-  /// Merges a contact into the shortlist at its distance rank, unless its
-  /// id is listed already (the first address heard for an id stays). XOR
-  /// distance orders distinct ids strictly, so the list stays exactly what
-  /// a sort after every reply would make it.
-  void merge(const Contact& contact) {
-    const auto pos = std::lower_bound(
-        shortlist.begin(), shortlist.end(), contact.id,
-        [this](const Entry& entry, const OverlayId& id) {
-          return closerTo(target, entry.contact.id, id);
-        });
-    if (pos != shortlist.end() && pos->contact.id == contact.id) return;
-    shortlist.insert(pos, Entry{contact, false});
-  }
-
-  OverlayId target;
-  bool wantValue = false;
-  std::function<void(LookupResult)> done;
-  std::vector<Entry> shortlist;  // sorted by closeness to target, ids unique
-  std::size_t inflight = 0;
-  bool finished = false;
-  LookupResult result;
-};
+void KademliaNode::Lookup::merge(const Contact& contact, std::size_t k) {
+  // The first address heard for an id stays. XOR distance orders distinct
+  // ids strictly (equal keys mean equal ids), so the list stays exactly
+  // what a sort after every reply would make it, cut to k: a contact
+  // ranked k or beyond has k closer ones ahead of it for good, so no step
+  // would ever query or return it.
+  const DistanceKey key = distanceKey(contact.id, target);
+  const auto pos = std::lower_bound(
+      shortlist.begin(), shortlist.end(), key,
+      [](const Entry& entry, const DistanceKey& d) { return entry.key < d; });
+  if (static_cast<std::size_t>(pos - shortlist.begin()) >= k) return;
+  if (pos != shortlist.end() && pos->key == key) return;
+  if (shortlist.size() == k) shortlist.pop_back();
+  shortlist.insert(pos, Entry{key, contact, false});
+}
 
 KademliaNode::KademliaNode(sim::Network& network, OverlayId id,
                            KademliaConfig config)
@@ -177,59 +183,73 @@ void KademliaNode::setupRpcHandlers() {
       });
 
   // Request handlers. `body` is everything after the rpcId:
-  // `senderId | args`. Replies echo `id_ | kind | data` after the rpcId the
-  // endpoint prepends.
+  // `senderId | args`. Each answer is written once as the whole reply
+  // frame, `rpcId | id_ | kind | data`, and the endpoint sends it as it is.
   const auto serve = [this](sim::NodeAddr from, util::BytesView body,
-                            net::RpcId rpcId,
-                            const std::function<void(util::Reader&, util::Writer&)>&
-                                answer) {
+                            net::RpcId rpcId, auto&& answer) {
     util::Reader r(body);
     const OverlayId senderId = readId(r);
     table_.observe(Contact{senderId, from});
-    util::Writer reply;
-    writeId(reply, id_);
-    answer(r, reply);
-    endpoint_.reply(from, kMsgReply, rpcId, reply.buffer());
+    endpoint_.reply(from, kMsgReply, rpcId, answer(r));
   };
 
-  endpoint_.onRequest(kMsgPing, [serve](sim::NodeAddr from,
-                                          util::BytesView body, net::RpcId id) {
-    serve(from, body, id,
-          [](util::Reader&, util::Writer& reply) { reply.u8(kReplyOk); });
+  endpoint_.onRequest(kMsgPing, [this, serve](sim::NodeAddr from,
+                                                util::BytesView body,
+                                                net::RpcId id) {
+    serve(from, body, id, [this](util::Reader&) {
+      util::Writer reply = replyFrame(1);
+      reply.u8(kReplyOk);
+      return reply;
+    });
   });
   endpoint_.onRequest(
       kMsgFindNode,
       [this, serve](sim::NodeAddr from, util::BytesView body, net::RpcId id) {
-        serve(from, body, id, [this](util::Reader& r, util::Writer& reply) {
-          const OverlayId target = readId(r);
-          reply.u8(kReplyContacts);
-          encodeContacts(reply, table_.closest(target, config_.k));
-        });
+        serve(from, body, id,
+              [this](util::Reader& r) { return contactsReply(readId(r)); });
       });
   endpoint_.onRequest(
       kMsgFindValue,
       [this, serve](sim::NodeAddr from, util::BytesView body, net::RpcId id) {
-        serve(from, body, id, [this](util::Reader& r, util::Writer& reply) {
+        serve(from, body, id, [this](util::Reader& r) {
           const OverlayId key = readId(r);
           const auto value = localGet(key);
-          if (value) {
-            reply.u8(kReplyValue);
-            reply.bytes(*value);
-          } else {
-            reply.u8(kReplyContacts);
-            encodeContacts(reply, table_.closest(key, config_.k));
-          }
+          if (!value) return contactsReply(key);
+          util::Writer reply = replyFrame(1 + 4 + value->size());
+          reply.u8(kReplyValue);
+          reply.bytes(*value);
+          return reply;
         });
       });
   endpoint_.onRequest(
       kMsgStore,
       [this, serve](sim::NodeAddr from, util::BytesView body, net::RpcId id) {
-        serve(from, body, id, [this](util::Reader& r, util::Writer& reply) {
+        serve(from, body, id, [this](util::Reader& r) {
           const OverlayId key = readId(r);
-          localPut(key, r.bytes());
+          localPut(key, r.bytesView());
+          util::Writer reply = replyFrame(1);
           reply.u8(kReplyOk);
+          return reply;
         });
       });
+}
+
+util::Writer KademliaNode::replyFrame(std::size_t bodyBytes) const {
+  util::Writer frame = net::RpcEndpoint::frame(kIdBytes + bodyBytes);
+  writeId(frame, id_);
+  return frame;
+}
+
+util::Writer KademliaNode::contactsReply(const OverlayId& target) {
+  table_.closest(target, config_.k, closest_);
+  util::Writer reply = replyFrame(1 + 4 + closest_.size() * kContactBytes);
+  reply.u8(kReplyContacts);
+  reply.u32(static_cast<std::uint32_t>(closest_.size()));
+  for (const Contact& c : closest_) {
+    writeId(reply, c.id);
+    reply.u64(c.addr);
+  }
+  return reply;
 }
 
 void KademliaNode::localPut(const OverlayId& key, util::BytesView value) {
@@ -261,38 +281,14 @@ void KademliaNode::rejoin(const Contact& seed) { bootstrap(seed, {}); }
 void KademliaNode::sendRpc(const Contact& to, sim::MessageType type,
                            util::BytesView payload,
                            net::RpcEndpoint::ReplyCallback onReply) {
-  util::Writer body;
-  body.reserve(kIdBytes + payload.size());
-  writeId(body, id_);
-  body.raw(payload);
+  util::Writer frame = net::RpcEndpoint::frame(kIdBytes + payload.size());
+  writeId(frame, id_);
+  frame.raw(payload);
   net::CallOptions options;
   options.timeout = config_.rpcTimeout;
   options.retry = config_.retry;
   options.adaptiveTimeout = config_.adaptiveTimeout;
-  endpoint_.call(to.addr, type, body.buffer(), options, std::move(onReply));
-}
-
-void KademliaNode::encodeContacts(util::Writer& w,
-                                  const std::vector<Contact>& contacts) {
-  w.reserve(w.buffer().size() + 4 + contacts.size() * kContactBytes);
-  w.u32(static_cast<std::uint32_t>(contacts.size()));
-  for (const auto& c : contacts) {
-    writeId(w, c.id);
-    w.u64(c.addr);
-  }
-}
-
-std::vector<Contact> KademliaNode::decodeContacts(util::Reader& r) {
-  const std::uint32_t count = r.count(kContactBytes);
-  std::vector<Contact> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Contact c;
-    c.id = readId(r);
-    c.addr = r.u64();
-    out.push_back(c);
-  }
-  return out;
+  endpoint_.call(to.addr, type, std::move(frame), options, std::move(onReply));
 }
 
 void KademliaNode::store(const OverlayId& key, util::Bytes value,
@@ -363,15 +359,16 @@ void KademliaNode::storeImpl(const OverlayId& key, util::Bytes value,
   });
 }
 
+
 void KademliaNode::findValue(const OverlayId& key,
                              std::function<void(LookupResult)> done) {
-  const auto value = localGet(key);
-  if (value) {
+  if (auto value = localGet(key)) {
     LookupResult result;
-    result.value = *value;
-    network_.simulator().schedule(0, [done = std::move(done), result] {
-      done(result);
-    });
+    result.value = std::move(value);
+    network_.simulator().schedule(
+        0, [done = std::move(done), result = std::move(result)]() mutable {
+          done(std::move(result));
+        });
     return;
   }
   startLookup(key, /*wantValue=*/true, std::move(done));
@@ -384,78 +381,105 @@ void KademliaNode::findNode(const OverlayId& target,
 
 void KademliaNode::startLookup(const OverlayId& target, bool wantValue,
                                std::function<void(LookupResult)> done) {
-  auto lookup = std::make_shared<Lookup>();
-  lookup->target = target;
-  lookup->wantValue = wantValue;
-  lookup->done = std::move(done);
+  const std::uint64_t lookupId = nextLookupId_++;
+  Lookup& lookup = lookups_.emplace_back();
+  lookup.id = lookupId;
+  lookup.target = target;
+  lookup.wantValue = wantValue;
+  lookup.done = std::move(done);
   // closest() lists distinct ids nearest first: already a shortlist.
-  for (const Contact& c : table_.closest(target, config_.k)) {
-    lookup->shortlist.push_back(Lookup::Entry{c, false});
+  table_.closest(target, config_.k, closest_);
+  lookup.shortlist.reserve(config_.k);
+  for (const Contact& c : closest_) {
+    lookup.shortlist.push_back(
+        Lookup::Entry{distanceKey(c.id, target), c, false});
   }
-  lookupStep(lookup);
+  lookupStep(lookupId);
 }
 
-void KademliaNode::lookupStep(const std::shared_ptr<Lookup>& lookup) {
-  if (lookup->finished) return;
+KademliaNode::Lookup* KademliaNode::findLookup(std::uint64_t lookupId) {
+  for (Lookup& lookup : lookups_) {
+    if (lookup.id == lookupId) return &lookup;
+  }
+  return nullptr;
+}
+
+void KademliaNode::lookupStep(std::uint64_t lookupId) {
+  Lookup& lookup = *findLookup(lookupId);
 
   // Issue queries to the closest unqueried contacts, up to alpha in flight.
   // Only the k closest entries matter for termination.
   std::size_t consideredUnqueried = 0;
   bool issuedAny = false;
-  const std::size_t considerLimit = std::min(config_.k, lookup->shortlist.size());
+  const std::size_t considerLimit = std::min(config_.k, lookup.shortlist.size());
   for (std::size_t i = 0; i < considerLimit; ++i) {
-    auto& entry = lookup->shortlist[i];
+    auto& entry = lookup.shortlist[i];
     if (entry.queried) continue;
     ++consideredUnqueried;
-    if (lookup->inflight >= config_.alpha) break;
+    if (lookup.inflight >= config_.alpha) break;
     entry.queried = true;
-    ++lookup->inflight;
-    ++lookup->result.messagesSent;
+    ++lookup.inflight;
+    ++lookup.result.messagesSent;
     issuedAny = true;
 
-    const sim::MessageType type = lookup->wantValue ? kMsgFindValue : kMsgFindNode;
-    sendRpc(entry.contact, type, util::BytesView(lookup->target.bytes),
-            [this, lookup](bool ok, util::BytesView reply) {
-              --lookup->inflight;
-              if (lookup->finished) return;
-              if (ok) {
-                try {
-                  util::Reader r(reply);
-                  readId(r);  // the sender id, which the observer consumed
-                  const std::uint8_t kind = r.u8();
-                  if (kind == kReplyValue && lookup->wantValue) {
-                    lookup->result.value = r.bytes();
-                    finishLookup(lookup);
-                    return;
-                  }
-                  if (kind == kReplyContacts) {
-                    // Decoded whole first: a malformed list merges nothing.
-                    for (const Contact& c : decodeContacts(r)) {
-                      lookup->merge(c);
-                    }
-                  }
-                } catch (const util::CodecError&) {
-                  // Malformed reply: treat as no new information.
-                }
-              }
-              lookupStep(lookup);
+    const sim::MessageType type = lookup.wantValue ? kMsgFindValue : kMsgFindNode;
+    // The callback holds (this, id), which std::function keeps inline.
+    sendRpc(entry.contact, type, util::BytesView(lookup.target.bytes),
+            [this, lookupId](bool ok, util::BytesView reply) {
+              onLookupReply(lookupId, ok, reply);
             });
   }
-  if (issuedAny) ++lookup->result.hops;
+  if (issuedAny) ++lookup.result.hops;
 
-  if (consideredUnqueried == 0 && lookup->inflight == 0) {
-    finishLookup(lookup);
+  if (consideredUnqueried == 0 && lookup.inflight == 0) {
+    finishLookup(lookupId);
   }
 }
 
-void KademliaNode::finishLookup(const std::shared_ptr<Lookup>& lookup) {
-  if (lookup->finished) return;
-  lookup->finished = true;
-  for (const auto& entry : lookup->shortlist) {
-    lookup->result.closest.push_back(entry.contact);
-    if (lookup->result.closest.size() >= config_.k) break;
+void KademliaNode::onLookupReply(std::uint64_t lookupId, bool ok,
+                                 util::BytesView reply) {
+  Lookup* lookup = findLookup(lookupId);
+  if (!lookup) return;  // finished before this reply or timeout
+  --lookup->inflight;
+  if (ok) {
+    try {
+      util::Reader r(reply);
+      readId(r);  // the sender id, which the observer consumed
+      const std::uint8_t kind = r.u8();
+      if (kind == kReplyValue && lookup->wantValue) {
+        lookup->result.value = r.bytes();
+        finishLookup(lookupId);
+        return;
+      }
+      if (kind == kReplyContacts) {
+        // count() checks that the reply holds the whole list, so a
+        // malformed list throws before any contact merges.
+        const std::uint32_t count = r.count(kContactBytes);
+        for (std::uint32_t i = 0; i < count; ++i) {
+          Contact c;
+          c.id = readId(r);
+          c.addr = r.u64();
+          lookup->merge(c, config_.k);
+        }
+      }
+    } catch (const util::CodecError&) {
+      // Malformed reply: treat as no new information.
+    }
   }
-  if (lookup->done) lookup->done(std::move(lookup->result));
+  lookupStep(lookupId);
+}
+
+void KademliaNode::finishLookup(std::uint64_t lookupId) {
+  Lookup& lookup = *findLookup(lookupId);
+  LookupResult result = std::move(lookup.result);
+  result.closest.reserve(lookup.shortlist.size());
+  for (const auto& entry : lookup.shortlist) result.closest.push_back(entry.contact);
+  auto done = std::move(lookup.done);
+  // Removed before `done` runs, which may start lookups of its own; replies
+  // still in flight then find no lookup and are dropped.
+  if (&lookup != &lookups_.back()) lookup = std::move(lookups_.back());
+  lookups_.pop_back();
+  if (done) done(std::move(result));
 }
 
 }  // namespace dosn::overlay

@@ -73,17 +73,34 @@ class RoutingTable {
   /// bucket evicts its least-recently-seen entry).
   void observe(const Contact& contact);
 
-  /// Up to `count` contacts closest to `target`, nearest first. Orders only
-  /// the distance ranges it takes contacts from.
-  std::vector<Contact> closest(const OverlayId& target, std::size_t count) const;
+  /// Replaces `out` with up to `count` contacts closest to `target`, nearest
+  /// first. Visits only occupied buckets and orders only the distance ranges
+  /// it takes contacts from; a caller that reuses `out` allocates nothing
+  /// once it has grown.
+  void closest(const OverlayId& target, std::size_t count,
+               std::vector<Contact>& out) const;
 
   std::size_t size() const;
 
  private:
+  struct Ranked {
+    DistanceKey key;  // distance to the target of the current closest()
+    const Contact* contact;
+  };
+
+  /// Appends bucket `index` to ranked_, each contact with its distance key.
+  void rank(std::size_t index, const OverlayId& target) const;
+  /// Orders ranked_ and moves its nearest contacts into `out`, up to
+  /// `count`; true once `out` holds `count`.
+  bool take(std::size_t count, std::vector<Contact>& out) const;
+
   OverlayId self_;
   std::size_t k_;
   std::array<std::vector<Contact>, kIdBits> buckets_;
+  /// Bit i of occupied_[i / 64] is set while bucket i holds a contact.
+  std::array<std::uint64_t, (kIdBits + 63) / 64> occupied_{};
   std::size_t size_ = 0;  // contacts over all buckets
+  mutable std::vector<Ranked> ranked_;  // closest()'s scratch, reused
 };
 
 struct LookupResult {
@@ -137,7 +154,26 @@ class KademliaNode {
   std::uint64_t rpcRetries() const { return endpoint_.retries(); }
 
  private:
-  struct Lookup;
+  /// One iterative lookup, kept in lookups_ until it finishes.
+  struct Lookup {
+    struct Entry {
+      DistanceKey key;  // distance to target, computed once
+      Contact contact;
+      bool queried = false;
+    };
+
+    /// Merges a contact into the shortlist at its distance rank, unless its
+    /// id is listed already; the list keeps its k nearest entries.
+    void merge(const Contact& contact, std::size_t k);
+
+    std::uint64_t id = 0;
+    OverlayId target;
+    bool wantValue = false;
+    std::function<void(LookupResult)> done;
+    std::vector<Entry> shortlist;  // sorted by key, ids unique, at most k
+    std::size_t inflight = 0;
+    LookupResult result;
+  };
 
   void setupRpcHandlers();
   void storeImpl(const OverlayId& key, util::Bytes value,
@@ -147,14 +183,17 @@ class KademliaNode {
   /// still starts with the responder's id, which the reply observer read.
   void sendRpc(const Contact& to, sim::MessageType type,
                util::BytesView payload, net::RpcEndpoint::ReplyCallback onReply);
+  /// A reply frame holding `id_`, with room for `bodyBytes` after it.
+  util::Writer replyFrame(std::size_t bodyBytes) const;
+  /// The reply listing this node's k contacts closest to `target`.
+  util::Writer contactsReply(const OverlayId& target);
   void startLookup(const OverlayId& target, bool wantValue,
                    std::function<void(LookupResult)> done);
-  void lookupStep(const std::shared_ptr<Lookup>& lookup);
-  void finishLookup(const std::shared_ptr<Lookup>& lookup);
-
-  static void encodeContacts(util::Writer& w,
-                             const std::vector<Contact>& contacts);
-  static std::vector<Contact> decodeContacts(util::Reader& r);
+  /// The lookup with this id, or nullptr once it has finished.
+  Lookup* findLookup(std::uint64_t lookupId);
+  void lookupStep(std::uint64_t lookupId);
+  void onLookupReply(std::uint64_t lookupId, bool ok, util::BytesView reply);
+  void finishLookup(std::uint64_t lookupId);
 
   // Store-layer failures stay local (see KademliaConfig::makeStore).
   void localPut(const OverlayId& key, util::BytesView value);
@@ -166,6 +205,12 @@ class KademliaNode {
   net::RpcEndpoint endpoint_;
   RoutingTable table_;
   std::unique_ptr<store::BlockStore> store_;
+  // Lookups in flight, a handful per node, found by id. Their RPC callbacks
+  // hold (this, id) only, so a reply that arrives after its lookup finished
+  // finds nothing.
+  std::vector<Lookup> lookups_;
+  std::uint64_t nextLookupId_ = 1;
+  std::vector<Contact> closest_;  // routing-table answers, reused
 };
 
 }  // namespace dosn::overlay

@@ -37,26 +37,4 @@ OverlayId xorDistance(const OverlayId& a, const OverlayId& b) {
   return out;
 }
 
-int bucketIndex(const OverlayId& a, const OverlayId& b) {
-  for (std::size_t i = 0; i < kIdBytes; ++i) {
-    const std::uint8_t d = a.bytes[i] ^ b.bytes[i];
-    if (d != 0) {
-      // Highest set bit within this byte.
-      int bit = 7;
-      while (((d >> bit) & 1) == 0) --bit;
-      return static_cast<int>((kIdBytes - 1 - i) * 8) + bit;
-    }
-  }
-  return -1;
-}
-
-bool closerTo(const OverlayId& target, const OverlayId& a, const OverlayId& b) {
-  for (std::size_t i = 0; i < kIdBytes; ++i) {
-    const std::uint8_t da = a.bytes[i] ^ target.bytes[i];
-    const std::uint8_t db = b.bytes[i] ^ target.bytes[i];
-    if (da != db) return da < db;
-  }
-  return false;
-}
-
 }  // namespace dosn::overlay

@@ -179,16 +179,16 @@ ReplicaHost::ReplicaHost(sim::Network& network,
             m->increment("repl.store.error");
           }
         }
-        util::Writer w;
+        util::Writer w = net::RpcEndpoint::frame(1);
         w.boolean(ok);
-        endpoint_.reply(from, kMsgAck, reqId, w.buffer());
+        endpoint_.reply(from, kMsgAck, reqId, std::move(w));
       });
   endpoint_.onRequest(
       kMsgFetch,
       [this](sim::NodeAddr from, util::BytesView body, net::RpcId reqId) {
         util::Reader r(body);
         const OverlayId item = readId(r);
-        util::Writer w;
+        util::Writer w = net::RpcEndpoint::frame();
         std::optional<util::Bytes> value;
         try {
           value = blocks_->get(item);
@@ -206,7 +206,7 @@ ReplicaHost::ReplicaHost(sim::Network& network,
         } else {
           w.boolean(false);
         }
-        endpoint_.reply(from, kMsgValue, reqId, w.buffer());
+        endpoint_.reply(from, kMsgValue, reqId, std::move(w));
       });
 }
 
@@ -224,21 +224,21 @@ ReplicaClient::ReplicaClient(sim::Network& network, RetryPolicy retry,
 }
 
 void ReplicaClient::sendRpc(
-    sim::NodeAddr host, const std::string& type, util::Bytes body,
+    sim::NodeAddr host, const std::string& type, util::Writer frame,
     std::function<void(bool ok, util::BytesView reply)> onReply) {
   net::CallOptions options;
   options.timeout = rpcTimeout_;
   options.retry = retry_;
   options.adaptiveTimeout = adaptiveTimeout_;
-  endpoint_.call(host, type, body, options, std::move(onReply));
+  endpoint_.call(host, type, std::move(frame), options, std::move(onReply));
 }
 
 void ReplicaClient::store(sim::NodeAddr host, const OverlayId& item,
                           util::Bytes value, std::function<void(bool)> done) {
-  util::Writer body;
-  writeId(body, item);
-  body.bytes(value);
-  sendRpc(host, kMsgStore, body.take(),
+  util::Writer frame = net::RpcEndpoint::frame(kIdBytes + 4 + value.size());
+  writeId(frame, item);
+  frame.bytes(value);
+  sendRpc(host, kMsgStore, std::move(frame),
           [done = std::move(done)](bool ok, util::BytesView reply) {
             if (!done) return;
             if (!ok) {
@@ -257,9 +257,9 @@ void ReplicaClient::store(sim::NodeAddr host, const OverlayId& item,
 void ReplicaClient::fetch(
     sim::NodeAddr host, const OverlayId& item,
     std::function<void(std::optional<util::Bytes>)> done) {
-  util::Writer body;
-  writeId(body, item);
-  sendRpc(host, kMsgFetch, body.take(),
+  util::Writer frame = net::RpcEndpoint::frame(kIdBytes);
+  writeId(frame, item);
+  sendRpc(host, kMsgFetch, std::move(frame),
           [done = std::move(done)](bool ok, util::BytesView reply) {
             if (!done) return;
             if (!ok) {

@@ -157,7 +157,7 @@ class ReplicaClient {
   std::uint64_t rpcFailures() const { return endpoint_.failures(); }
 
  private:
-  void sendRpc(sim::NodeAddr host, const std::string& type, util::Bytes body,
+  void sendRpc(sim::NodeAddr host, const std::string& type, util::Writer frame,
                std::function<void(bool ok, util::BytesView reply)> onReply);
 
   net::RpcEndpoint endpoint_;

@@ -49,9 +49,9 @@ SuperPeer::SuperPeer(sim::Network& network) : endpoint_(network) {
         const OverlayId key = readId(r);
         const auto it = index_.find(key);
         if (it != index_.end()) {
-          util::Writer w;
+          util::Writer w = net::RpcEndpoint::frame(8);
           w.u64(it->second);
-          endpoint_.reply(origin, kMsgOwner, queryId, w.buffer());
+          endpoint_.reply(origin, kMsgOwner, queryId, std::move(w));
           return;
         }
         util::Writer w;
@@ -72,9 +72,9 @@ SuperPeer::SuperPeer(sim::Network& network) : endpoint_(network) {
         const OverlayId key = readId(r);
         const auto it = index_.find(key);
         if (it != index_.end()) {
-          util::Writer w;
+          util::Writer w = net::RpcEndpoint::frame(8);
           w.u64(it->second);
-          endpoint_.reply(origin, kMsgOwner, queryId, w.buffer());
+          endpoint_.reply(origin, kMsgOwner, queryId, std::move(w));
         }
       });
 }
@@ -109,9 +109,9 @@ LeafPeer::LeafPeer(sim::Network& network, sim::NodeAddr superPeer)
         const OverlayId key = readId(r);
         const auto it = store_.find(key);
         if (it == store_.end()) return;
-        util::Writer w;
+        util::Writer w = net::RpcEndpoint::frame(4 + it->second.size());
         w.bytes(it->second);
-        endpoint_.reply(origin, kMsgValue, queryId, w.buffer());
+        endpoint_.reply(origin, kMsgValue, queryId, std::move(w));
       });
   // The observer validates the value field, so a corrupted sp.value leaves
   // the search pending until the deadline instead of completing it.

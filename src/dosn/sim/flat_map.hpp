@@ -67,19 +67,24 @@ class AddrMap {
   }
   bool contains(std::uint64_t key) const { return find(key) != nullptr; }
 
-  /// The value for `key`, default-constructed and inserted if absent.
+  /// The value for `key`, default-constructed and inserted if absent. One
+  /// probe, and the table grows only when a key is inserted.
   V& operator[](std::uint64_t key) {
-    reserveForInsert();
+    if (!slots_.empty()) {
+      for (std::size_t i = detail::splitmix64(key) & mask_;;
+           i = (i + 1) & mask_) {
+        Slot& s = slots_[i];
+        if (s.key == key) return s.value;
+        if (s.key == kEmpty) {
+          if (!full()) return claim(s, key);
+          break;
+        }
+      }
+    }
+    grow();
     for (std::size_t i = detail::splitmix64(key) & mask_;;
          i = (i + 1) & mask_) {
-      Slot& s = slots_[i];
-      if (s.key == key) return s.value;
-      if (s.key == kEmpty) {
-        s.key = key;
-        s.value = V{};
-        ++size_;
-        return s.value;
-      }
+      if (slots_[i].key == kEmpty) return claim(slots_[i], key);
     }
   }
 
@@ -140,14 +145,23 @@ class AddrMap {
     V value{};
   };
 
-  void reserveForInsert() {
+  // Grow at 70% load: one more key would pass it.
+  bool full() const { return (size_ + 1) * 10 > slots_.size() * 7; }
+
+  V& claim(Slot& s, std::uint64_t key) {
+    s.key = key;
+    s.value = V{};
+    ++size_;
+    return s.value;
+  }
+
+  void grow() {
     if (slots_.empty()) {
       slots_.resize(16);
       mask_ = 15;
       return;
     }
-    // Grow at 70% load. Rehash by draining into a doubled table.
-    if ((size_ + 1) * 10 <= slots_.size() * 7) return;
+    // Rehash by draining into a doubled table.
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
     mask_ = slots_.size() - 1;

@@ -51,7 +51,11 @@ double Histogram::percentile(double p) const {
 }
 
 void Metrics::increment(const std::string& name, std::uint64_t by) {
-  counters_[name] += by;
+  counterSlot(name) += by;
+}
+
+std::uint64_t& Metrics::counterSlot(const std::string& name) {
+  return counters_[name];
 }
 
 std::uint64_t Metrics::counter(const std::string& name) const {
@@ -60,8 +64,10 @@ std::uint64_t Metrics::counter(const std::string& name) const {
 }
 
 void Metrics::gauge(const std::string& name, double value) {
-  gauges_[name] = value;
+  gaugeSlot(name) = value;
 }
+
+double& Metrics::gaugeSlot(const std::string& name) { return gauges_[name]; }
 
 double Metrics::gaugeValue(const std::string& name) const {
   const auto it = gauges_.find(name);

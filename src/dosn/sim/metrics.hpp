@@ -33,15 +33,29 @@ class Histogram {
 
 class Metrics {
  public:
+  // Assignment would drop names that slots (counterSlot() and friends)
+  // still point into.
+  Metrics& operator=(const Metrics&) = delete;
+
   void increment(const std::string& name, std::uint64_t by = 1);
   std::uint64_t counter(const std::string& name) const;
+  /// The counter's storage, created at zero if absent. Map nodes never move
+  /// and no name is ever removed, so the reference stays valid for this
+  /// Metrics' lifetime: a hot path resolves a name at its first bump and
+  /// bumps through the reference afterwards.
+  std::uint64_t& counterSlot(const std::string& name);
 
   /// Sets a last-value gauge (e.g. the current SRTT of an RTT estimator).
   void gauge(const std::string& name, double value);
+  /// The gauge's storage, created at zero if absent; stable like
+  /// counterSlot().
+  double& gaugeSlot(const std::string& name);
   /// The gauge's last value, or quiet NaN if it was never set.
   double gaugeValue(const std::string& name) const;
   const std::map<std::string, double>& gauges() const { return gauges_; }
 
+  /// The named histogram, created empty if absent; stable like
+  /// counterSlot().
   Histogram& histogram(const std::string& name);
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;

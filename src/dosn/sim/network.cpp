@@ -80,8 +80,20 @@ std::size_t Network::onlineCount() const {
   return count;
 }
 
-void Network::count(const char* name) {
-  if (metrics_) metrics_->increment(name);
+void Network::setMetrics(Metrics* metrics) {
+  metrics_ = metrics;
+  ++metricsGeneration_;
+  dropSlots_.fill(nullptr);
+}
+
+void Network::count(DropCounter counter) {
+  if (!metrics_) return;
+  static const std::array<std::string, kDropCounterCount> kNames = {
+      "net.dropped.loss", "net.dropped.fault", "net.dropped.offline",
+      "net.duplicated",   "net.corrupted",     "net.partitioned"};
+  std::uint64_t*& slot = dropSlots_[counter];
+  if (!slot) slot = &metrics_->counterSlot(kNames[counter]);
+  ++*slot;
 }
 
 void Network::bumpTypeCounter(std::vector<std::uint64_t>& counters,
@@ -134,7 +146,7 @@ void Network::deliver(NodeAddr from, NodeAddr to, SimTime delay, Message msg) {
     Handler& handler = handlers_[to - 1];
     if (!online_[to - 1] || !handler) {
       ++messagesDropped_;
-      count("net.dropped.offline");
+      count(kDroppedOffline);
       return;
     }
     recordDelivered(msg);
@@ -154,16 +166,16 @@ void Network::send(NodeAddr from, NodeAddr to, Message msg) {
         faults_->decide(sim_.now(), from, to, latency_.lossProbability, rng_);
     if (d.dropped()) {
       ++messagesDropped_;
-      if (d.partitioned) count("net.partitioned");
-      if (d.droppedByFault) count("net.dropped.fault");
-      if (d.droppedByLoss) count("net.dropped.loss");
+      if (d.partitioned) count(kPartitioned);
+      if (d.droppedByFault) count(kDroppedFault);
+      if (d.droppedByLoss) count(kDroppedLoss);
       return;
     }
     if (d.corrupt) {
       corruptPayload(msg.payload, rng_);
-      count("net.corrupted");
+      count(kCorrupted);
     }
-    if (d.copies > 1) count("net.duplicated");
+    if (d.copies > 1) count(kDuplicated);
     for (std::size_t i = 0; i < d.copies; ++i) {
       const SimTime delay = latency_.sample(rng_) + d.extraDelay;
       // Every copy but the last is a copy; the last takes the message.
@@ -178,7 +190,7 @@ void Network::send(NodeAddr from, NodeAddr to, Message msg) {
 
   if (latency_.lossProbability > 0 && rng_.chance(latency_.lossProbability)) {
     ++messagesDropped_;
-    count("net.dropped.loss");
+    count(kDroppedLoss);
     return;
   }
   deliver(from, to, latency_.sample(rng_), std::move(msg));

@@ -14,6 +14,7 @@
 // is the difference between one cache miss per event and three.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -87,8 +88,13 @@ class Network {
   /// Attaches a metrics sink for fault/drop counters (nullptr detaches):
   /// `net.dropped.loss`, `net.dropped.fault`, `net.dropped.offline`,
   /// `net.duplicated`, `net.corrupted`, `net.partitioned`.
-  void setMetrics(Metrics* metrics) { metrics_ = metrics; }
+  void setMetrics(Metrics* metrics);
   Metrics* metrics() { return metrics_; }
+  /// Changes on every setMetrics(), so code that caches references into
+  /// the attached Metrics (metric slots) knows when to resolve them again.
+  /// A generation, not the pointer: a new Metrics can reuse a freed
+  /// address.
+  std::uint64_t metricsGeneration() const { return metricsGeneration_; }
 
   Simulator& simulator() { return sim_; }
   util::Rng& rng() { return rng_; }
@@ -116,9 +122,20 @@ class Network {
   void resetStats();
 
  private:
+  // The drop and fault counters setMetrics() documents, in that order.
+  enum DropCounter : std::size_t {
+    kDroppedLoss,
+    kDroppedFault,
+    kDroppedOffline,
+    kDuplicated,
+    kCorrupted,
+    kPartitioned,
+    kDropCounterCount
+  };
+
   /// Throws util::NetError unless `node` names a registered node.
   void validate(NodeAddr node) const;
-  void count(const char* name);
+  void count(DropCounter counter);
   void deliver(NodeAddr from, NodeAddr to, SimTime delay, Message msg);
 
   // The single place each direction of the traffic accounting is updated
@@ -135,6 +152,9 @@ class Network {
   util::Rng& rng_;
   const FaultPlan* faults_ = nullptr;
   Metrics* metrics_ = nullptr;
+  std::uint64_t metricsGeneration_ = 0;
+  // metrics_'s counter for each DropCounter, resolved at its first bump.
+  std::array<std::uint64_t*, kDropCounterCount> dropSlots_{};
   // Column-per-field node table; NodeAddr a lives at row a - 1.
   std::deque<Handler> handlers_;
   std::vector<std::uint8_t> online_;

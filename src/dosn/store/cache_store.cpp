@@ -9,10 +9,10 @@ LruCache::LruCache(std::size_t capacityBlocks, std::size_t capacityBytes)
   }
 }
 
-void LruCache::touch(Entry& entry, const BlockId& id) {
-  recency_.erase(entry.recency);
-  recency_.push_front(id);
-  entry.recency = recency_.begin();
+void LruCache::touch(Entry& entry) {
+  // Relinks the entry's recency node at the front: no node is freed or
+  // allocated, and the iterator stays valid.
+  recency_.splice(recency_.begin(), recency_, entry.recency);
 }
 
 void LruCache::put(const BlockId& id, util::BytesView data) {
@@ -25,7 +25,7 @@ void LruCache::put(const BlockId& id, util::BytesView data) {
     cachedBytes_ -= it->second.data.size();
     it->second.data.assign(data.begin(), data.end());
     cachedBytes_ += it->second.data.size();
-    touch(it->second, id);
+    touch(it->second);
   } else {
     recency_.push_front(id);
     entries_.emplace(id, Entry{recency_.begin(),
@@ -53,7 +53,7 @@ std::optional<util::BytesView> LruCache::get(const BlockId& id) {
     return std::nullopt;
   }
   ++hits_;
-  touch(it->second, id);
+  touch(it->second);
   return util::BytesView(it->second.data);
 }
 

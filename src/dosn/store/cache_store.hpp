@@ -53,7 +53,7 @@ class LruCache {
     util::Bytes data;
   };
 
-  void touch(Entry& entry, const BlockId& id);
+  void touch(Entry& entry);
   void evictToFit();
 
   std::size_t capacityBlocks_;

@@ -38,6 +38,9 @@ class Writer {
   /// Starts with room for a small frame (an id, a header, a short reply), so
   /// those take one allocation; callers that know a frame's size reserve it.
   Writer() { buf_.reserve(kInitialCapacity); }
+  /// Starts with room for exactly `capacity` bytes, for a frame whose size
+  /// the caller knows up front.
+  explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
 
   void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 

@@ -76,6 +76,108 @@ TEST(OverlayId, CloserTo) {
   EXPECT_FALSE(closerTo(target, near, near));
 }
 
+// Byte-at-a-time definitions of the id operations, the oracle for the
+// word-wise ones in node_id.hpp.
+int bytewiseCompare(const OverlayId& a, const OverlayId& b) {
+  for (std::size_t i = 0; i < kIdBytes; ++i) {
+    if (a.bytes[i] != b.bytes[i]) return a.bytes[i] < b.bytes[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+int bytewiseBucketIndex(const OverlayId& a, const OverlayId& b) {
+  for (std::size_t i = 0; i < kIdBytes; ++i) {
+    const std::uint8_t d = a.bytes[i] ^ b.bytes[i];
+    if (d != 0) {
+      int bit = 7;
+      while (((d >> bit) & 1) == 0) --bit;
+      return static_cast<int>((kIdBytes - 1 - i) * 8) + bit;
+    }
+  }
+  return -1;
+}
+
+// Compares distance(a, target) with distance(b, target).
+int bytewiseDistanceCompare(const OverlayId& target, const OverlayId& a,
+                            const OverlayId& b) {
+  for (std::size_t i = 0; i < kIdBytes; ++i) {
+    const std::uint8_t da = a.bytes[i] ^ target.bytes[i];
+    const std::uint8_t db = b.bytes[i] ^ target.bytes[i];
+    if (da != db) return da < db ? -1 : 1;
+  }
+  return 0;
+}
+
+int sign(std::strong_ordering order) {
+  return order < 0 ? -1 : order > 0 ? 1 : 0;
+}
+
+// <=>, ==, bucketIndex, closerTo and distance keys read ids as big-endian
+// words; each must agree with its bytewise definition, including on ids
+// that differ only in the first or last byte of a word.
+TEST(OverlayId, WordOrderMatchesBytewise) {
+  std::size_t checked = 0;
+  const auto check = [&checked](const OverlayId& a, const OverlayId& b,
+                                const OverlayId& target) {
+    ++checked;
+    ASSERT_EQ(sign(a <=> b), bytewiseCompare(a, b))
+        << a.toHex() << " vs " << b.toHex();
+    ASSERT_EQ(a == b, bytewiseCompare(a, b) == 0);
+    ASSERT_EQ(a < b, bytewiseCompare(a, b) < 0);
+    ASSERT_EQ(bucketIndex(a, b), bytewiseBucketIndex(a, b));
+    ASSERT_EQ(bucketIndex(b, a), bytewiseBucketIndex(a, b));
+    const int byDistance = bytewiseDistanceCompare(target, a, b);
+    ASSERT_EQ(closerTo(target, a, b), byDistance < 0);
+    ASSERT_EQ(closerTo(target, b, a), byDistance > 0);
+    ASSERT_EQ(sign(distanceKey(a, target) <=> distanceKey(b, target)),
+              byDistance);
+    // A key is the distance's bytes read as words.
+    const OverlayId d = xorDistance(a, b);
+    DistanceKey expected;
+    for (std::size_t i = 0; i < 8; ++i) {
+      expected.high = expected.high << 8 | d.bytes[i];
+      expected.middle = expected.middle << 8 | d.bytes[8 + i];
+    }
+    for (std::size_t i = 16; i < kIdBytes; ++i) {
+      expected.low = expected.low << 8 | d.bytes[i];
+    }
+    ASSERT_EQ(distanceKey(a, b), expected);
+  };
+
+  util::Rng rng(41);
+  for (int i = 0; i < 100000; ++i) {
+    const OverlayId a = OverlayId::random(rng);
+    const OverlayId b = OverlayId::random(rng);
+    check(a, b, OverlayId::random(rng));
+    check(a, a, b);
+  }
+  // Ids that differ only in one byte at a word's edge, in each bit of it
+  // and in the whole byte; targets equal to either id or to neither.
+  for (const std::size_t byte : {0u, 7u, 8u, 15u, 16u, 19u}) {
+    for (int i = 0; i < 20; ++i) {
+      const OverlayId a = OverlayId::random(rng);
+      for (int bit = 0; bit <= 8; ++bit) {
+        OverlayId b = a;
+        b.bytes[byte] ^= static_cast<std::uint8_t>(bit < 8 ? 1 << bit : 0xff);
+        for (const OverlayId& target : {a, b, OverlayId::random(rng)}) {
+          check(a, b, target);
+          check(b, a, target);
+        }
+      }
+    }
+  }
+  OverlayId zeros;
+  OverlayId ones;
+  ones.bytes.fill(0xff);
+  for (const OverlayId& target : {zeros, ones, OverlayId::random(rng)}) {
+    check(zeros, ones, target);
+    check(ones, zeros, target);
+    check(zeros, zeros, target);
+    check(ones, ones, target);
+  }
+  EXPECT_GT(checked, 200000u);
+}
+
 // --- RoutingTable ---
 
 TEST(RoutingTable, ObserveAndClosest) {
@@ -89,7 +191,8 @@ TEST(RoutingTable, ObserveAndClosest) {
     table.observe(c);
   }
   const OverlayId target = OverlayId::random(rng);
-  const auto closest = table.closest(target, 5);
+  std::vector<Contact> closest;
+  table.closest(target, 5, closest);
   ASSERT_LE(closest.size(), 5u);
   // Returned contacts are sorted by distance.
   for (std::size_t i = 0; i + 1 < closest.size(); ++i) {
@@ -119,19 +222,55 @@ TEST(RoutingTable, BucketEvictsOldest) {
   table.observe(Contact{id2, 2});
   table.observe(Contact{id3, 3});
   EXPECT_EQ(table.size(), 2u);
-  const auto closest = table.closest(id1, 3);
+  std::vector<Contact> closest;
+  table.closest(id1, 3, closest);
   // id1 (oldest) was evicted.
   for (const Contact& c : closest) EXPECT_NE(c.id, id1);
 }
 
-// closest() walks the buckets' distance ranges and orders only the ones it
-// takes contacts from; a sort of every contact cut to `count` is its oracle.
-// Ids are drawn so no bucket overflows, so the table holds every contact
-// observed. Table sizes straddle k; targets include self, a held contact's
-// id, self's complement and random ids.
+// An id whose highest bit differing from `self` is bit `bucket`, so it lands
+// in that bucket of self's table; the bits below it are random.
+OverlayId idInBucket(const OverlayId& self, std::size_t bucket, util::Rng& rng) {
+  OverlayId id = OverlayId::random(rng);
+  for (std::size_t bit = bucket; bit < kIdBits; ++bit) {
+    const std::size_t byte = kIdBytes - 1 - bit / 8;
+    const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+    const bool selfHas = (self.bytes[byte] & mask) != 0;
+    if ((bit == bucket) == selfHas) {
+      id.bytes[byte] = static_cast<std::uint8_t>(id.bytes[byte] & ~mask);
+    } else {
+      id.bytes[byte] = static_cast<std::uint8_t>(id.bytes[byte] | mask);
+    }
+  }
+  return id;
+}
+
+// The oracle for closest(): every contact sorted by distance, cut to count.
+std::vector<Contact> fullSort(std::vector<Contact> contacts,
+                              const OverlayId& target, std::size_t count) {
+  std::sort(contacts.begin(), contacts.end(),
+            [&](const Contact& a, const Contact& b) {
+              return closerTo(target, a.id, b.id);
+            });
+  if (contacts.size() > count) contacts.resize(count);
+  return contacts;
+}
+
+// closest() walks the occupied buckets' distance ranges and orders only the
+// ones it takes contacts from; a sort of every contact cut to `count` is its
+// oracle. Ids are drawn so no bucket overflows, so the table holds every
+// contact observed.
+//  - Table sizes straddle k; targets include self, a held contact's id,
+//    self's complement and random ids.
+//  - Tables whose only occupied buckets sit at the occupancy mask's word
+//    edges (0, 63, 64, 127, 128, 159), alone and all together, with targets
+//    in each occupied bucket and in the empty buckets next to it.
+//  - One caller buffer reused across 1,000 calls with random targets and
+//    counts, each checked against a fresh sort.
 TEST(RoutingTable, ClosestMatchesFullSort) {
   constexpr std::size_t k = 8;
   util::Rng rng(29);
+  std::vector<Contact> out;
   for (const std::size_t tableSize : {0u, 1u, 5u, 8u, 9u, 13u, 40u}) {
     const OverlayId self = OverlayId::random(rng);
     RoutingTable table(self, k);
@@ -167,11 +306,83 @@ TEST(RoutingTable, ClosestMatchesFullSort) {
                                       k, k + 1, tableSize + 3}) {
         std::vector<Contact> expected = sorted;
         if (expected.size() > count) expected.resize(count);
-        EXPECT_EQ(table.closest(target, count), expected)
+        table.closest(target, count, out);
+        EXPECT_EQ(out, expected)
             << "table=" << tableSize << " count=" << count
             << " target=" << target.toHex();
       }
     }
+  }
+
+  const std::vector<std::size_t> edges = {0, 63, 64, 127, 128, 159};
+  std::vector<std::vector<std::size_t>> layouts;
+  for (const std::size_t b : edges) layouts.push_back({b});
+  layouts.push_back(edges);
+  for (const auto& layout : layouts) {
+    const auto occupied = [&layout](std::size_t b) {
+      return std::find(layout.begin(), layout.end(), b) != layout.end();
+    };
+    const OverlayId self = OverlayId::random(rng);
+    RoutingTable table(self, k);
+    std::vector<Contact> held;
+    for (const std::size_t b : layout) {
+      const std::size_t fill = b == 0 ? 1 : k;  // bucket 0 holds one id
+      for (std::size_t i = 0; i < fill; ++i) {
+        const Contact c{idInBucket(self, b, rng),
+                        static_cast<sim::NodeAddr>(held.size() + 1)};
+        held.push_back(c);
+        table.observe(c);
+      }
+    }
+    ASSERT_EQ(table.size(), held.size());
+
+    std::vector<OverlayId> targets = {self};
+    for (const std::size_t b : layout) {
+      targets.push_back(idInBucket(self, b, rng));
+      if (b > 0 && !occupied(b - 1)) {
+        targets.push_back(idInBucket(self, b - 1, rng));
+      }
+      if (b + 1 < kIdBits && !occupied(b + 1)) {
+        targets.push_back(idInBucket(self, b + 1, rng));
+      }
+    }
+    for (const OverlayId& target : targets) {
+      for (const std::size_t count :
+           {std::size_t{0}, std::size_t{1}, k - 1, k, k + 1, held.size(),
+            held.size() + 3}) {
+        table.closest(target, count, out);
+        EXPECT_EQ(out, fullSort(held, target, count))
+            << "buckets=" << layout.size() << " first=" << layout.front()
+            << " count=" << count << " target=" << target.toHex();
+      }
+    }
+  }
+
+  const OverlayId self = OverlayId::random(rng);
+  RoutingTable table(self, k);
+  std::vector<Contact> held;
+  std::map<std::size_t, std::size_t> perBucket;
+  while (held.size() < 60) {
+    const std::size_t b = rng.uniform(kIdBits);
+    const Contact c{idInBucket(self, b, rng),
+                    static_cast<sim::NodeAddr>(held.size() + 1)};
+    const bool known = std::any_of(held.begin(), held.end(),
+                                   [&](const Contact& h) { return h.id == c.id; });
+    if (known || perBucket[b] == k) continue;  // low buckets hold few ids
+    ++perBucket[b];
+    held.push_back(c);
+    table.observe(c);
+  }
+  ASSERT_EQ(table.size(), held.size());
+  std::vector<Contact> reused;
+  for (int call = 0; call < 1000; ++call) {
+    const OverlayId target =
+        call % 10 == 0 ? held[rng.uniform(held.size())].id
+                       : idInBucket(self, rng.uniform(kIdBits), rng);
+    const std::size_t count = rng.uniform(held.size() + 4);
+    table.closest(target, count, reused);
+    ASSERT_EQ(reused, fullSort(held, target, count))
+        << "call " << call << " count=" << count;
   }
 }
 
@@ -467,12 +678,12 @@ TEST(Gossip, EntriesFrameCountsOnlyHeldKeys) {
   net::RpcEndpoint peer(net);
   peer.onRequest("gossip.digest",
                  [&](sim::NodeAddr from, util::BytesView, net::RpcId id) {
-                   util::Writer w;
+                   util::Writer w = net::RpcEndpoint::frame();
                    w.u32(0);
                    w.u32(2);
                    w.raw(util::BytesView(held.bytes));
                    w.raw(util::BytesView(missing.bytes));
-                   peer.reply(from, "gossip.sync", id, w.buffer());
+                   peer.reply(from, "gossip.sync", id, std::move(w));
                  });
   std::vector<util::Bytes> frames;
   peer.onMessage("gossip.entries",

@@ -47,6 +47,13 @@ using sim::Message;
 using sim::NodeAddr;
 using sim::SimTime;
 
+/// A call frame carrying `body`.
+util::Writer frameOf(std::string_view body) {
+  util::Writer frame = RpcEndpoint::frame(body.size());
+  frame.raw(util::asBytes(body));
+  return frame;
+}
+
 class RpcEndpointTest : public ::testing::Test {
  protected:
   static constexpr SimTime kLatency = 50 * kMillisecond;
@@ -89,7 +96,7 @@ TEST_F(RpcEndpointTest, ReplyAfterTimeoutIsOrphanedAndCallbackFiresOnce) {
   bool lastOk = true;
   CallOptions options;
   options.timeout = 150 * kMillisecond;
-  client.call(server, "req", util::toBytes("ping"), options,
+  client.call(server, "req", frameOf("ping"), options,
               [&](bool ok, util::BytesView) {
                 ++callbacks;
                 lastOk = ok;
@@ -111,7 +118,7 @@ TEST_F(RpcEndpointTest, DuplicateRepliesCompleteOnce) {
   const NodeAddr server = addEchoServer(/*copies=*/3);
 
   int callbacks = 0;
-  client.call(server, "req", util::toBytes("ping"), CallOptions{},
+  client.call(server, "req", frameOf("ping"), CallOptions{},
               [&](bool ok, util::BytesView) {
                 ++callbacks;
                 EXPECT_TRUE(ok);
@@ -146,7 +153,7 @@ TEST_F(RpcEndpointTest, CorruptedReplyRejectedByObserverLeavesCallPending) {
   SimTime failedAt = 0;
   CallOptions options;
   options.timeout = 200 * kMillisecond;
-  client.call(server, "req", util::toBytes("ping"), options,
+  client.call(server, "req", frameOf("ping"), options,
               [&](bool ok, util::BytesView) {
                 ++callbacks;
                 lastOk = ok;
@@ -178,7 +185,7 @@ TEST_F(RpcEndpointTest, RetryRacingLateFirstReplyCompletesOnceViaLateReply) {
   options.timeout = 200 * kMillisecond;
   options.retry.attempts = 3;
   options.retry.backoffBase = 40 * kMillisecond;
-  client.call(server, "req", util::toBytes("ping"), options,
+  client.call(server, "req", frameOf("ping"), options,
               [&](bool ok, util::BytesView) {
                 ++callbacks;
                 lastOk = ok;
@@ -221,10 +228,9 @@ TEST_F(RpcEndpointTest, RetransmissionResendsTheFirstFrame) {
   options.retry.attempts = 3;
   options.retry.backoffBase = 10 * kMillisecond;
   bool completed = false;
-  const net::RpcId id = client.call(server, "req", body, options,
-                                    [&](bool ok, util::BytesView) {
-                                      completed = ok;
-                                    });
+  const net::RpcId id =
+      client.call(server, "req", frameOf("the request body"), options,
+                  [&](bool ok, util::BytesView) { completed = ok; });
   sim_.run();
 
   ASSERT_TRUE(completed);
@@ -251,7 +257,7 @@ TEST_F(RpcEndpointTest, EveryCounterIsPerMessageType) {
   retried.retry.attempts = 2;
   retried.retry.backoffBase = 40 * kMillisecond;
   bool completed = false;
-  client.call(slow, "req", util::toBytes("ping"), retried,
+  client.call(slow, "req", frameOf("ping"), retried,
               [&](bool ok, util::BytesView) { completed = ok; });
   // A node that never answers: the single-shot call fails at its deadline.
   const NodeAddr silent = net_.addNode();
@@ -259,7 +265,7 @@ TEST_F(RpcEndpointTest, EveryCounterIsPerMessageType) {
   bool failed = false;
   CallOptions once;
   once.timeout = 100 * kMillisecond;
-  client.call(silent, "ask", util::toBytes("ping"), once,
+  client.call(silent, "ask", frameOf("ping"), once,
               [&](bool ok, util::BytesView) { failed = !ok; });
   sim_.run();
 
@@ -281,13 +287,177 @@ TEST_F(RpcEndpointTest, RttHistogramRecordsCompletedCallsOnly) {
   client.addReplyChannel("resp");
   const NodeAddr server = addEchoServer();
 
-  client.call(server, "req", util::toBytes("ping"), CallOptions{},
+  client.call(server, "req", frameOf("ping"), CallOptions{},
               [](bool, util::BytesView) {});
   sim_.run();
 
   const auto& rtt = metrics_.histogram("rpc.req.rtt_ms");
   ASSERT_EQ(rtt.count(), 1u);
   EXPECT_DOUBLE_EQ(rtt.mean(), 100.0);  // 2 * 50ms fixed latency
+}
+
+// --- Metric slots: names appear exactly when bumped, in the attached Metrics ---
+
+template <class Map>
+std::vector<std::string> namesOf(const Map& map) {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : map) names.push_back(name);
+  return names;
+}
+
+// An answered adaptive call writes the sent and completed counters, the RTT
+// histogram, the sample counter and the three estimator gauges: nothing
+// else, and no name without a value recorded under it.
+TEST_F(RpcEndpointTest, AnsweredAdaptiveCallCreatesOnlyItsMetricNames) {
+  RpcEndpoint client(net_);
+  client.addReplyChannel("resp");
+  const NodeAddr server = addEchoServer();
+  CallOptions options;
+  options.adaptiveTimeout = true;
+  bool completed = false;
+  client.call(server, "req", frameOf("ping"), options,
+              [&](bool ok, util::BytesView) { completed = ok; });
+  sim_.run();
+
+  ASSERT_TRUE(completed);
+  EXPECT_EQ(namesOf(metrics_.counters()),
+            (std::vector<std::string>{"rpc.req.completed", "rpc.req.sent",
+                                      "rpc.rtt.req.samples"}));
+  for (const auto& [name, value] : metrics_.counters()) {
+    EXPECT_EQ(value, 1u) << name;
+  }
+  EXPECT_EQ(namesOf(metrics_.gauges()),
+            (std::vector<std::string>{"rpc.rtt.req.rttvar", "rpc.rtt.req.srtt",
+                                      "rpc.rtt.req.timeout"}));
+  EXPECT_DOUBLE_EQ(metrics_.gaugeValue("rpc.rtt.req.srtt"), 100.0);
+  EXPECT_DOUBLE_EQ(metrics_.gaugeValue("rpc.rtt.req.rttvar"), 50.0);
+  EXPECT_DOUBLE_EQ(metrics_.gaugeValue("rpc.rtt.req.timeout"), 300.0);
+  EXPECT_EQ(namesOf(metrics_.histograms()),
+            std::vector<std::string>{"rpc.req.rtt_ms"});
+  EXPECT_EQ(metrics_.histogram("rpc.req.rtt_ms").count(), 1u);
+}
+
+// timeouts, retries and failed appear only once something bumps them.
+TEST_F(RpcEndpointTest, TimedOutCallAddsOnlyBumpedCounters) {
+  RpcEndpoint client(net_);
+  client.addReplyChannel("resp");
+  const NodeAddr silent = net_.addNode();
+  net_.setHandler(silent, [](NodeAddr, const Message&) {});
+  CallOptions once;
+  once.timeout = 100 * kMillisecond;
+  client.call(silent, "once", frameOf("ping"), once, {});
+  sim_.run();
+  EXPECT_EQ(metrics_.countersWithPrefix("rpc.once."),
+            (std::vector<std::pair<std::string, std::uint64_t>>{
+                {"rpc.once.failed", 1},
+                {"rpc.once.sent", 1},
+                {"rpc.once.timeouts", 1}}));
+
+  CallOptions twice = once;
+  twice.retry.attempts = 2;
+  client.call(silent, "twice", frameOf("ping"), twice, {});
+  sim_.run();
+  EXPECT_EQ(metrics_.countersWithPrefix("rpc.twice."),
+            (std::vector<std::pair<std::string, std::uint64_t>>{
+                {"rpc.twice.failed", 1},
+                {"rpc.twice.retries", 1},
+                {"rpc.twice.sent", 2},
+                {"rpc.twice.timeouts", 2}}));
+
+  // Answered late, by the first attempt's reply, after one retry: no
+  // `failed`.
+  const NodeAddr slow = addEchoServer(1, 150 * kMillisecond);
+  CallOptions retried;
+  retried.timeout = 200 * kMillisecond;
+  retried.retry.attempts = 2;
+  retried.retry.backoffBase = 40 * kMillisecond;
+  client.call(slow, "late", frameOf("ping"), retried, {});
+  sim_.run();
+  EXPECT_EQ(metrics_.countersWithPrefix("rpc.late."),
+            (std::vector<std::pair<std::string, std::uint64_t>>{
+                {"rpc.late.completed", 1},
+                {"rpc.late.retries", 1},
+                {"rpc.late.sent", 2},
+                {"rpc.late.timeouts", 1}}));
+  EXPECT_TRUE(metrics_.gauges().empty());  // no adaptive call
+}
+
+// Slots belong to the Metrics they were resolved in: attaching another one
+// sends later bumps there (the endpoint's and the network's drop counters
+// alike) and leaves the first one's values alone; detaching counts nothing.
+TEST_F(RpcEndpointTest, MetricSlotsFollowTheAttachedMetrics) {
+  RpcEndpoint client(net_);
+  client.addReplyChannel("resp");
+  const NodeAddr server = addEchoServer();
+  const NodeAddr offline = net_.addNode();
+  net_.setOnline(offline, false);
+  const auto exchange = [&] {
+    client.call(server, "req", frameOf("ping"), CallOptions{}, {});
+    client.send(offline, "note", util::toBytes("lost"));
+    sim_.run();
+  };
+
+  exchange();
+  const auto firstCounters = metrics_.counters();
+  EXPECT_EQ(firstCounters.at("rpc.req.sent"), 1u);
+  EXPECT_EQ(firstCounters.at("net.dropped.offline"), 1u);
+
+  sim::Metrics second;
+  net_.setMetrics(&second);
+  exchange();
+  exchange();
+  EXPECT_EQ(metrics_.counters(), firstCounters);
+  EXPECT_EQ(metrics_.histogram("rpc.req.rtt_ms").count(), 1u);
+  EXPECT_EQ(second.counter("rpc.req.sent"), 2u);
+  EXPECT_EQ(second.counter("rpc.req.completed"), 2u);
+  EXPECT_EQ(second.counter("net.dropped.offline"), 2u);
+  EXPECT_EQ(second.histogram("rpc.req.rtt_ms").count(), 2u);
+
+  net_.setMetrics(nullptr);
+  const auto secondCounters = second.counters();
+  exchange();
+  EXPECT_EQ(metrics_.counters(), firstCounters);
+  EXPECT_EQ(second.counters(), secondCounters);
+  EXPECT_EQ(second.histogram("rpc.req.rtt_ms").count(), 2u);
+
+  net_.setMetrics(&metrics_);
+  exchange();
+  EXPECT_EQ(metrics_.counter("rpc.req.sent"), 2u);
+  EXPECT_EQ(metrics_.counter("net.dropped.offline"), 2u);
+}
+
+// A Metrics built in the storage of a destroyed one has the same address;
+// slots are keyed by the network's attach generation, not by the address,
+// so it receives only its own bumps (and ASan sees no access to the old
+// one's freed names).
+TEST_F(RpcEndpointTest, MetricsRecreatedInPlaceGetOnlyTheirOwnBumps) {
+  RpcEndpoint client(net_);
+  client.addReplyChannel("resp");
+  const NodeAddr server = addEchoServer();
+  CallOptions options;
+  options.adaptiveTimeout = true;
+  std::optional<sim::Metrics> slot;
+
+  slot.emplace();
+  const sim::Metrics* address = &*slot;
+  net_.setMetrics(&*slot);
+  client.call(server, "req", frameOf("ping"), options, {});
+  client.call(server, "req", frameOf("ping"), options, {});
+  sim_.run();
+  EXPECT_EQ(slot->counter("rpc.req.completed"), 2u);
+
+  slot.reset();
+  slot.emplace();
+  ASSERT_EQ(&*slot, address);
+  net_.setMetrics(&*slot);
+  client.call(server, "req", frameOf("ping"), options, {});
+  sim_.run();
+  EXPECT_EQ(slot->counter("rpc.req.sent"), 1u);
+  EXPECT_EQ(slot->counter("rpc.req.completed"), 1u);
+  EXPECT_EQ(slot->counter("rpc.rtt.req.samples"), 1u);
+  EXPECT_EQ(slot->histogram("rpc.req.rtt_ms").count(), 1u);
+  EXPECT_EQ(slot->gauges().size(), 3u);
+  net_.setMetrics(&metrics_);
 }
 
 // --- RetryPolicy backoff: closed form + clamp ---

@@ -231,7 +231,7 @@ TEST_F(AdaptiveRpcTest, KarnRuleRetransmittedCallNeverSamples) {
   options.retry = RetryPolicy{3, 50 * kMillisecond, 2.0};
   options.adaptiveTimeout = true;
   bool ok = false;
-  client.call(server, "req", {}, options,
+  client.call(server, "req", RpcEndpoint::frame(), options,
               [&](bool replied, util::BytesView) { ok = replied; });
   sim_.run();
   EXPECT_TRUE(ok);
@@ -244,7 +244,7 @@ TEST_F(AdaptiveRpcTest, KarnRuleRetransmittedCallNeverSamples) {
   // attempt survive unretransmitted — the classic escape from the trap —
   // and the 200ms sample is exact (zero jitter).
   ok = false;
-  client.call(server, "req", {}, options,
+  client.call(server, "req", RpcEndpoint::frame(), options,
               [&](bool replied, util::BytesView) { ok = replied; });
   sim_.run();
   EXPECT_TRUE(ok);
@@ -265,7 +265,7 @@ TEST_F(AdaptiveRpcTest, CallAttemptsAreTheAdaptiveBudgetFloor) {
   options.adaptiveTimeout = true;
   bool done = false;
   bool ok = true;
-  client.call(silent, "req", {}, options, [&](bool replied, util::BytesView) {
+  client.call(silent, "req", RpcEndpoint::frame(), options, [&](bool replied, util::BytesView) {
     done = true;
     ok = replied;
   });
@@ -285,7 +285,7 @@ TEST_F(AdaptiveRpcTest, CleanCallSamplesAndExportsGauges) {
   CallOptions options;
   options.timeout = 500 * kMillisecond;  // comfortably above the 200ms RTT
   options.adaptiveTimeout = true;
-  client.call(server, "req", {}, options, {});
+  client.call(server, "req", RpcEndpoint::frame(), options, {});
   sim_.run();
 
   EXPECT_EQ(metrics_.counter("rpc.rtt.req.samples"), 1u);
@@ -304,7 +304,7 @@ TEST_F(AdaptiveRpcTest, ChurnNoticeEvictsDepartedPeerState) {
   CallOptions options;
   options.timeout = 500 * kMillisecond;
   options.adaptiveTimeout = true;
-  client.call(server, "req", {}, options, {});
+  client.call(server, "req", RpcEndpoint::frame(), options, {});
   sim_.run();
   ASSERT_NE(client.peerStates().find(server), nullptr);
 
@@ -319,7 +319,7 @@ TEST_F(AdaptiveRpcTest, ChurnNoticeEvictsDepartedPeerState) {
   EXPECT_EQ(client.peerStates().find(server), nullptr);
   // And the endpoint still works against the rejoined peer.
   bool ok = false;
-  client.call(server, "req", {}, options,
+  client.call(server, "req", RpcEndpoint::frame(), options,
               [&](bool replied, util::BytesView) { ok = replied; });
   sim_.run();
   EXPECT_TRUE(ok);
@@ -343,7 +343,7 @@ TEST_F(AdaptiveRpcTest, FixedTimeoutCallsLeaveTheTableUntouched) {
   const NodeAddr server = addEchoServer();
   CallOptions options;
   options.timeout = 500 * kMillisecond;  // adaptiveTimeout defaults to off
-  client.call(server, "req", {}, options, {});
+  client.call(server, "req", RpcEndpoint::frame(), options, {});
   sim_.run();
   EXPECT_EQ(client.peerStates().size(), 0u);
   EXPECT_EQ(metrics_.counter("rpc.rtt.req.samples"), 0u);
@@ -405,7 +405,7 @@ SweepOutcome runSweep(bool adaptive, std::size_t farServers,
   for (std::size_t i = 0; i < kCalls; ++i) {
     sim.scheduleAt(static_cast<SimTime>(i) * kInterval,
                    [&client, &servers, &options, i] {
-                     client.call(servers[i % kServers], "req", {}, options, {});
+                     client.call(servers[i % kServers], "req", RpcEndpoint::frame(), options, {});
                    });
   }
   sim.run();

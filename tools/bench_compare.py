@@ -35,10 +35,10 @@ WITH THE SAME VALUE. Counters produced by the deterministic simulator are a
 pure function of the workload and the seed — independent of machine, load,
 and compiler — so at a pinned seed this is a byte-identity check on the
 simulation: any drift means scheduling order, RNG consumption, or delivery
-semantics changed. Six `bench_byte_identity_*` ctest gates (faults,
-availability, dayinlife, microblog, acl_membership, acl_groupcreate) run
-those benches at --smoke --seed 42 under this flag against the committed
-baselines.
+semantics changed. Seven `bench_byte_identity_*` ctest gates (faults,
+availability, dayinlife, microblog, acl_membership, acl_groupcreate,
+overlay) run those benches at --smoke --seed 42 under this flag against the
+committed baselines, and CI's bench job applies it to all of them.
 
 Exit codes: 0 ok, 1 comparison failed, 2 usage or I/O error.
 Stdlib only; do not add dependencies.
