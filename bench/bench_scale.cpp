@@ -1,7 +1,7 @@
 // S-series: simulator scale benchmark (BENCHMARKS.md entry "bench_scale",
 // EXPERIMENTS.md S1). Measures raw event-loop throughput of the sim core —
-// calendar event queue + interned message types + pooled closures/payloads
-// (DESIGN.md §3d) — at fleet sizes from 1k to 1M nodes.
+// calendar event queue + interned message types + pooled closures + shared
+// payloads (DESIGN.md §3d) — at fleet sizes from 1k to 1M nodes.
 //
 // The S1 workload is the canonical outstanding-RPC load, not a synthetic
 // queue drill:
@@ -10,7 +10,9 @@
 //  - every node keeps 4 pings in flight (Kademlia's alpha=3 parallel lookups
 //    plus one maintenance ping) with a 64-byte payload — each delivery
 //    handler immediately re-pings a uniformly random peer until the global
-//    send budget (20 x N) runs out;
+//    send budget (20 x N) runs out. The bytes never change, so every ping
+//    shares one sim::Payload buffer: a copy per ping would measure memcpy,
+//    not the simulator;
 //  - handlers capture {ctx, self} (16 bytes -> std::function SBO), the same
 //    shape RpcEndpoint-style code registers;
 //  - one +60 s maintenance timer per 64 nodes keeps long-horizon events in
@@ -43,7 +45,7 @@ struct Ctx {
   sim::Network* net = nullptr;
   util::Rng* rng = nullptr;
   std::vector<sim::NodeAddr> addrs;
-  util::Bytes payload;
+  sim::Payload payload;
   std::uint64_t sent = 0;
   std::uint64_t sendBudget = 0;
 };

@@ -219,6 +219,8 @@ void MicroblogNode::publish(const std::string& circle, const std::string& text,
   record.entry =
       timeline_.append(crypto::sha256Bytes(record.envelope.blob), rng);
   const std::uint64_t seq = timeline_.size() - 1;
+  const overlay::OverlayId key = entryKey(keyring_.user, seq);
+  util::Bytes recordBytes = record.serialize();
 
   HeadRecord head;
   head.length = timeline_.size();
@@ -229,9 +231,7 @@ void MicroblogNode::publish(const std::string& circle, const std::string& text,
   // Seed the publisher's own friend cache: followers probing the author
   // resolve a cold fetch in one hop instead of a full DHT lookup. The head
   // is deliberately not seeded — it stays a DHT-only freshness anchor.
-  if (friendCache_) {
-    friendCache_->put(entryKey(keyring_.user, seq), record.serialize());
-  }
+  if (friendCache_) friendCache_->put(key, recordBytes);
 
   // Store the entry, then the head (owner-attributed, so a socially-aware
   // placement policy can rank the store targets; with no policy configured
@@ -240,7 +240,7 @@ void MicroblogNode::publish(const std::string& circle, const std::string& text,
   auto maybeDone = [shared, done]() {
     if (shared->first && shared->second && done) done(true);
   };
-  dht_.storeAs(entryKey(keyring_.user, seq), record.serialize(), keyring_.user,
+  dht_.storeAs(key, std::move(recordBytes), keyring_.user,
                [shared, maybeDone](bool) {
                  shared->first = true;
                  maybeDone();
@@ -255,6 +255,9 @@ void MicroblogNode::publish(const std::string& circle, const std::string& text,
 struct MicroblogNode::FetchState {
   UserId author;
   std::shared_ptr<const pkcrypto::SchnorrVerifyingKey> authorKey;
+  // The friend caches probed for each entry, listed when the fetch starts:
+  // a peer registered during a fetch is used from the next fetch on.
+  std::vector<sim::NodeAddr> cachePeers;
   HeadRecord head;
   std::vector<std::optional<TimelineRecord>> records;
   std::size_t pending = 0;
@@ -274,6 +277,7 @@ void MicroblogNode::fetchTimeline(const UserId& author,
   auto state = std::make_shared<FetchState>();
   state->author = author;
   state->authorKey = std::move(authorKey);
+  if (friendCache_) state->cachePeers = cachePeersFor(author);
   state->done = std::move(done);
 
   ++fetchStats_.lookups;
@@ -321,10 +325,8 @@ void MicroblogNode::fetchRecord(const std::shared_ptr<FetchState>& state,
       if (--state->pending == 0) finishFetch(state);
       return;
     }
-    auto peers = std::make_shared<std::vector<sim::NodeAddr>>(
-        cachePeersFor(state->author));
-    if (!peers->empty()) {
-      tryRemoteCache(state, seq, key, std::move(peers), 0);
+    if (!state->cachePeers.empty()) {
+      tryRemoteCache(state, seq, key, 0);
       return;
     }
   }
@@ -332,11 +334,11 @@ void MicroblogNode::fetchRecord(const std::shared_ptr<FetchState>& state,
   dhtFetch(state, seq, key);
 }
 
-void MicroblogNode::tryRemoteCache(
-    const std::shared_ptr<FetchState>& state, std::uint64_t seq,
-    const overlay::OverlayId& key,
-    std::shared_ptr<std::vector<sim::NodeAddr>> peers, std::size_t index) {
-  if (index >= peers->size()) {
+void MicroblogNode::tryRemoteCache(const std::shared_ptr<FetchState>& state,
+                                   std::uint64_t seq,
+                                   const overlay::OverlayId& key,
+                                   std::size_t index) {
+  if (index >= state->cachePeers.size()) {
     ++fetchStats_.cacheMisses;
     dhtFetch(state, seq, key);
     return;
@@ -345,11 +347,9 @@ void MicroblogNode::tryRemoteCache(
   frame.raw(util::BytesView(key.bytes));
   net::CallOptions options;
   options.timeout = kCacheProbeTimeout;
-  const sim::NodeAddr peer = (*peers)[index];
   dht_.endpoint().call(
-      peer, kMsgCacheGet, std::move(frame), options,
-      [this, state, seq, key, peers = std::move(peers), index](
-          bool ok, util::BytesView reply) mutable {
+      state->cachePeers[index], kMsgCacheGet, std::move(frame), options,
+      [this, state, seq, key, index](bool ok, util::BytesView reply) {
         if (ok) {
           try {
             util::Reader r(reply);
@@ -367,7 +367,7 @@ void MicroblogNode::tryRemoteCache(
             // corrupted probe reply: treat as a miss at this peer
           }
         }
-        tryRemoteCache(state, seq, key, std::move(peers), index + 1);
+        tryRemoteCache(state, seq, key, index + 1);
       });
 }
 

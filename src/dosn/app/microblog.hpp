@@ -126,7 +126,9 @@ class MicroblogNode {
 
   /// Registers a friend's node as a cache peer; `user`'s records may be
   /// probed there. Fetches of `user`'s timeline try that user's own entry
-  /// first, then other registered peers, two probes at most.
+  /// first, then other registered peers, two probes at most. A fetch lists
+  /// its peers when it starts, so a peer registered during a fetch is used
+  /// from the next fetch on.
   void addFriendPeer(const UserId& user, sim::NodeAddr addr);
 
   /// The bounded friend cache, or nullptr when the tier is disabled.
@@ -142,9 +144,10 @@ class MicroblogNode {
   struct FetchState;
   void fetchEntries(const std::shared_ptr<FetchState>& state);
   void fetchRecord(const std::shared_ptr<FetchState>& state, std::uint64_t seq);
+  /// Probes the fetch's `index`-th cache peer for entry `seq`, then the
+  /// next one, then the DHT.
   void tryRemoteCache(const std::shared_ptr<FetchState>& state,
                       std::uint64_t seq, const overlay::OverlayId& key,
-                      std::shared_ptr<std::vector<sim::NodeAddr>> peers,
                       std::size_t index);
   void dhtFetch(const std::shared_ptr<FetchState>& state, std::uint64_t seq,
                 const overlay::OverlayId& key);

@@ -157,7 +157,7 @@ RpcId RpcEndpoint::call(sim::NodeAddr to, sim::MessageType type,
   pending.type = type;
   pending.onReply = std::move(onReply);
   pending.startedAt = network_.simulator().now();
-  pending.frame = std::move(bytes);
+  pending.bytes = std::move(bytes);
   pending.peer = to;
   pending.timeout = options.timeout;
   pending.retry = options.retry;
@@ -187,8 +187,7 @@ sim::SimTime RpcEndpoint::attemptTimeout(const PendingCall& call) {
 void RpcEndpoint::transmit(RpcId id, PendingCall& call, sim::SimTime wait) {
   bump(call.type, kSent);
   try {
-    network_.send(addr_, call.peer,
-                  sim::Message{call.type, util::BytesView(call.frame)});
+    network_.send(addr_, call.peer, sim::Message{call.type, call.bytes});
   } catch (const util::NetError&) {
     // Unroutable address (e.g. a contact learned from a corrupted reply):
     // treat like a black hole and let the timeout/retry path run its course.
@@ -238,14 +237,14 @@ void RpcEndpoint::onTimeout(RpcId id) {
 }
 
 RpcId RpcEndpoint::openCall(sim::MessageType opType, sim::SimTime timeout,
-                            util::Bytes tag, ReplyCallback onReply) {
+                            sim::Payload tag, ReplyCallback onReply) {
   const RpcId id =
       (static_cast<RpcId>(addr_) << 32) | static_cast<RpcId>(nextCallId_++);
   PendingCall& pending = state_->pending[id];
   pending.type = opType;
   pending.onReply = std::move(onReply);
   pending.startedAt = network_.simulator().now();
-  pending.tag = std::move(tag);
+  pending.bytes = std::move(tag);
   bump(opType, kSent);
   // One attempt and no adaptivity: the deadline fails the slot.
   armTimeout(id, timeout);
@@ -258,9 +257,10 @@ bool RpcEndpoint::complete(RpcId id, util::BytesView payload) {
   return true;
 }
 
-const util::Bytes* RpcEndpoint::tag(RpcId id) const {
+std::optional<util::BytesView> RpcEndpoint::tag(RpcId id) const {
   const PendingCall* call = state_->pending.find(id);
-  return call ? &call->tag : nullptr;
+  if (!call) return std::nullopt;
+  return call->bytes.view();
 }
 
 void RpcEndpoint::finish(RpcId id, bool ok, util::BytesView payload) {
@@ -320,7 +320,7 @@ void RpcEndpoint::handleReply(sim::NodeAddr from, const sim::Message& msg) {
   } catch (const util::CodecError&) {
     return;  // frame too short to carry an rpcId
   }
-  const util::BytesView body = util::BytesView(msg.payload).subspan(8);
+  const util::BytesView body = msg.payload.view().subspan(8);
   if (const ReplyObserver* observer =
           findByType(replyObservers_, msg.type.id())) {
     try {
@@ -349,7 +349,7 @@ void RpcEndpoint::handleMessage(sim::NodeAddr from, const sim::Message& msg) {
     try {
       util::Reader r(msg.payload);
       const RpcId id = r.u64();
-      (*request)(from, util::BytesView(msg.payload).subspan(8), id);
+      (*request)(from, msg.payload.view().subspan(8), id);
     } catch (const util::DosnError&) {
       // Malformed payload or unroutable wire-derived address: drop.
     }

@@ -37,7 +37,8 @@
 //    fan-outs answer from third parties). Timeouts retransmit per the
 //    RetryPolicy and finally fail the call exactly once.
 //    The caller writes the frame once, starting from frame(): the pending
-//    call keeps it for retransmissions, and a reply frame is moved into its
+//    call keeps it as one shared buffer that every attempt's message (and
+//    every fault-plan duplicate) holds, and a reply frame is moved into its
 //    message. Timeout closures hold the call's id; everything else they
 //    need stays in the pending call.
 //  - openCall(): a correlation slot for multi-hop operations (flood search,
@@ -51,6 +52,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dosn/net/retry.hpp"
@@ -146,12 +148,12 @@ class RpcEndpoint {
   /// `tag` is opaque per-call context readable back via tag() (super-peer
   /// chains stash the searched key there).
   RpcId openCall(sim::MessageType opType, sim::SimTime timeout,
-                 util::Bytes tag, ReplyCallback onReply);
+                 sim::Payload tag, ReplyCallback onReply);
   /// Completes a pending call with a validated payload; returns false if the
   /// call is no longer pending (timed out, duplicate completion).
   bool complete(RpcId id, util::BytesView payload);
-  /// The tag attached at openCall, or nullptr if the call is not pending.
-  const util::Bytes* tag(RpcId id) const;
+  /// The tag attached at openCall, or nullopt if the call is not pending.
+  std::optional<util::BytesView> tag(RpcId id) const;
 
   /// Fire-and-forget message from this endpoint's address.
   void send(sim::NodeAddr to, sim::MessageType type, util::Bytes payload);
@@ -170,8 +172,9 @@ class RpcEndpoint {
     sim::MessageType type;       // request type (metrics key)
     ReplyCallback onReply;
     sim::SimTime startedAt = 0;
-    util::Bytes frame;           // call(): `rpcId | body`, resent by retries
-    util::Bytes tag;             // openCall context
+    // call(): the frame `rpcId | body` that every attempt sends;
+    // openCall(): the tag.
+    sim::Payload bytes;
     sim::NodeAddr peer = sim::kNoAddr;  // call(): destination, estimator key
     sim::SimTime timeout = 0;    // call(): fixed timeout, pre-sample fallback
     RetryPolicy retry{};         // attempts: this call's whole budget
@@ -216,8 +219,8 @@ class RpcEndpoint {
   /// The timeout of the call's next attempt, fixed or from the
   /// destination's estimator.
   sim::SimTime attemptTimeout(const PendingCall& call);
-  /// Sends the call's next attempt from its kept frame and arms its timeout
-  /// to fire after `wait`.
+  /// Sends the call's next attempt, sharing its kept frame, and arms its
+  /// timeout to fire after `wait`.
   void transmit(RpcId id, PendingCall& call, sim::SimTime wait);
   /// Schedules onTimeout(id) after `wait`.
   void armTimeout(RpcId id, sim::SimTime wait);

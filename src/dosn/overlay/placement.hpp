@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "dosn/overlay/node_id.hpp"
+#include "dosn/sim/flat_map.hpp"
 #include "dosn/sim/network.hpp"
 #include "dosn/social/graph.hpp"
 

@@ -92,7 +92,7 @@ LeafPeer::LeafPeer(sim::Network& network, sim::NodeAddr superPeer)
         util::Reader r(payload);
         const std::uint64_t queryId = r.u64();
         const sim::NodeAddr owner = r.u64();
-        const util::Bytes* key = endpoint_.tag(queryId);
+        const std::optional<util::BytesView> key = endpoint_.tag(queryId);
         if (!key) return;  // timed out or a duplicate owner answer
         util::Writer w;
         w.u64(queryId);

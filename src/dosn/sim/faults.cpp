@@ -1,6 +1,9 @@
 #include "dosn/sim/faults.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "dosn/sim/network.hpp"
 
 namespace dosn::sim {
 
@@ -139,26 +142,18 @@ FaultPlan::Decision FaultPlan::decide(SimTime now, NodeAddr from, NodeAddr to,
   return d;
 }
 
-namespace {
-
-// One body for both payload representations — the draw order (flip count,
-// then per flip: index, bit) is part of the deterministic trace.
-void corruptBytes(std::uint8_t* data, std::size_t size, util::Rng& rng) {
-  if (size == 0) return;
+void corruptPayload(Payload& payload, util::Rng& rng) {
+  if (payload.empty()) return;
+  util::Bytes bytes(payload.begin(), payload.end());
+  // The draw order is part of the deterministic trace: the flip count, then
+  // per flip the bit and then the index (C++17 evaluates a compound
+  // assignment's right operand first).
   const std::size_t flips = 1 + static_cast<std::size_t>(rng.uniform(3));
   for (std::size_t f = 0; f < flips; ++f) {
-    data[rng.uniform(size)] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
+    bytes[rng.uniform(bytes.size())] ^=
+        static_cast<std::uint8_t>(1u << rng.uniform(8));
   }
-}
-
-}  // namespace
-
-void corruptPayload(util::Bytes& payload, util::Rng& rng) {
-  corruptBytes(payload.data(), payload.size(), rng);
-}
-
-void corruptPayload(PooledBytes& payload, util::Rng& rng) {
-  corruptBytes(payload.data(), payload.size(), rng);
+  payload = Payload(std::move(bytes));
 }
 
 }  // namespace dosn::sim

@@ -26,14 +26,14 @@
 #include <vector>
 
 #include "dosn/sim/flat_map.hpp"
-#include "dosn/sim/pool.hpp"
 #include "dosn/sim/simulator.hpp"
-#include "dosn/util/bytes.hpp"
 #include "dosn/util/rng.hpp"
 
 namespace dosn::sim {
 
-using NodeAddr = std::uint64_t;  // mirrors network.hpp (kept header-light)
+// Both mirror network.hpp (kept header-light).
+using NodeAddr = std::uint64_t;
+class Payload;
 
 inline constexpr SimTime kFaultForever = ~SimTime{0};
 
@@ -102,8 +102,6 @@ class FaultPlan {
                           SimTime start, SimTime heal = kFaultForever);
 
   bool empty() const { return rules_.empty() && partitions_.empty(); }
-  const std::vector<FaultRule>& rules() const { return rules_; }
-  const std::vector<NetPartition>& partitions() const { return partitions_; }
 
   /// What the fault layer does to one message. `copies == 0` means dropped.
   struct Decision {
@@ -136,11 +134,11 @@ class FaultPlan {
   std::vector<NetPartition> partitions_;
 };
 
-/// Flips 1–3 random bits of `payload` in place (no-op on empty payloads);
-/// models in-flight corruption that a checksum/AEAD layer must reject.
-/// Both overloads consume rng draws in the identical order, so swapping the
-/// payload representation cannot shift the deterministic trace.
-void corruptPayload(util::Bytes& payload, util::Rng& rng);
-void corruptPayload(PooledBytes& payload, util::Rng& rng);
+/// Replaces `payload` with a copy that has 1–3 random bits flipped (no-op on
+/// empty payloads); models in-flight corruption that a checksum/AEAD layer
+/// must reject. The shared buffer is never written, so only the corrupted
+/// delivery pays for a copy: the sender's frame and its other attempts and
+/// duplicates keep the original bytes.
+void corruptPayload(Payload& payload, util::Rng& rng);
 
 }  // namespace dosn::sim

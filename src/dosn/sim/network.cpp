@@ -34,12 +34,7 @@ void Network::setHandler(NodeAddr node, Handler handler) {
   handlers_[node - 1] = std::move(handler);
 }
 
-void Network::setStatusHook(NodeAddr node, StatusHook hook) {
-  validate(node);
-  statusHooks_[node] = std::move(hook);
-}
-
-std::uint64_t Network::addStatusObserver(StatusHook observer) {
+std::uint64_t Network::addStatusObserver(StatusObserver observer) {
   const std::uint64_t token = nextObserverToken_++;
   statusObservers_.emplace(token, std::move(observer));
   return token;
@@ -53,9 +48,6 @@ void Network::setOnline(NodeAddr node, bool online) {
   validate(node);
   if (static_cast<bool>(online_[node - 1]) == online) return;
   online_[node - 1] = online ? 1 : 0;
-  if (StatusHook* hook = statusHooks_.find(node); hook && *hook) {
-    (*hook)(node, online);
-  }
   // Copy the tokens first: an observer may add/remove observers while
   // running (e.g. an endpoint tearing down in reaction to churn).
   std::vector<std::uint64_t> tokens;
@@ -178,7 +170,8 @@ void Network::send(NodeAddr from, NodeAddr to, Message msg) {
     if (d.copies > 1) count(kDuplicated);
     for (std::size_t i = 0; i < d.copies; ++i) {
       const SimTime delay = latency_.sample(rng_) + d.extraDelay;
-      // Every copy but the last is a copy; the last takes the message.
+      // Every copy but the last shares the payload; the last takes the
+      // message.
       if (i + 1 < d.copies) {
         deliver(from, to, delay, msg);
       } else {

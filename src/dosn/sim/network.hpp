@@ -5,13 +5,14 @@
 //
 // Hot-path layout (DESIGN.md §3d): message types are interned MessageType
 // ids, so per-type traffic counters are flat arrays indexed by id (no string
-// hashing per send); payloads are pool-backed PooledBytes; and per-node state
-// is stored in columns indexed directly by the densely-assigned NodeAddr —
-// a deque of handlers (deque, not vector: a delivery handler may addNode(),
-// and deque growth never moves the handler currently executing), a byte
-// vector of online flags, and a side table for the rarely-set status hooks.
-// A delivery touches one handler row and one flag byte; at 100k+ nodes that
-// is the difference between one cache miss per event and three.
+// hashing per send); a payload is one immutable buffer shared by every
+// attempt, fault-plan duplicate and delivery of a message; and per-node
+// state is stored in columns indexed directly by the densely-assigned
+// NodeAddr — a deque of handlers (deque, not vector: a delivery handler may
+// addNode(), and deque growth never moves the handler currently executing)
+// and a byte vector of online flags. A delivery touches one handler row and
+// one flag byte; at 100k+ nodes that is the difference between one cache
+// miss per event and three.
 #pragma once
 
 #include <array>
@@ -19,12 +20,12 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "dosn/sim/flat_map.hpp"
 #include "dosn/sim/message_type.hpp"
-#include "dosn/sim/pool.hpp"
 #include "dosn/sim/simulator.hpp"
 #include "dosn/util/bytes.hpp"
 #include "dosn/util/rng.hpp"
@@ -37,9 +38,34 @@ class Metrics;
 using NodeAddr = std::uint64_t;
 inline constexpr NodeAddr kNoAddr = ~NodeAddr{0};
 
+/// The bytes of an in-flight message: one immutable buffer, shared. A
+/// call's frame is built once, and its attempts, fault-plan duplicates and
+/// deliveries all hold that buffer, so copying a Payload copies a handle.
+/// It reads as a util::BytesView. Nothing converts it to util::Bytes
+/// implicitly, so every byte copy is spelled out where it happens.
+class Payload {
+ public:
+  Payload() = default;
+  /// Adopts the vector's storage; the bytes are not copied.
+  Payload(util::Bytes&& bytes)
+      : bytes_(std::make_shared<const util::Bytes>(std::move(bytes))) {}
+
+  const std::uint8_t* data() const { return bytes_ ? bytes_->data() : nullptr; }
+  std::size_t size() const { return bytes_ ? bytes_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  const std::uint8_t* begin() const { return data(); }
+  const std::uint8_t* end() const { return data() + size(); }
+
+  util::BytesView view() const { return {data(), size()}; }
+  operator util::BytesView() const { return view(); }
+
+ private:
+  std::shared_ptr<const util::Bytes> bytes_;
+};
+
 struct Message {
   MessageType type;
-  PooledBytes payload;
+  Payload payload;
 };
 
 /// Latency distribution of a link: base + uniform jitter, plus loss.
@@ -55,7 +81,7 @@ class Network {
  public:
   using Handler = std::function<void(NodeAddr from, const Message& msg)>;
   /// Called when churn (or a test) flips a node online/offline.
-  using StatusHook = std::function<void(NodeAddr node, bool online)>;
+  using StatusObserver = std::function<void(NodeAddr node, bool online)>;
 
   Network(Simulator& sim, LatencyModel latency, util::Rng& rng);
 
@@ -64,13 +90,12 @@ class Network {
   NodeAddr addNode();
 
   void setHandler(NodeAddr node, Handler handler);
-  void setStatusHook(NodeAddr node, StatusHook hook);
 
-  /// Registers a network-wide status observer, invoked (after the node's own
-  /// StatusHook) whenever any node flips online/offline. Returns a token for
-  /// removeStatusObserver. Endpoints use this as the authoritative churn
-  /// signal to evict per-peer state for departed nodes.
-  std::uint64_t addStatusObserver(StatusHook observer);
+  /// Registers a network-wide status observer, invoked whenever any node
+  /// flips online/offline. Returns a token for removeStatusObserver.
+  /// Endpoints use this as the authoritative churn signal to evict per-peer
+  /// state for departed nodes.
+  std::uint64_t addStatusObserver(StatusObserver observer);
   void removeStatusObserver(std::uint64_t token);
 
   void setOnline(NodeAddr node, bool online);
@@ -158,11 +183,10 @@ class Network {
   // Column-per-field node table; NodeAddr a lives at row a - 1.
   std::deque<Handler> handlers_;
   std::vector<std::uint8_t> online_;
-  AddrMap<StatusHook> statusHooks_;  // sparse: most nodes never set one
   // Token-keyed (not NodeAddr-keyed) and iterated in ascending token order
   // when fanning out status flips — that order is part of the deterministic
   // trace, so this deliberately stays an ordered map.
-  std::map<std::uint64_t, StatusHook> statusObservers_;
+  std::map<std::uint64_t, StatusObserver> statusObservers_;
   std::uint64_t nextObserverToken_ = 1;
 
   std::uint64_t messagesSent_ = 0;

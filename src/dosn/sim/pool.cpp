@@ -1,6 +1,6 @@
 #include "dosn/sim/pool.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 namespace dosn::sim {
 
@@ -53,47 +53,6 @@ void Pool::deallocate(void* p, std::size_t n) noexcept {
   FreeNode* node = static_cast<FreeNode*>(p);
   node->next = freeList_;
   freeList_ = node;
-}
-
-void Pool::reset() {
-  if (liveBlocks_ > 0 || liveSpills_ > 0) {
-    throw util::DosnError("Pool: reset with live allocations outstanding");
-  }
-  slabs_.clear();
-  freeList_ = nullptr;
-  slabUsed_ = 0;
-}
-
-Pool& payloadPool() {
-  static Pool pool(/*blockSize=*/256, /*blocksPerSlab=*/1024);
-  return pool;
-}
-
-void PooledBytes::assign(util::BytesView data) {
-  if (data.size() <= kInlineSize) {
-    inlined_ = true;
-    size_ = static_cast<std::uint32_t>(data.size());
-    if (!data.empty()) std::memcpy(inline_, data.data(), data.size());
-    return;
-  }
-  Pool& pool = payloadPool();
-  if (data.size() <= pool.blockSize()) {
-    block_ = static_cast<std::uint8_t*>(pool.allocate(data.size()));
-    size_ = static_cast<std::uint32_t>(data.size());
-    std::memcpy(block_, data.data(), data.size());
-  } else {
-    spill_.assign(data.begin(), data.end());
-  }
-}
-
-void PooledBytes::release() noexcept {
-  if (block_) {
-    payloadPool().deallocate(block_, size_);
-    block_ = nullptr;
-  }
-  inlined_ = false;
-  size_ = 0;
-  spill_.clear();
 }
 
 }  // namespace dosn::sim

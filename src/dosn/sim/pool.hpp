@@ -1,19 +1,15 @@
-// Fixed-size block pool for the simulator hot path (DESIGN.md §3d), plus the
-// two clients that put it on every message's critical path:
-//
-//  - EventClosure: the move-only type-erased closure stored in the event
-//    queue. The handle is one pointer; the capture always takes one pool
-//    block behind a small header (a capture larger than a block spills to
-//    the heap). Every scheduled event used to cost at least one
-//    std::function heap allocation; now it recycles a freed block.
-//  - PooledBytes: the owning payload buffer of an in-flight sim::Message.
-//    Small payloads are copied into pool blocks; oversized ones spill to a
-//    regular heap buffer (util::Bytes), and buffers adopted from an rvalue
-//    util::Bytes keep their storage without any copy.
+// Fixed-size block pool for the simulator hot path (DESIGN.md §3d), and its
+// one client, EventClosure: the move-only type-erased closure stored in the
+// event queue. The handle is one pointer; the capture always takes one pool
+// block behind a small header (a capture larger than a block spills to the
+// heap). Every scheduled event used to cost at least one std::function heap
+// allocation; now it recycles a freed block. Message payloads do not come
+// from here: they are shared buffers (sim::Payload, network.hpp).
 //
 // The pool is a free list over slab-carved blocks: allocation is a pointer
-// pop, deallocation a pointer push, and slabs are only returned to the
-// system on reset(). Everything is single-threaded, like the simulator.
+// pop, deallocation a pointer push, and slabs are returned to the system
+// when the pool is destroyed. Everything is single-threaded, like the
+// simulator.
 #pragma once
 
 #include <cstddef>
@@ -23,9 +19,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "dosn/util/bytes.hpp"
-#include "dosn/util/error.hpp"
 
 namespace dosn::sim {
 
@@ -46,18 +39,13 @@ class Pool {
   std::size_t blockSize() const { return blockSize_; }
   std::size_t blocksPerSlab() const { return blocksPerSlab_; }
 
-  // Observability (bench_scale reports these; tests pin reuse/spill/reset).
+  // Observability (tests pin reuse and spills).
   std::uint64_t blockAllocs() const { return blockAllocs_; }  ///< pool-served
   std::uint64_t reuses() const { return reuses_; }  ///< served from free list
   std::uint64_t spills() const { return spills_; }  ///< oversized -> heap
   std::size_t slabCount() const { return slabs_.size(); }
   std::size_t liveBlocks() const { return liveBlocks_; }
   std::size_t liveSpills() const { return liveSpills_; }
-
-  /// Releases every slab back to the system and clears the free list (the
-  /// cumulative counters survive). Throws util::DosnError while any block
-  /// or spill allocation is still outstanding.
-  void reset();
 
  private:
   struct FreeNode {
@@ -75,96 +63,6 @@ class Pool {
   std::uint64_t spills_ = 0;
   std::size_t liveBlocks_ = 0;
   std::size_t liveSpills_ = 0;
-};
-
-/// The process-wide pool PooledBytes draws from (message payloads).
-Pool& payloadPool();
-
-/// Pool-backed owning byte buffer for in-flight message payloads. Converts
-/// implicitly from/to the library-wide util::Bytes / util::BytesView so
-/// handlers and tests keep reading payloads the way they always did.
-///
-/// Storage tiers by payload size: <= kInlineSize bytes live inline in the
-/// object itself — for an in-flight message that means inside the delivery
-/// closure's pool block, zero extra allocations and one contiguous cache
-/// run per message; <= the pool's block size takes one payloadPool() block;
-/// anything bigger spills to a regular heap buffer.
-class PooledBytes {
- public:
-  /// Covers control-plane frames (pings, digests, lookups); picked so the
-  /// delivery closure + inline payload still fit one event-pool block.
-  static constexpr std::size_t kInlineSize = 64;
-
-  PooledBytes() = default;
-  PooledBytes(util::BytesView data) { assign(data); }
-  PooledBytes(const util::Bytes& data) { assign(util::BytesView(data)); }
-  /// Adopts the vector's storage: no copy, no pool traffic. Copies made
-  /// from this buffer later still go through the inline/pool tiers.
-  PooledBytes(util::Bytes&& data) noexcept : spill_(std::move(data)) {}
-
-  PooledBytes(const PooledBytes& other) { assign(other.view()); }
-  PooledBytes(PooledBytes&& other) noexcept
-      : block_(other.block_), size_(other.size_), inlined_(other.inlined_),
-        spill_(std::move(other.spill_)) {
-    if (inlined_) __builtin_memcpy(inline_, other.inline_, size_);
-    other.block_ = nullptr;
-    other.size_ = 0;
-    other.inlined_ = false;
-  }
-  PooledBytes& operator=(const PooledBytes& other) {
-    if (this != &other) {
-      release();
-      assign(other.view());
-    }
-    return *this;
-  }
-  PooledBytes& operator=(PooledBytes&& other) noexcept {
-    if (this != &other) {
-      release();
-      block_ = other.block_;
-      size_ = other.size_;
-      inlined_ = other.inlined_;
-      spill_ = std::move(other.spill_);
-      if (inlined_) __builtin_memcpy(inline_, other.inline_, size_);
-      other.block_ = nullptr;
-      other.size_ = 0;
-      other.inlined_ = false;
-    }
-    return *this;
-  }
-  ~PooledBytes() { release(); }
-
-  const std::uint8_t* data() const {
-    return inlined_ ? inline_ : block_ ? block_ : spill_.data();
-  }
-  std::uint8_t* data() {
-    return inlined_ ? inline_ : block_ ? block_ : spill_.data();
-  }
-  std::size_t size() const {
-    return (inlined_ || block_) ? size_ : spill_.size();
-  }
-  bool empty() const { return size() == 0; }
-  /// True when the bytes live in a payloadPool() block (not inline/spill).
-  bool pooled() const { return block_ != nullptr; }
-  /// True when the bytes live inside the object itself.
-  bool inlined() const { return inlined_; }
-
-  const std::uint8_t* begin() const { return data(); }
-  const std::uint8_t* end() const { return data() + size(); }
-
-  util::BytesView view() const { return {data(), size()}; }
-  operator util::BytesView() const { return view(); }
-  operator util::Bytes() const { return util::Bytes(begin(), end()); }
-
- private:
-  void assign(util::BytesView data);
-  void release() noexcept;
-
-  std::uint8_t* block_ = nullptr;  // pool block when set (and not inlined_)
-  std::uint32_t size_ = 0;         // payload size when inline or pooled
-  bool inlined_ = false;
-  util::Bytes spill_;
-  std::uint8_t inline_[kInlineSize];
 };
 
 /// Move-only type-erased void() closure for simulator events. The handle is

@@ -52,8 +52,6 @@ class Simulator {
   bool idle() const { return queue_.empty(); }
   std::size_t pendingEvents() const { return queue_.size(); }
 
-  /// The pool backing spilled event closures (stats feed bench_scale).
-  const Pool& eventPool() const { return pool_; }
   /// The calendar queue (partition sizes feed tests and bench_scale).
   const EventQueue& eventQueue() const { return queue_; }
 

@@ -15,6 +15,7 @@
 //    twice and never late.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -149,11 +150,57 @@ TEST_F(FaultPlanTest, CorruptionFlipsBitsSameLength) {
   plan_.add(FaultRule::node(b).corrupt(1.0));
   const util::Bytes original = rng_.bytes(64);
   util::Bytes received;
-  net_.setHandler(b, [&](NodeAddr, const Message& msg) { received = msg.payload; });
-  net_.send(a, b, Message{"m", original});
+  net_.setHandler(b, [&](NodeAddr, const Message& msg) {
+    received.assign(msg.payload.begin(), msg.payload.end());
+  });
+  net_.send(a, b, Message{"m", util::Bytes(original)});
   sim_.run();
   ASSERT_EQ(received.size(), original.size());
   EXPECT_NE(received, original);
+  EXPECT_EQ(metrics_.counter("net.corrupted"), 1u);
+}
+
+// A message's payload is one shared buffer: both deliveries of a duplicated
+// message hold the buffer the sender built, not copies of it.
+TEST_F(FaultPlanTest, DuplicatesShareOneBuffer) {
+  const NodeAddr a = net_.addNode();
+  const NodeAddr b = net_.addNode();
+  plan_.add(FaultRule::link(a, b).duplicate(1.0));
+  const sim::Payload sent(toBytes("one buffer, two deliveries"));
+  std::vector<sim::Payload> received;
+  net_.setHandler(b, [&](NodeAddr, const Message& msg) {
+    received.push_back(msg.payload);
+  });
+  net_.send(a, b, Message{"m", sent});
+  sim_.run();
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(received[0].data(), sent.data());
+  EXPECT_EQ(received[1].data(), sent.data());
+}
+
+// Corruption copies before it flips: the sender's buffer keeps its bytes,
+// and the flipped copy is made once, before duplication, so both
+// deliveries share it.
+TEST_F(FaultPlanTest, CorruptionFlipsACopyThatDuplicatesShare) {
+  const NodeAddr a = net_.addNode();
+  const NodeAddr b = net_.addNode();
+  plan_.add(FaultRule::link(a, b).duplicate(1.0).corrupt(1.0));
+  const util::Bytes original = rng_.bytes(64);
+  const sim::Payload sent{util::Bytes(original)};
+  std::vector<sim::Payload> received;
+  net_.setHandler(b, [&](NodeAddr, const Message& msg) {
+    received.push_back(msg.payload);
+  });
+  net_.send(a, b, Message{"m", sent});
+  sim_.run();
+  EXPECT_TRUE(std::equal(sent.begin(), sent.end(), original.begin(),
+                         original.end()));
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_NE(received[0].data(), sent.data());
+  EXPECT_EQ(received[1].data(), received[0].data());
+  ASSERT_EQ(received[0].size(), original.size());
+  EXPECT_FALSE(std::equal(received[0].begin(), received[0].end(),
+                          original.begin(), original.end()));
   EXPECT_EQ(metrics_.counter("net.corrupted"), 1u);
 }
 
@@ -218,7 +265,8 @@ std::vector<TraceEntry> runFaultyWorkload(std::uint64_t seed) {
   for (const NodeAddr node : nodes) {
     net.setHandler(node, [trace, node, &simulator](NodeAddr from,
                                                    const Message& msg) {
-      trace->push_back({simulator.now(), from, node, msg.type, msg.payload});
+      trace->push_back({simulator.now(), from, node, msg.type,
+                        util::Bytes(msg.payload.begin(), msg.payload.end())});
     });
   }
   // Fixed message schedule; all randomness (loss, jitter, fault draws) flows

@@ -8,6 +8,9 @@
 //    the call pending until the deadline — no crash, no bogus completion;
 //  - a retransmission racing a late reply to the first attempt: the late
 //    reply completes the call, the second attempt's reply is an orphan;
+//  - a call's frame is one shared buffer: every attempt delivers it, a
+//    corrupted attempt gets its own flipped copy, and a duplicate that
+//    lands after the call completed still reads it;
 //  - every counter the endpoint writes is per message type: rpc.<type>.*
 //    (orphans under the reply channel's type), beside the network's net.*;
 //  - RetryPolicy's closed-form backoff matches iterated multiplication and
@@ -19,8 +22,11 @@
 //    rpc.gossip.digest.* counters to show for it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -244,6 +250,137 @@ TEST_F(RpcEndpointTest, RetransmissionResendsTheFirstFrame) {
   EXPECT_EQ(net_.sentOfType("req"), 2u);
   const std::uint64_t repliesBytes = 8;  // one reply: its rpcId
   EXPECT_EQ(net_.bytesSent(), 2 * frame.buffer().size() + repliesBytes);
+}
+
+// Attempts share one buffer: every retransmission delivers the buffer the
+// first attempt carried, not a copy of it.
+TEST_F(RpcEndpointTest, EveryAttemptDeliversTheFirstAttemptsBuffer) {
+  RpcEndpoint client(net_);
+  client.addReplyChannel("resp");
+  const NodeAddr server = net_.addNode();
+  std::vector<sim::Payload> received;
+  net_.setHandler(server, [&](NodeAddr from, const Message& msg) {
+    received.push_back(msg.payload);
+    if (received.size() < 3) return;  // sit on the first two attempts
+    util::Writer w;
+    w.u64(util::Reader(msg.payload).u64());
+    net_.send(server, from, Message{"resp", w.take()});
+  });
+
+  CallOptions options;
+  options.timeout = 200 * kMillisecond;
+  options.retry.attempts = 3;
+  options.retry.backoffBase = 10 * kMillisecond;
+  bool completed = false;
+  client.call(server, "req", frameOf("one frame"), options,
+              [&](bool ok, util::BytesView) { completed = ok; });
+  sim_.run();
+
+  ASSERT_TRUE(completed);
+  EXPECT_EQ(client.retries(), 2u);
+  ASSERT_EQ(received.size(), 3u);
+  EXPECT_EQ(received[1].data(), received[0].data());
+  EXPECT_EQ(received[2].data(), received[0].data());
+}
+
+// Only a corrupted delivery pays for a copy: it gets its own flipped bytes,
+// while the pending call's frame stays intact, so the retransmission
+// carries the frame byte for byte.
+TEST_F(RpcEndpointTest, CorruptedAttemptLeavesTheFrameIntact) {
+  RpcEndpoint client(net_);
+  client.addReplyChannel("resp");
+  const NodeAddr server = net_.addNode();
+  std::vector<sim::Payload> received;
+  util::Bytes expected;  // the call's frame, known once call() returns
+  net_.setHandler(server, [&](NodeAddr from, const Message& msg) {
+    received.push_back(msg.payload);
+    // Answer only an intact frame, as a checksum would.
+    if (!std::equal(msg.payload.begin(), msg.payload.end(), expected.begin(),
+                    expected.end())) {
+      return;
+    }
+    util::Writer w;
+    w.u64(util::Reader(msg.payload).u64());
+    net_.send(server, from, Message{"resp", w.take()});
+  });
+  FaultPlan plan;
+  plan.between(0, kMillisecond,
+               FaultRule::link(client.addr(), server).corrupt(1.0));
+  net_.setFaultPlan(&plan);
+
+  CallOptions options;
+  options.timeout = 200 * kMillisecond;
+  options.retry.attempts = 2;
+  options.retry.backoffBase = 10 * kMillisecond;
+  bool completed = false;
+  const net::RpcId id =
+      client.call(server, "req", frameOf("the request body"), options,
+                  [&](bool ok, util::BytesView) { completed = ok; });
+  util::Writer frame;
+  frame.u64(id);
+  frame.raw(util::asBytes("the request body"));
+  expected = frame.take();
+  sim_.run();
+
+  ASSERT_TRUE(completed);
+  EXPECT_EQ(metrics_.counter("net.corrupted"), 1u);
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_NE(received[0].data(), received[1].data());
+  ASSERT_EQ(received[0].size(), expected.size());
+  EXPECT_FALSE(std::equal(received[0].begin(), received[0].end(),
+                          expected.begin(), expected.end()));
+  EXPECT_TRUE(std::equal(received[1].begin(), received[1].end(),
+                         expected.begin(), expected.end()));
+}
+
+// A fault-plan duplicate can land after its call completed and the pending
+// call let go of its frame. The delivery holds the shared buffer, so it
+// still reads the frame's bytes (a freed buffer would fail under ASan).
+TEST(RpcEndpointSharingTest, DuplicateAfterCompletionReadsValidBytes) {
+  util::Rng rng(11);
+  sim::Simulator sim;
+  // 1 ms base latency and up to 100 ms of jitter: a request's two copies
+  // often land further apart than a whole round trip.
+  sim::Network net(sim, sim::LatencyModel{kMillisecond, 100 * kMillisecond, 0.0},
+                   rng);
+  RpcEndpoint client(net);
+  client.addReplyChannel("resp");
+  const NodeAddr server = net.addNode();
+  FaultPlan plan;
+  plan.add(FaultRule::link(client.addr(), server).duplicate(1.0));
+  net.setFaultPlan(&plan);
+
+  std::map<net::RpcId, util::Bytes> frames;
+  std::set<net::RpcId> completed;
+  std::size_t lateCopies = 0;
+  net.setHandler(server, [&](NodeAddr from, const Message& msg) {
+    const net::RpcId id = util::Reader(msg.payload).u64();
+    if (completed.count(id) != 0) ++lateCopies;
+    EXPECT_EQ(util::Bytes(msg.payload.begin(), msg.payload.end()),
+              frames.at(id));
+    util::Writer w;
+    w.u64(id);
+    net.send(server, from, Message{"resp", w.take()});
+  });
+  for (int i = 0; i < 16; ++i) {
+    const std::string body = "request " + std::to_string(i);
+    auto slot = std::make_shared<net::RpcId>(0);
+    const net::RpcId id = client.call(
+        server, "req", frameOf(body), CallOptions{},
+        [&completed, slot](bool ok, util::BytesView) {
+          if (ok) completed.insert(*slot);
+        });
+    *slot = id;
+    util::Writer frame;
+    frame.u64(id);
+    frame.raw(util::asBytes(body));
+    frames[id] = frame.take();
+  }
+  sim.run();
+
+  EXPECT_EQ(completed.size(), 16u);
+  EXPECT_EQ(client.pendingCalls(), 0u);
+  EXPECT_GT(lateCopies, 0u);
 }
 
 TEST_F(RpcEndpointTest, EveryCounterIsPerMessageType) {

@@ -141,7 +141,8 @@ TEST_F(NetworkTest, ReceiverOfflineAtDeliveryDrops) {
 TEST_F(NetworkTest, StatusHookFires) {
   const NodeAddr a = net_.addNode();
   std::vector<bool> transitions;
-  net_.setStatusHook(a, [&](NodeAddr, bool online) {
+  net_.addStatusObserver([&](NodeAddr node, bool online) {
+    EXPECT_EQ(node, a);
     transitions.push_back(online);
   });
   net_.setOnline(a, false);
@@ -257,7 +258,7 @@ TEST(Churn, SteadyStateAvailabilityMatchesExpectation) {
 }
 
 TEST(Churn, TimeWeightedAvailabilityConvergesToExpectation) {
-  // Empirical per-node availability (time-integrated via status hooks, not
+  // Empirical per-node availability (time-integrated via a status observer, not
   // point samples) over a long run must converge to expectedAvailability.
   util::Rng rng(17);
   Simulator sim;
@@ -279,15 +280,16 @@ TEST(Churn, TimeWeightedAvailabilityConvergesToExpectation) {
   std::vector<Tracker> trackers(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     trackers[i].online = net.isOnline(nodes[i]);
-    net.setStatusHook(nodes[i], [&, i](NodeAddr, bool online) {
-      Tracker& t = trackers[i];
-      if (t.online) {
-        t.onlineTime += static_cast<double>(sim.now() - t.lastChange);
-      }
-      t.lastChange = sim.now();
-      t.online = online;
-    });
   }
+  // Addresses are dense, so a node's tracker is at its offset from the first.
+  net.addStatusObserver([&](NodeAddr node, bool online) {
+    Tracker& t = trackers[node - nodes.front()];
+    if (t.online) {
+      t.onlineTime += static_cast<double>(sim.now() - t.lastChange);
+    }
+    t.lastChange = sim.now();
+    t.online = online;
+  });
   const SimTime horizon = 20'000 * kSecond;
   sim.runUntil(horizon);
   churn.stop();
@@ -311,9 +313,7 @@ TEST(Churn, StopHaltsTransitions) {
   // the long horizon below.
   ChurnProcess churn(net, ChurnConfig{1, 1, 1.0}, nodes);
   int transitions = 0;
-  for (const NodeAddr node : nodes) {
-    net.setStatusHook(node, [&](NodeAddr, bool) { ++transitions; });
-  }
+  net.addStatusObserver([&](NodeAddr, bool) { ++transitions; });
   sim.runUntil(10 * kSecond);
   const int beforeStop = transitions;
   EXPECT_GT(beforeStop, 0);
@@ -508,7 +508,7 @@ TEST_F(NetworkTest, TypeCounterViewMatchesDenseLookups) {
   EXPECT_EQ(sent.count("view.never-sent"), 0u);
 }
 
-// ---- Event/payload pools (DESIGN.md §3d) ----
+// ---- Event pool and shared payloads (DESIGN.md §3d) ----
 
 TEST(PoolTest, ReusesFreedBlocks) {
   Pool pool(64, 8);
@@ -543,20 +543,6 @@ TEST(PoolTest, CarvesNewSlabsOnDemand) {
   EXPECT_EQ(pool.liveBlocks(), 0u);
 }
 
-TEST(PoolTest, ResetRefusesWhileBlocksLive) {
-  Pool pool(32, 4);
-  void* p = pool.allocate(32);
-  EXPECT_THROW(pool.reset(), util::DosnError);
-  pool.deallocate(p, 32);
-  pool.reset();
-  EXPECT_EQ(pool.slabCount(), 0u);
-  // Cumulative counters survive reset; the pool is immediately usable.
-  EXPECT_EQ(pool.blockAllocs(), 1u);
-  void* q = pool.allocate(32);
-  EXPECT_NE(q, nullptr);
-  pool.deallocate(q, 32);
-}
-
 TEST(PoolTest, ReuseUnderChurn) {
   // Steady-state simulation shape: allocate/free cycling far more blocks
   // than one slab holds must reuse the free list, not grow slabs.
@@ -572,91 +558,19 @@ TEST(PoolTest, ReuseUnderChurn) {
   EXPECT_EQ(pool.liveBlocks(), 0u);
 }
 
-TEST(PooledBytesTest, SmallPayloadsLiveInline) {
-  const util::Bytes small = util::toBytes("inline-sized payload");
-  PooledBytes b(small);
-  EXPECT_TRUE(b.inlined());
-  EXPECT_FALSE(b.pooled());
-  EXPECT_EQ(util::Bytes(b), small);
-  EXPECT_EQ(b.size(), small.size());
-}
-
-TEST(PooledBytesTest, InlineBoundaryIsExact) {
-  const util::Bytes atLimit(PooledBytes::kInlineSize, 0xab);
-  const util::Bytes overLimit(PooledBytes::kInlineSize + 1, 0xcd);
-  PooledBytes in(atLimit);
-  PooledBytes out(overLimit);
-  EXPECT_TRUE(in.inlined());
-  EXPECT_FALSE(out.inlined());
-  EXPECT_TRUE(out.pooled());
-  EXPECT_EQ(util::Bytes(in), atLimit);
-  EXPECT_EQ(util::Bytes(out), overLimit);
-}
-
-TEST(PooledBytesTest, MidSizePayloadsTakePoolBlocks) {
-  const std::uint64_t before = payloadPool().blockAllocs();
-  const util::Bytes mid(128, 0x5a);
-  PooledBytes b(mid);
-  EXPECT_TRUE(b.pooled());
-  EXPECT_FALSE(b.inlined());
-  EXPECT_EQ(payloadPool().blockAllocs(), before + 1);
-  EXPECT_EQ(util::Bytes(b), mid);
-}
-
-TEST(PooledBytesTest, OversizedPayloadsSpillToHeap) {
-  const util::Bytes big(payloadPool().blockSize() + 1, 0x11);
-  PooledBytes b(big);
-  EXPECT_FALSE(b.pooled());
-  EXPECT_FALSE(b.inlined());
-  EXPECT_EQ(b.size(), big.size());
-  EXPECT_EQ(util::Bytes(b), big);
-}
-
-TEST(PooledBytesTest, AdoptsRvalueBytesWithoutPoolTraffic) {
-  util::Bytes payload(200, 0x77);
-  const std::uint8_t* storage = payload.data();
-  const std::uint64_t allocsBefore = payloadPool().blockAllocs();
-  const std::uint64_t spillsBefore = payloadPool().spills();
-  PooledBytes b(std::move(payload));
-  EXPECT_EQ(b.data(), storage);  // same heap buffer, no copy
-  EXPECT_EQ(payloadPool().blockAllocs(), allocsBefore);
-  EXPECT_EQ(payloadPool().spills(), spillsBefore);
-}
-
-TEST(PooledBytesTest, MovesPreserveEveryTier) {
-  const util::Bytes small = util::toBytes("tiny");
-  const util::Bytes mid(128, 0x22);
-  const util::Bytes big(payloadPool().blockSize() + 16, 0x33);
-  for (const util::Bytes& payload : {small, mid, big}) {
-    PooledBytes source(payload);
-    PooledBytes moved(std::move(source));
-    EXPECT_EQ(util::Bytes(moved), payload);
-    EXPECT_TRUE(source.empty());
-    PooledBytes assigned;
-    assigned = std::move(moved);
-    EXPECT_EQ(util::Bytes(assigned), payload);
-  }
-}
-
-TEST(PooledBytesTest, CopiesReassignStorageTier) {
-  // A copy re-tiers by size, regardless of the source's storage: a copy of
-  // an adopted heap buffer that fits inline goes inline.
-  util::Bytes adopted = util::toBytes("fits inline after copy");
-  PooledBytes source(std::move(adopted));
-  EXPECT_FALSE(source.inlined());
-  PooledBytes copy(source);
-  EXPECT_TRUE(copy.inlined());
-  EXPECT_EQ(util::Bytes(copy), util::toBytes("fits inline after copy"));
-}
-
-TEST(PooledBytesTest, ReleasesBlocksOnDestruction) {
-  const std::size_t liveBefore = payloadPool().liveBlocks();
-  const util::Bytes mid(128, 0x44);  // lvalue: copied into a pool block
-  {
-    PooledBytes b(mid);
-    EXPECT_EQ(payloadPool().liveBlocks(), liveBefore + 1);
-  }
-  EXPECT_EQ(payloadPool().liveBlocks(), liveBefore);
+TEST(PayloadTest, AdoptsTheVectorAndCopiesShareIt) {
+  util::Bytes bytes(200, 0x77);
+  const std::uint8_t* storage = bytes.data();
+  const Payload payload(std::move(bytes));
+  EXPECT_EQ(payload.data(), storage);  // adopted, not copied
+  EXPECT_EQ(payload.size(), 200u);
+  const Payload copy = payload;
+  EXPECT_EQ(copy.data(), storage);  // a copy is a second handle
+  const util::BytesView view = copy;
+  EXPECT_EQ(view.data(), storage);
+  EXPECT_EQ(view.size(), 200u);
+  EXPECT_TRUE(Payload().empty());
+  EXPECT_EQ(Payload().view().size(), 0u);
 }
 
 TEST(EventClosureTest, DroppedUnrunClosureReleasesItsBlock) {
